@@ -261,25 +261,15 @@ def _refine_boundary(
     return r_feas
 
 
-def _ccc_fit_mp(variant: ModelVariant, u: np.ndarray, on_infeasible: str) -> float:
+def _ccc_fit_mp(variant: ModelVariant, u: np.ndarray) -> float:
     """Grid-plus-bisection fit for the MP families. Feasibility in r need
     not be a single interval, so both one-sided extremes of the feasible
     grid set are refined and the larger |r| wins."""
     steps = int((R_CLAMP - _GRID_STEP / 2) / _GRID_STEP)  # largest grid multiple below the clamp
     inner = np.arange(-steps, steps + 1) * _GRID_STEP
     grid = np.concatenate(([-R_CLAMP], inner, [R_CLAMP]))
+    # never all False: r = 0 is on the grid, S(0) = I, and ccc_fit admits |u| <= 1 + 1e-9 only
     feas = _mp_feasible(variant, grid, u)
-    if not np.any(feas):
-        # unreachable for in-box pairs (r=0 is the standard square), kept defensive
-        if on_infeasible == "relax":
-            shapes = _mp_shape_2d(variant, grid)
-            det = shapes[:, 0, 0] * shapes[:, 1, 1] - shapes[:, 0, 1] * shapes[:, 1, 0]
-            d1 = (shapes[:, 1, 1, None] * u[:, 0] - shapes[:, 0, 1, None] * u[:, 1]) / det[:, None]
-            d2 = (-shapes[:, 1, 0, None] * u[:, 0] + shapes[:, 0, 0, None] * u[:, 1]) / det[:, None]
-            worst = np.maximum(np.abs(d1), np.abs(d2)).max(axis=1)
-            warnings.warn("infeasible MP pair fit relaxed to minimax value", DegenerateData)
-            return float(grid[int(np.argmin(worst))])
-        raise InfeasibleFit("no parallelepiped of the family encloses all pairs")
     idx = np.flatnonzero(feas)
     i_hi, i_lo = int(idx[-1]), int(idx[0])
     if i_hi == len(grid) - 1:
@@ -310,7 +300,7 @@ def ccc_fit(
     of maximal |r| whose 2D domain encloses all pairs; ties between the
     positive and negative extremes go to the SCC sign. Fits reaching the
     clamp |r| = 1 - 1e-6 emit a DegenerateData warning. When no r is
-    feasible (possible for ME even on in-box data), on_infeasible selects
+    feasible (possible only for ME, even on in-box data), on_infeasible selects
     between raising InfeasibleFit ("error") and returning the
     minimax-violation r with a warning ("relax").
     """
@@ -325,7 +315,7 @@ def ccc_fit(
         raise ValueError("u_pairs entries must lie in [-1, 1]")
     if variant is ModelVariant.ME:
         return _ccc_fit_me(u, on_infeasible)
-    return _ccc_fit_mp(variant, u, on_infeasible)
+    return _ccc_fit_mp(variant, u)
 
 
 def assemble_correlation_matrix(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -49,6 +50,12 @@ class Interval:
         return (self.upper - self.lower) / 2.0
 
 
+def _read_only(values: list[float]) -> np.ndarray:
+    arr = np.array(values)
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True)
 class MarginalSpec:
     """Ordered named intervals; carries the midpoint vector and the
@@ -76,13 +83,15 @@ class MarginalSpec:
     def n(self) -> int:
         return len(self.names)
 
-    @property
+    # computed once per spec: the reliability solver maps every limit-state
+    # evaluation through both
+    @cached_property
     def midpoints(self) -> np.ndarray:
-        return np.array([iv.midpoint for iv in self.intervals])
+        return _read_only([iv.midpoint for iv in self.intervals])
 
-    @property
+    @cached_property
     def radii(self) -> np.ndarray:
-        return np.array([iv.radius for iv in self.intervals])
+        return _read_only([iv.radius for iv in self.intervals])
 
     @property
     def lowers(self) -> np.ndarray:

@@ -20,32 +20,13 @@ _SINGULAR_DET = 1e-14
 
 
 @dataclass(frozen=True)
-class CoreShapeMatrix:
-    entries: np.ndarray
-    variant: ModelVariant
-
-    def __post_init__(self) -> None:
-        entries = np.array(self.entries, dtype=float)
-        entries.flags.writeable = False
-        object.__setattr__(self, "entries", entries)
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
-
-
-@dataclass(frozen=True)
 class ShapeMatrix:
     entries: np.ndarray
-    weights: np.ndarray
 
     def __post_init__(self) -> None:
         entries = np.array(self.entries, dtype=float)
-        weights = np.array(self.weights, dtype=float)
         entries.flags.writeable = False
-        weights.flags.writeable = False
         object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "weights", weights)
 
     @property
     def n(self) -> int:
@@ -68,21 +49,20 @@ def _checked_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lam, vec
 
 
-def symmetric_sqrt(R: CorrelationMatrix | np.ndarray) -> CoreShapeMatrix:
+def symmetric_sqrt(R: CorrelationMatrix | np.ndarray) -> np.ndarray:
     """Principal symmetric square root H with H·H = R."""
     matrix = _entries(R)
     lam, vec = _checked_eigh(matrix)
     H = (vec * np.sqrt(lam)) @ vec.T
-    H = (H + H.T) / 2.0
-    return CoreShapeMatrix(entries=H, variant=ModelVariant.MP2)
+    return (H + H.T) / 2.0
 
 
-def identity_factor(R: CorrelationMatrix | np.ndarray) -> CoreShapeMatrix:
+def identity_factor(R: CorrelationMatrix | np.ndarray) -> np.ndarray:
     """MP-I rule: the factor is the correlation matrix itself."""
-    return CoreShapeMatrix(entries=_entries(R).copy(), variant=ModelVariant.MP1)
+    return _entries(R).copy()
 
 
-def eigen_factor(R: CorrelationMatrix | np.ndarray) -> CoreShapeMatrix:
+def eigen_factor(R: CorrelationMatrix | np.ndarray) -> np.ndarray:
     """H = Q·Λ^(1/2) from R = QΛQᵀ, eigenvalues descending, each
     eigenvector's sign fixed so its first nonzero component is positive
     (canonical choice; the induced domain is unaffected)."""
@@ -96,20 +76,20 @@ def eigen_factor(R: CorrelationMatrix | np.ndarray) -> CoreShapeMatrix:
         nonzero = np.flatnonzero(np.abs(col) > 1e-12 * np.max(np.abs(col)))
         if nonzero.size and col[nonzero[0]] < 0:
             vec[:, k] = -col
-    return CoreShapeMatrix(entries=vec * np.sqrt(lam), variant=ModelVariant.RECT)
+    return vec * np.sqrt(lam)
 
 
-def cholesky_lower(R: CorrelationMatrix | np.ndarray) -> CoreShapeMatrix:
+def cholesky_lower(R: CorrelationMatrix | np.ndarray) -> np.ndarray:
     """Lower-triangular L with positive diagonal and L·Lᵀ = R."""
     matrix = _entries(R)
     try:
         L = np.linalg.cholesky(matrix)
     except np.linalg.LinAlgError:
         raise NotPositiveDefinite("Cholesky factorization failed; matrix not PD") from None
-    return CoreShapeMatrix(entries=L, variant=ModelVariant.LTRI)
+    return L
 
 
-def upper_factor(R: CorrelationMatrix | np.ndarray) -> CoreShapeMatrix:
+def upper_factor(R: CorrelationMatrix | np.ndarray) -> np.ndarray:
     """Upper-triangular U with positive diagonal and U·Uᵀ = R, obtained by
     reversing row/column order, taking a Cholesky factor, and reversing
     back (U = J·chol(J·R·J)·J with J the reversal permutation)."""
@@ -121,8 +101,7 @@ def upper_factor(R: CorrelationMatrix | np.ndarray) -> CoreShapeMatrix:
         raise NotPositiveDefinite("Cholesky factorization failed; matrix not PD") from None
     U = L[::-1, ::-1]
     # exact zeros below the diagonal (the reversal guarantees the pattern)
-    U = np.triu(U)
-    return CoreShapeMatrix(entries=U, variant=ModelVariant.UTRI)
+    return np.triu(U)
 
 
 _FACTOR_RULES = {
@@ -134,16 +113,16 @@ _FACTOR_RULES = {
 }
 
 
-def core_shape_matrix(variant: ModelVariant, R: CorrelationMatrix | np.ndarray) -> CoreShapeMatrix:
+def core_shape_matrix(variant: ModelVariant, R: CorrelationMatrix | np.ndarray) -> np.ndarray:
     """Dispatch to the variant's factor rule."""
     if variant is ModelVariant.ME:
         raise ValueError("the ellipsoid model has no core shape matrix")
     return _FACTOR_RULES[variant](R)
 
 
-def shape_matrix(H: CoreShapeMatrix) -> ShapeMatrix:
+def shape_matrix(H: np.ndarray) -> ShapeMatrix:
     """Row-normalize the factor: S = diag(w)·H with w_i = 1/Σ_j |H_ij|."""
-    entries = H.entries
+    entries = np.asarray(H, dtype=float)
     row_sums = np.sum(np.abs(entries), axis=1)
     if np.any(row_sums == 0.0):
         raise SingularShape("factor has a zero row")
@@ -153,4 +132,4 @@ def shape_matrix(H: CoreShapeMatrix) -> ShapeMatrix:
         raise SingularShape(
             f"shape matrix determinant below {_SINGULAR_DET:g} in magnitude"
         )
-    return ShapeMatrix(entries=S, weights=weights)
+    return ShapeMatrix(entries=S)

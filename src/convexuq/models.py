@@ -1,10 +1,14 @@
 """Convex model construction, membership, assessment, and serialization.
 
-The ellipsoid (ME) domain is {X : (X-X^m)ᵀ C⁻¹ (X-X^m) ≤ 1} with
-C = D·R·D, where D is the diagonal of radii. Every parallelepiped (MP)
-domain is {X : |(D·S)⁻¹(X-X^m)| ≤ e} with S the variant's shape matrix.
-The characteristic matrix (the inverse appearing in the inequality) is
-computed once at build time.
+Every model is an affine image of a unit p-ball:
+X = X^m + D·A·δ with ‖δ‖_p ≤ 1, where X^m are the interval midpoints and
+D the diagonal of radii. The ellipsoid (ME) takes A = P, the lower
+Cholesky factor of R, and p = 2, which is the domain
+{X : (X-X^m)ᵀ C⁻¹ (X-X^m) ≤ 1} with C = D·R·D. Every parallelepiped (MP)
+takes A = S, the variant's shape matrix, and p = ∞, which is the domain
+{X : |(D·S)⁻¹(X-X^m)| ≤ e}. The factor A and the characteristic matrix
+(the inverse appearing in the inequality) are computed once, by
+`build_model`; everything else derives from (variant, spec, R, A).
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .correlation import EPS_PD, CorrelationMatrix, ModelVariant
+from .correlation import EPS_PD, MEMBERSHIP_TOL, CorrelationMatrix, ModelVariant
 from .domain import MarginalSpec, SampleSet, make_marginal_spec
 from .errors import (
     DimensionMismatch,
@@ -27,12 +31,18 @@ from .errors import (
     NotEllipsoid,
     NotPositiveDefinite,
     ParseError,
+    SingularShape,
 )
 from .factorization import ShapeMatrix, core_shape_matrix, shape_matrix
 
-MEMBERSHIP_TOL = 1e-9
 _COND_WARN = 1e12
 FORMAT_VERSION = 1
+# largest disagreement between a loaded file's derived matrix and the one
+# rebuilt from its correlation: relative to the largest covariance entry
+# (at least 1) for ME; absolute for the MP shape, which files may carry
+# print-rounded to about three decimals
+_COVARIANCE_RTOL = 1e-9
+_SHAPE_ATOL = 5e-4
 
 
 class Membership(NamedTuple):
@@ -65,19 +75,14 @@ class ConvexModel:
     variant: ModelVariant
     spec: MarginalSpec
     R: CorrelationMatrix
-    shape: ShapeMatrix | None  # MP variants only
-    characteristic: np.ndarray  # ME: C⁻¹; MP: (D·S)⁻¹
-    covariance: np.ndarray | None  # ME only: C = D·R·D
-    cholesky: np.ndarray | None  # ME only: lower P with P·Pᵀ = R
-    dx_shape: np.ndarray | None  # MP only: D·S
+    factor: np.ndarray  # A: Cholesky factor P of R (ME) or shape matrix S (MP)
+    characteristic: np.ndarray  # ME: C⁻¹ = (D·R·D)⁻¹; MP: (D·S)⁻¹
 
     def __post_init__(self) -> None:
-        for field in ("characteristic", "covariance", "cholesky", "dx_shape"):
-            arr = getattr(self, field)
-            if arr is not None:
-                arr = np.asarray(arr, dtype=float)
-                arr.flags.writeable = False
-                object.__setattr__(self, field, arr)
+        for field in ("factor", "characteristic"):
+            arr = np.asarray(getattr(self, field), dtype=float)
+            arr.flags.writeable = False
+            object.__setattr__(self, field, arr)
 
     @property
     def n(self) -> int:
@@ -91,11 +96,23 @@ class ConvexModel:
     def radii(self) -> np.ndarray:
         return self.spec.radii
 
+    @property
+    def shape(self) -> ShapeMatrix:
+        """The shape matrix S of a parallelepiped model."""
+        if not self.variant.is_parallelepiped:
+            raise ValueError("the ellipsoid model has no shape matrix")
+        return ShapeMatrix(entries=self.factor)
+
 
 def _warn_if_ill_conditioned(matrix: np.ndarray, what: str) -> None:
     cond = np.linalg.cond(matrix)
     if cond > _COND_WARN:
         warnings.warn(f"{what} condition number {cond:.3g} above 1e12", IllConditioned)
+
+
+def _covariance(R: CorrelationMatrix, radii: np.ndarray) -> np.ndarray:
+    """C = D·R·D, the ellipsoid's radius-scaled correlation matrix."""
+    return R.entries * np.outer(radii, radii)
 
 
 def build_model(variant: ModelVariant, spec: MarginalSpec, R: CorrelationMatrix) -> ConvexModel:
@@ -111,34 +128,18 @@ def build_model(variant: ModelVariant, spec: MarginalSpec, R: CorrelationMatrix)
         )
     radii = spec.radii
     if variant is ModelVariant.ME:
-        covariance = R.entries * np.outer(radii, radii)
-        _warn_if_ill_conditioned(covariance, "covariance matrix")
-        characteristic = np.linalg.inv(covariance)
-        chol = np.linalg.cholesky(R.entries)
-        return ConvexModel(
-            variant=variant,
-            spec=spec,
-            R=R,
-            shape=None,
-            characteristic=characteristic,
-            covariance=covariance,
-            cholesky=chol,
-            dx_shape=None,
-        )
-    H = core_shape_matrix(variant, R)
-    S = shape_matrix(H)
-    dx_shape = radii[:, None] * S.entries
-    _warn_if_ill_conditioned(dx_shape, "combined shape matrix")
-    characteristic = np.linalg.inv(dx_shape)
+        factor = np.linalg.cholesky(R.entries)
+        inverted, what = _covariance(R, radii), "covariance matrix"
+    else:
+        factor = shape_matrix(core_shape_matrix(variant, R)).entries
+        inverted, what = radii[:, None] * factor, "combined shape matrix"
+    _warn_if_ill_conditioned(inverted, what)
     return ConvexModel(
         variant=variant,
         spec=spec,
         R=R,
-        shape=S,
-        characteristic=characteristic,
-        covariance=None,
-        cholesky=None,
-        dx_shape=dx_shape,
+        factor=factor,
+        characteristic=np.linalg.inv(inverted),
     )
 
 
@@ -172,7 +173,7 @@ def volume_ratio(model: ConvexModel) -> tuple[float, float]:
         det_r = float(np.linalg.det(model.R.entries))
         nu = sphere * math.sqrt(max(det_r, 0.0)) / 2.0**n
     else:
-        nu = abs(float(np.linalg.det(model.shape.entries)))
+        nu = abs(float(np.linalg.det(model.factor)))
     return nu, nu ** (1.0 / n)
 
 
@@ -212,6 +213,14 @@ def project_2d(model: ConvexModel, i: int, j: int) -> np.ndarray:
     return np.array([[1.0, r], [r, 1.0]])
 
 
+def _derived_matrix(model: ConvexModel) -> tuple[str, np.ndarray]:
+    """The derived matrix a model file stores next to the correlation, and
+    its key: the covariance C for ME, the shape S for MP."""
+    if model.variant is ModelVariant.ME:
+        return "covariance", _covariance(model.R, model.radii)
+    return "shape", model.factor
+
+
 def _flat(matrix: np.ndarray) -> list[float]:
     return [float(v) for v in np.asarray(matrix).ravel()]
 
@@ -228,10 +237,8 @@ def serialize(model: ConvexModel) -> str:
         "upper": [iv.upper for iv in model.spec.intervals],
         "correlation": _flat(model.R.entries),
     }
-    if model.variant is ModelVariant.ME:
-        doc["covariance"] = _flat(model.covariance)
-    else:
-        doc["shape"] = _flat(model.shape.entries)
+    field, derived = _derived_matrix(model)
+    doc[field] = _flat(derived)
     return json.dumps(doc, indent=2)
 
 
@@ -260,10 +267,12 @@ def _matrix_from_flat(values: list, n: int, field: str) -> np.ndarray:
 
 
 def deserialize(text: str) -> ConvexModel:
-    """Parse a model file. Structural validation only: the shape matrix of
-    a loaded MP model may carry print-rounded rows (absolute sums near but
-    not exactly 1), so the strict row-sum invariant applies to built
-    models, not to loaded ones."""
+    """Parse a model file, rebuild the model from its variant, intervals
+    and correlation with `build_model`, and check the stored derived
+    matrix against the rebuilt one: the covariance within 1e-9 relative
+    to its largest entry, the shape within 5e-4 absolute (print-rounded
+    shapes load). Returns the rebuilt model, so a loaded shape is the
+    exact one, never the stored approximation."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -309,38 +318,24 @@ def deserialize(text: str) -> ConvexModel:
     except ValueError as exc:
         raise ParseError(str(exc), field="correlation") from None
 
-    radii = spec.radii
-    if variant is ModelVariant.ME:
-        covariance = _matrix_from_flat(_require(doc, "covariance", list), n, "covariance")
-        rebuilt = R.entries * np.outer(radii, radii)
-        scale = max(np.max(np.abs(covariance)), 1.0)
-        if np.max(np.abs(covariance - rebuilt)) > 1e-9 * scale:
-            raise ParseError(
-                "covariance inconsistent with correlation and interval radii",
-                field="covariance",
-            )
-        try:
-            return build_model(variant, spec, R)
-        except NotPositiveDefinite as exc:
-            raise ParseError(str(exc), field="correlation") from None
-    S = _matrix_from_flat(_require(doc, "shape", list), n, "shape")
-    row_sums = np.sum(np.abs(S), axis=1)
-    if np.max(np.abs(row_sums - 1.0)) > 0.05:
-        raise ParseError("shape rows are not normalized to unit absolute sum", field="shape")
-    if abs(np.linalg.det(S)) < 1e-14:
-        raise ParseError("shape matrix is singular", field="shape")
-    dx_shape = radii[:, None] * S
-    characteristic = np.linalg.inv(dx_shape)
-    return ConvexModel(
-        variant=variant,
-        spec=spec,
-        R=R,
-        shape=ShapeMatrix(entries=S, weights=1.0 / row_sums),
-        characteristic=characteristic,
-        covariance=None,
-        cholesky=None,
-        dx_shape=dx_shape,
-    )
+    try:
+        model = build_model(variant, spec, R)
+    except (NotPositiveDefinite, SingularShape) as exc:
+        raise ParseError(str(exc), field="correlation") from None
+    field, rebuilt = _derived_matrix(model)
+    stored = _matrix_from_flat(_require(doc, field, list), n, field)
+    if field == "covariance":
+        tol = _COVARIANCE_RTOL * max(np.max(np.abs(stored)), 1.0)
+    else:
+        tol = _SHAPE_ATOL
+    error = float(np.max(np.abs(stored - rebuilt)))
+    if error > tol:
+        raise ParseError(
+            f"stored {field} differs from the one rebuilt from the correlation "
+            f"by {error:.3g} (tolerance {tol:.3g})",
+            field=field,
+        )
+    return model
 
 
 def save_model(path: str | Path, model: ConvexModel) -> None:

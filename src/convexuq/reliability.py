@@ -1,11 +1,12 @@
 """Non-probabilistic reliability index: minimal norm distance from the
 standardized origin to the limit-state surface g = 0.
 
-The standardized coordinates are delta = P⁻¹D⁻¹(X - X^m) for the
-ellipsoid model (P the Cholesky factor of R, membership iff ‖delta‖₂ ≤ 1)
-and delta = (D·S)⁻¹(X - X^m) for parallelepiped models (membership iff
-‖delta‖_∞ ≤ 1). The solver is multi-start: sign-change bracketing plus
-root-finding along rays from the origin lands on the surface, then a
+The standardized coordinates are delta = A⁻¹D⁻¹(X - X^m), with A the
+model's factor: the Cholesky factor P of R for the ellipsoid model
+(membership iff ‖delta‖₂ ≤ 1) and the shape matrix S for parallelepiped
+models (membership iff ‖delta‖_∞ ≤ 1). The solver is multi-start:
+sign-change bracketing plus root-finding along rays from the origin
+lands on the surface, then a
 constrained local refinement with central finite differences polishes
 each start; the reported index is the best surface point found.
 """
@@ -46,28 +47,21 @@ _AGREE_RTOL = 1e-4
 
 
 def to_delta(model: ConvexModel, x: np.ndarray) -> np.ndarray:
-    """Standardize a physical point; inverse of from_delta to 1e-10."""
+    """Standardize a physical point, delta = A⁻¹D⁻¹(x - X^m); inverse of
+    from_delta to 1e-10."""
     x = np.asarray(x, dtype=float)
     if x.shape != (model.n,):
         raise DimensionMismatch(f"expected point of length {model.n}, got shape {x.shape}")
-    centered = x - model.midpoints
-    if model.variant is ModelVariant.ME:
-        u = centered / model.radii
-        # forward substitution against the lower-triangular Cholesky factor
-        from scipy.linalg import solve_triangular
-
-        return solve_triangular(model.cholesky, u, lower=True)
-    return model.characteristic @ centered
+    return np.linalg.solve(model.factor, (x - model.midpoints) / model.radii)
 
 
 def from_delta(model: ConvexModel, delta: np.ndarray) -> np.ndarray:
-    """Map a standardized point back to physical coordinates."""
+    """Map a standardized point back to physical coordinates,
+    x = X^m + D·A·delta."""
     delta = np.asarray(delta, dtype=float)
     if delta.shape != (model.n,):
         raise DimensionMismatch(f"expected vector of length {model.n}, got shape {delta.shape}")
-    if model.variant is ModelVariant.ME:
-        return model.midpoints + model.radii * (model.cholesky @ delta)
-    return model.midpoints + model.dx_shape @ delta
+    return model.midpoints + model.radii * (model.factor @ delta)
 
 
 def default_norm(model: ConvexModel) -> str:

@@ -57,11 +57,12 @@ class UnbiasednessReport:
 def sample_uniform(model: ConvexModel, count: int, seed: int) -> np.ndarray:
     """Draw `count` points uniformly from the model's domain.
 
-    MP: delta uniform in [-1,1]^n, X = X^m + (D·S)·delta (uniformity is
-    exact by linearity). ME: delta uniform in the unit ball (normalized
-    Box-Muller direction times U^(1/n) radius; the direction block of
-    count*n normals is drawn before the radius block), X = X^m + D·P·delta
-    with P the Cholesky factor of R.
+    X = X^m + D·A·delta with A the model's factor. MP: delta uniform in
+    [-1,1]^n (uniformity is exact by linearity). ME: delta uniform in the
+    unit ball (normalized Box-Muller direction times U^(1/n) radius; the
+    direction block of count*n normals is drawn before the radius block).
+    The two branches group the product differently, D·(delta·Aᵀ) for ME
+    and delta·(D·A)ᵀ for MP; each grouping fixes the drawn bits.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -73,10 +74,9 @@ def sample_uniform(model: ConvexModel, count: int, seed: int) -> np.ndarray:
         norms[norms == 0.0] = 1.0
         radial = gen.random(count) ** (1.0 / n)
         delta = z / norms[:, None] * radial[:, None]
-        u = delta @ model.cholesky.T
-        return model.midpoints + model.radii * u
+        return model.midpoints + model.radii * (delta @ model.factor.T)
     delta = 2.0 * gen.random((count, n)) - 1.0
-    return model.midpoints + delta @ model.dx_shape.T
+    return model.midpoints + delta @ (model.radii[:, None] * model.factor).T
 
 
 def mc_volume(model: ConvexModel, count: int, seed: int) -> tuple[float, float]:

@@ -73,7 +73,7 @@ def _boundary_points(model: ConvexModel, i: int, j: int) -> tuple[np.ndarray, bo
         circle = np.stack([np.cos(theta), np.sin(theta)])
         return (chol2 @ circle).T, True
     corners = np.array(list(itertools.product((-1.0, 1.0), repeat=model.n)))
-    projected = (corners @ model.shape.entries.T)[:, [i, j]]
+    projected = (corners @ model.factor.T)[:, [i, j]]
     hull = ConvexHull(projected)
     return projected[hull.vertices], False
 

@@ -414,7 +414,8 @@ def test_criterion_08_marginal_exactness(standard_built, beam_built, geotech_bui
         geotech_built["me_scc"],
     ]
     diag_exact = all(
-        np.array_equal(np.diag(m.covariance), m.radii**2) for m in me_models
+        np.array_equal(np.diag(m.R.entries * np.outer(m.radii, m.radii)), m.radii**2)
+        for m in me_models
     )
     ok = worst_row <= 1e-12 and diag_exact
     announce(
@@ -479,7 +480,7 @@ def test_criterion_10_reliability_solver(beam_built, data_dir):
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
 
     def x_of(t_vec, d):
-        return model.midpoints + ((t_vec[:, None] * d) @ model.cholesky.T) * model.radii
+        return model.midpoints + ((t_vec[:, None] * d) @ model.factor.T) * model.radii
 
     hi = np.full(len(dirs), 4.0)
     crossing = g_direct(x_of(hi, dirs)) < 0.0

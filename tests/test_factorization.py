@@ -25,17 +25,17 @@ def r3():
 
 
 def test_symmetric_sqrt_squares_back(r3):
-    H = cq.symmetric_sqrt(r3).entries
+    H = cq.symmetric_sqrt(r3)
     np.testing.assert_allclose(H @ H, r3, atol=1e-12)
     np.testing.assert_allclose(H, H.T, atol=1e-14)
 
 
 def test_identity_factor_is_r_itself(r3):
-    np.testing.assert_array_equal(cq.identity_factor(r3).entries, r3)
+    np.testing.assert_array_equal(cq.identity_factor(r3), r3)
 
 
 def test_eigen_factor_reconstructs(r3):
-    H = cq.eigen_factor(r3).entries
+    H = cq.eigen_factor(r3)
     np.testing.assert_allclose(H @ H.T, r3, atol=1e-12)
     # columns ordered by descending eigenvalue
     norms = np.linalg.norm(H, axis=0)
@@ -48,21 +48,29 @@ def test_eigen_factor_reconstructs(r3):
 
 
 def test_cholesky_lower_triangular(r3):
-    L = cq.cholesky_lower(r3).entries
+    L = cq.cholesky_lower(r3)
     np.testing.assert_allclose(L @ L.T, r3, atol=1e-12)
     assert np.array_equal(L, np.tril(L))
     assert np.all(np.diag(L) > 0)
 
 
 def test_upper_factor_triangular(r3):
-    U = cq.upper_factor(r3).entries
+    U = cq.upper_factor(r3)
     np.testing.assert_allclose(U @ U.T, r3, atol=1e-12)
     assert np.array_equal(U, np.triu(U))
     assert np.all(np.diag(U) > 0)
 
 
 def test_core_shape_matrix_dispatch(r3):
-    assert cq.core_shape_matrix(V.MP1, r3).variant is V.MP1
+    rules = {
+        V.MP1: cq.identity_factor,
+        V.MP2: cq.symmetric_sqrt,
+        V.RECT: cq.eigen_factor,
+        V.LTRI: cq.cholesky_lower,
+        V.UTRI: cq.upper_factor,
+    }
+    for variant, rule in rules.items():
+        np.testing.assert_array_equal(cq.core_shape_matrix(variant, r3), rule(r3))
     with pytest.raises(ValueError):
         cq.core_shape_matrix(V.ME, r3)
 
@@ -74,21 +82,25 @@ def test_not_pd_raised():
             fn(bad)
 
 
+def row_weights(H):
+    """The row normalization of a factor: w_i = 1/Σ_j |H_ij|."""
+    return 1.0 / np.abs(H).sum(axis=1)
+
+
 def test_shape_matrix_row_sums(r3):
     for variant in (V.MP1, V.MP2, V.RECT, V.LTRI, V.UTRI):
-        S = cq.shape_matrix(cq.core_shape_matrix(variant, r3))
+        H = cq.core_shape_matrix(variant, r3)
+        S = cq.shape_matrix(H)
         np.testing.assert_allclose(
             np.abs(S.entries).sum(axis=1), np.ones(3), atol=1e-13
         )
-        # weights record the row normalization that was applied
-        H = cq.core_shape_matrix(variant, r3).entries
-        np.testing.assert_allclose(S.entries, H * S.weights[:, None], atol=1e-14)
+        # S is H with each row scaled by its weight
+        np.testing.assert_allclose(S.entries, H * row_weights(H)[:, None], atol=1e-14)
 
 
 def test_shape_matrix_singular_rejected():
-    H = cq.CoreShapeMatrix(entries=np.array([[1.0, 1.0], [1.0, 1.0]]), variant=V.MP1)
     with pytest.raises(SingularShape):
-        cq.shape_matrix(H)
+        cq.shape_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
 
 
 @settings(max_examples=40, deadline=None)
@@ -102,8 +114,9 @@ def test_factor_products_recover_weighted_r(n, seed):
     if np.linalg.eigvalsh(R)[0] < 1e-6:
         return
     for variant in (V.MP2, V.RECT, V.LTRI, V.UTRI):
-        S = cq.shape_matrix(cq.core_shape_matrix(variant, R))
-        T = np.diag(S.weights)
+        H = cq.core_shape_matrix(variant, R)
+        S = cq.shape_matrix(H)
+        T = np.diag(row_weights(H))
         np.testing.assert_allclose(S.entries @ S.entries.T, T @ R @ T, atol=1e-10)
 
 
@@ -114,6 +127,7 @@ def test_mp1_product_is_weighted_r_squared(n, seed):
     R = random_correlation(rng, n)
     if np.linalg.eigvalsh(R)[0] < 1e-6:
         return
-    S = cq.shape_matrix(cq.core_shape_matrix(V.MP1, R))
-    T = np.diag(S.weights)
+    H = cq.core_shape_matrix(V.MP1, R)
+    S = cq.shape_matrix(H)
+    T = np.diag(row_weights(H))
     np.testing.assert_allclose(S.entries @ S.entries.T, T @ R @ R @ T, atol=1e-10)

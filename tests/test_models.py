@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -37,24 +38,25 @@ def test_me_covariance_from_radii(spec2, r2):
     model = cq.build_model(V.ME, spec2, r2)
     # radii are 3 and 5
     expected = np.array([[9.0, 0.6 * 15.0], [0.6 * 15.0, 25.0]])
-    np.testing.assert_array_equal(model.covariance, expected)
-    np.testing.assert_allclose(
-        model.characteristic @ model.covariance, np.eye(2), atol=1e-12
-    )
-    np.testing.assert_allclose(
-        model.cholesky @ model.cholesky.T, r2.entries, atol=1e-14
-    )
+    covariance = model.R.entries * np.outer(model.radii, model.radii)
+    np.testing.assert_array_equal(covariance, expected)
+    np.testing.assert_allclose(model.characteristic @ expected, np.eye(2), atol=1e-12)
+    # the factor is the lower Cholesky factor P of R
+    np.testing.assert_allclose(model.factor @ model.factor.T, r2.entries, atol=1e-14)
+    assert np.array_equal(model.factor, np.tril(model.factor))
 
 
 def test_mp_dx_shape_and_characteristic(spec2, r2):
     model = cq.build_model(V.MP2, spec2, r2)
-    np.testing.assert_array_equal(
-        model.dx_shape, spec2.radii[:, None] * model.shape.entries
-    )
-    np.testing.assert_allclose(
-        model.characteristic @ model.dx_shape, np.eye(2), atol=1e-12
-    )
-    assert model.covariance is None and model.cholesky is None
+    # the factor is the shape matrix S, and D·S is the inverted matrix
+    np.testing.assert_array_equal(model.factor, model.shape.entries)
+    dx_shape = spec2.radii[:, None] * model.factor
+    np.testing.assert_allclose(model.characteristic @ dx_shape, np.eye(2), atol=1e-12)
+    # no field belongs to one family only
+    fields = {f.name for f in dataclasses.fields(model)}
+    assert fields == {"variant", "spec", "R", "factor", "characteristic"}
+    with pytest.raises(ValueError):
+        cq.build_model(V.ME, spec2, r2).shape
 
 
 def test_build_rejects_dimension_mismatch(spec2):
@@ -191,9 +193,9 @@ def test_serialize_round_trip(spec2, r2, variant):
     np.testing.assert_array_equal(loaded.R.entries, model.R.entries)
     np.testing.assert_array_equal(loaded.midpoints, model.midpoints)
     np.testing.assert_array_equal(loaded.radii, model.radii)
-    if variant is V.ME:
-        np.testing.assert_array_equal(loaded.covariance, model.covariance)
-    else:
+    np.testing.assert_array_equal(loaded.factor, model.factor)
+    np.testing.assert_array_equal(loaded.characteristic, model.characteristic)
+    if variant is not V.ME:
         np.testing.assert_array_equal(loaded.shape.entries, model.shape.entries)
     # the defining inequality must agree point by point
     probe = np.array([[0.0, 14.0], [3.0, 19.0], [-1.5, 11.0]])
@@ -207,7 +209,20 @@ def test_save_load_round_trip(tmp_path, spec2, r2):
     path = tmp_path / "model.json"
     cq.save_model(path, model)
     loaded = cq.load_model(path)
-    np.testing.assert_array_equal(loaded.dx_shape, model.dx_shape)
+    np.testing.assert_array_equal(loaded.factor, model.factor)
+    np.testing.assert_array_equal(loaded.characteristic, model.characteristic)
+
+
+# each parallelepiped's shape at r = 0.5, in closed form
+_A, _B = (3.0 - math.sqrt(3.0)) / 2.0, (math.sqrt(3.0) - 1.0) / 2.0  # a + b = 1
+_M = math.sqrt(3.0) / 6.0
+TRUE_SHAPES = {
+    "mp1": [2.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0, 2.0 / 3.0],
+    "mp2": [0.5 + _M, 0.5 - _M, 0.5 - _M, 0.5 + _M],
+    "rect": [_A, _B, _A, -_B],
+    "ltri": [1.0, 0.0, _B, _A],
+    "utri": [_A, _B, 0.0, 1.0],
+}
 
 
 def valid_doc(variant="me"):
@@ -223,7 +238,14 @@ def valid_doc(variant="me"):
     if variant == "me":
         doc["covariance"] = [1.0, 1.0, 1.0, 4.0]
     else:
-        doc["shape"] = [0.75, 0.25, 0.25, 0.75]
+        doc["shape"] = list(TRUE_SHAPES[variant])
+    return doc
+
+
+def loadable_doc(variant):
+    """valid_doc, after checking that it loads unchanged."""
+    doc = valid_doc(variant)
+    assert cq.deserialize(json.dumps(doc)).variant is V(variant)
     return doc
 
 
@@ -254,7 +276,7 @@ def test_deserialize_requires_object():
     ],
 )
 def test_deserialize_rejects_bad_me_docs(mutate, field):
-    doc = valid_doc("me")
+    doc = loadable_doc("me")
     mutate(doc)
     with pytest.raises(ParseError) as exc:
         cq.deserialize(json.dumps(doc))
@@ -262,24 +284,65 @@ def test_deserialize_rejects_bad_me_docs(mutate, field):
 
 
 def test_deserialize_rejects_bad_shapes():
-    doc = valid_doc("rect")
+    doc = loadable_doc("rect")
     doc["shape"] = [0.9, 0.4, 0.25, 0.75]  # first row sums to 1.3
     with pytest.raises(ParseError) as exc:
         cq.deserialize(json.dumps(doc))
     assert exc.value.field == "shape"
-    doc["shape"] = [0.5, 0.5, 0.5, 0.5]
+    doc["shape"] = [0.5, 0.5, 0.5, 0.5]  # singular
     with pytest.raises(ParseError) as exc:
         cq.deserialize(json.dumps(doc))
     assert exc.value.field == "shape"
 
 
 def test_deserialize_accepts_print_rounded_shape():
-    """Rows that sum to 0.9999 (four printed decimals) still load; the
-    stored row sums become the normalization weights."""
-    doc = valid_doc("mp2")
-    doc["shape"] = [0.7499, 0.25, 0.25, 0.7499]
-    model = cq.deserialize(json.dumps(doc))
-    assert model.shape.weights[0] == pytest.approx(1.0 / 0.9999)
+    """A shape printed to four decimals loads, and the loaded model carries
+    the shape rebuilt from the correlation, not the stored one."""
+    for variant in MP_VARIANTS:
+        doc = loadable_doc(variant.value)
+        doc["shape"] = [round(v, 4) for v in doc["shape"]]
+        model = cq.deserialize(json.dumps(doc))
+        rebuilt = cq.build_model(variant, model.spec, model.R)
+        np.testing.assert_array_equal(model.shape.entries, rebuilt.shape.entries)
+        assert not np.array_equal(model.shape.entries.ravel(), doc["shape"])
+
+
+def test_deserialize_rejects_shape_of_another_correlation():
+    """An identity correlation next to the MP-II shape of r = 0.5."""
+    doc = loadable_doc("mp2")
+    doc["correlation"] = [1.0, 0.0, 0.0, 1.0]
+    with pytest.raises(ParseError) as exc:
+        cq.deserialize(json.dumps(doc))
+    assert exc.value.field == "shape"
+
+
+def test_deserialize_rejects_inflated_shape(standard_spec, standard_u):
+    """The standard CCC MP-II model with its shape scaled by 1.04: every
+    row sum is 1.04, so the marginals are no longer exact and nu grows by
+    1.04^3 (9.11% to 10.25%)."""
+    R = cq.fit_correlation_matrix("ccc", V.MP2, standard_u)
+    doc = json.loads(cq.serialize(cq.build_model(V.MP2, standard_spec, R)))
+    assert cq.deserialize(json.dumps(doc)).variant is V.MP2
+    doc["shape"] = [1.04 * v for v in doc["shape"]]
+    with pytest.raises(ParseError) as exc:
+        cq.deserialize(json.dumps(doc))
+    assert exc.value.field == "shape"
+
+
+def test_deserialize_rejects_indefinite_mp_correlation():
+    doc = {
+        "format_version": 1,
+        "variant": "mp2",
+        "method": "scc",
+        "names": ["a", "b", "c"],
+        "lower": [-1.0, -1.0, -1.0],
+        "upper": [1.0, 1.0, 1.0],
+        "correlation": [1.0, 0.9, -0.9, 0.9, 1.0, 0.9, -0.9, 0.9, 1.0],
+        "shape": [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0],
+    }
+    with pytest.raises(ParseError) as exc:
+        cq.deserialize(json.dumps(doc))
+    assert exc.value.field == "correlation"
 
 
 def test_deserialize_rejects_indefinite_me_correlation():
@@ -299,3 +362,8 @@ def test_glasses_fixture_loads(data_dir):
     assert cq.contains(model, model.midpoints).inside
     lam = np.linalg.eigvalsh(model.R.entries)[0]
     assert lam > 0.1
+    # the file's shape is printed to about three decimals; the loaded
+    # model carries the shape rebuilt from its correlation
+    rebuilt = cq.build_model(V.MP2, model.spec, model.R)
+    np.testing.assert_array_equal(model.shape.entries, rebuilt.shape.entries)
+    assert cq.volume_ratio(model)[0] == pytest.approx(0.1403566, abs=1e-7)

@@ -66,7 +66,7 @@ def test_euclidean_matches_hyperplane_formula():
         a = rng.uniform(-2.0, 2.0, size=3)
         a[np.abs(a) < 0.2] = 0.5
         g0 = float(rng.uniform(1.0, 3.0) * np.sign(rng.standard_normal()))
-        w = model.cholesky.T @ (model.radii * a)
+        w = model.factor.T @ (model.radii * a)
         expected = abs(g0) / np.linalg.norm(w)
         if not 0.2 < expected < 8.0:
             continue
@@ -89,7 +89,7 @@ def test_infinity_matches_hyperplane_formula(variant):
     a = rng.uniform(-1.5, 1.5, size=3)
     a[np.abs(a) < 0.2] = -0.6
     g0 = 2.5
-    w = model.dx_shape.T @ a
+    w = (model.radii[:, None] * model.factor).T @ a
     expected = g0 / np.sum(np.abs(w))
     constant = g0 - float(a @ model.midpoints)
     g = cq.parse_limit_state(linear_expr(a, constant))
@@ -111,7 +111,7 @@ def test_explicit_norm_override():
     )
     assert natural.norm == "euclidean" and forced.norm == "infinity"
     assert natural.eta == pytest.approx(0.5, rel=1e-6)
-    row = model.cholesky[2]
+    row = model.factor[2]
     assert forced.eta == pytest.approx(0.5 / np.sum(np.abs(row)), rel=1e-6)
     assert forced.eta < natural.eta
     with pytest.raises(ValueError):
