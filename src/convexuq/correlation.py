@@ -16,6 +16,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import ConvexHull, QhullError
 
 from .errors import (
     DegenerateData,
@@ -33,6 +34,9 @@ MEMBERSHIP_TOL = 1e-9
 _GRID_STEP = 1e-3
 _REFINE_TOL = 1e-7
 _TIE_TOL = 1e-9
+# margin by which a sample must lie inside every hull edge before the MP fit
+# may drop it; why this keeps the fit bit-identical is in _ccc_fit_mp
+_HULL_TOL = 1e-9
 
 
 class ModelVariant(enum.Enum):
@@ -261,25 +265,55 @@ def _refine_boundary(
     return r_feas
 
 
+def _hull_candidates(u: np.ndarray) -> np.ndarray:
+    """The samples that can bind an MP fit: every row of u not inside
+    every edge of the samples' convex hull by at least _HULL_TOL. Returns
+    u itself when qhull cannot build a 2-D hull (fewer than 3 points, or
+    all on one line)."""
+    try:
+        equations = ConvexHull(u).equations
+    except QhullError:
+        return u
+    depth = (u @ equations[:, :2].T + equations[:, 2]).max(axis=1)
+    return u[depth > -_HULL_TOL]
+
+
 def _ccc_fit_mp(variant: ModelVariant, u: np.ndarray) -> float:
     """Grid-plus-bisection fit for the MP families. Feasibility in r need
     not be a single interval, so both one-sided extremes of the feasible
-    grid set are refined and the larger |r| wins."""
+    grid set are refined and the larger |r| wins.
+
+    The grid and the bisections test only _hull_candidates(u); the SCC
+    tie-break in _pick_extreme still reads every sample. This returns the
+    same bits as testing all of u. For every r, f_r(u) = |S(r)^-1 u|_inf
+    is a norm, hence convex, so its maximum over the hull H of the kept
+    points is attained at a kept vertex. A dropped point p has
+    p + tau*B inside H (tau = _HULL_TOL, B the unit disc), so
+    p*(1 + tau/|p|) lies in H and f_r(p) <= max_H f_r / (1 + tau/sqrt(2)):
+    a relative margin of about 7e-10, since |p| <= sqrt(2) in the unit
+    box. Rounding in _mp_feasible stays below 1e-13 relative, even at the
+    clamp, where |S^-1| reaches about 1e3 (1e6 for MP-I). The test against
+    1 + MEMBERSHIP_TOL therefore gives the same answer at every r the fit
+    visits, and with it the same grid indices, bisection path and fitted
+    r. The hull edges are computed in floating point, so the guarantee
+    rests on the tau margin alone.
+    """
+    candidates = _hull_candidates(u)
     steps = int((R_CLAMP - _GRID_STEP / 2) / _GRID_STEP)  # largest grid multiple below the clamp
     inner = np.arange(-steps, steps + 1) * _GRID_STEP
     grid = np.concatenate(([-R_CLAMP], inner, [R_CLAMP]))
     # never all False: r = 0 is on the grid, S(0) = I, and ccc_fit admits |u| <= 1 + 1e-9 only
-    feas = _mp_feasible(variant, grid, u)
+    feas = _mp_feasible(variant, grid, candidates)
     idx = np.flatnonzero(feas)
     i_hi, i_lo = int(idx[-1]), int(idx[0])
     if i_hi == len(grid) - 1:
         r_pos = R_CLAMP
     else:
-        r_pos = _refine_boundary(variant, u, float(grid[i_hi]), float(grid[i_hi + 1]))
+        r_pos = _refine_boundary(variant, candidates, float(grid[i_hi]), float(grid[i_hi + 1]))
     if i_lo == 0:
         r_neg = -R_CLAMP
     else:
-        r_neg = _refine_boundary(variant, u, float(grid[i_lo]), float(grid[i_lo - 1]))
+        r_neg = _refine_boundary(variant, candidates, float(grid[i_lo]), float(grid[i_lo - 1]))
     r = _pick_extreme(r_neg, r_pos, u)
     if abs(r) >= R_CLAMP:
         warnings.warn("fit clamped at |r| = 1 - 1e-6", DegenerateData)

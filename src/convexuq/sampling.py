@@ -43,8 +43,10 @@ def verdict_tolerance(draws: int) -> float:
 
 @dataclass(frozen=True)
 class UnbiasednessReport:
+    """Pairwise SCCs recomputed from uniform draws from the true domain,
+    with the verdict of the largest gap against the tolerance."""
+
     variant: ModelVariant
-    method: str  # correlation measure recomputed from the draws
     true_R: np.ndarray
     recovered_R: np.ndarray
     max_abs_error: float
@@ -52,6 +54,20 @@ class UnbiasednessReport:
     draws: int
     seed: int
     tolerance: float
+
+
+@dataclass(frozen=True)
+class CCCRecoveryReport:
+    """Pairwise CCCs re-fitted on uniform draws from the true domain. No
+    pass/fail threshold is defined for this measure, so the report carries
+    the gaps only."""
+
+    variant: ModelVariant
+    true_R: np.ndarray
+    recovered_R: np.ndarray
+    max_abs_error: float
+    draws: int
+    seed: int
 
 
 def sample_uniform(model: ConvexModel, count: int, seed: int) -> np.ndarray:
@@ -131,7 +147,6 @@ def verify_unbiasedness(
     verdict = VERDICT_UNBIASED if max_err <= tol else VERDICT_BIASED
     return UnbiasednessReport(
         variant=variant,
-        method="scc",
         true_R=true_entries,
         recovered_R=recovered,
         max_abs_error=max_err,
@@ -147,11 +162,10 @@ def ccc_recovery_report(
     R: np.ndarray | CorrelationMatrix,
     draws: int,
     seed: int,
-) -> UnbiasednessReport:
-    """Demonstration counterpart for the CCC measure: fit pairwise CCCs on
-    uniform draws from the true domain and report the gaps. No pass/fail
-    threshold is defined for this measure, so the verdict field carries
-    the observed maximum gap only (callers should not gate on it)."""
+) -> CCCRecoveryReport:
+    """Demonstration counterpart of verify_unbiasedness for the CCC
+    measure: fit pairwise CCCs on uniform draws from the true domain and
+    report the gaps."""
     if draws < 10_000:
         raise ValueError("draws must be at least 1e4")
     model = _standard_model(variant, R)
@@ -165,14 +179,11 @@ def ccc_recovery_report(
             )
     true_entries = model.R.entries
     max_err = float(np.max(np.abs(fitted - true_entries)))
-    return UnbiasednessReport(
+    return CCCRecoveryReport(
         variant=variant,
-        method="ccc",
         true_R=true_entries,
         recovered_R=fitted,
         max_abs_error=max_err,
-        verdict=f"report-only (max gap {max_err:.4f})",
         draws=draws,
         seed=seed,
-        tolerance=float("nan"),
     )

@@ -2,15 +2,19 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import convexuq as cq
 from convexuq import ModelVariant as V
 from convexuq.correlation import (
+    _GRID_STEP,
     R_CLAMP,
+    _hull_candidates,
     _mp_feasible,
     _mp_shape_2d,
+    _pick_extreme,
+    _refine_boundary,
     ccc_fit,
     scc,
 )
@@ -159,6 +163,94 @@ def test_ccc_tie_breaks_with_scc_sign():
         assert r_pos > 0
         assert r_neg < 0
         assert r_pos == pytest.approx(-r_neg, abs=1e-9)
+
+
+def _full_set_mp_fit(variant, u):
+    """The MP fit run on every sample: the grid, the two bisections and the
+    clamp of _ccc_fit_mp, without the hull reduction."""
+    steps = int((R_CLAMP - _GRID_STEP / 2) / _GRID_STEP)
+    grid = np.concatenate(([-R_CLAMP], np.arange(-steps, steps + 1) * _GRID_STEP, [R_CLAMP]))
+    idx = np.flatnonzero(_mp_feasible(variant, grid, u))
+    i_hi, i_lo = int(idx[-1]), int(idx[0])
+    if i_hi == len(grid) - 1:
+        r_pos = R_CLAMP
+    else:
+        r_pos = _refine_boundary(variant, u, float(grid[i_hi]), float(grid[i_hi + 1]))
+    if i_lo == 0:
+        r_neg = -R_CLAMP
+    else:
+        r_neg = _refine_boundary(variant, u, float(grid[i_lo]), float(grid[i_lo - 1]))
+    r = _pick_extreme(r_neg, r_pos, u)
+    if abs(r) >= R_CLAMP:
+        return float(np.sign(r) * R_CLAMP)
+    return float(r)
+
+
+@st.composite
+def _mp_fit_samples(draw):
+    """In-box sample pairs of the shapes that stress a hull: uniform,
+    lattice (integer-valued data), collinear, on the box edges, at the
+    corners, and with duplicates."""
+    kind = draw(st.sampled_from(["uniform", "lattice", "collinear", "edge", "corner", "duplicate"]))
+    size = draw(st.integers(1, 40))
+    coord = st.floats(-1, 1)
+    if kind == "uniform":
+        return np.array(draw(st.lists(st.tuples(coord, coord), min_size=size, max_size=size)))
+    if kind == "lattice":
+        step = draw(st.sampled_from([1.0, 0.5, 0.25, 0.1]))
+        cells = int(round(1.0 / step))
+        ints = draw(st.lists(st.tuples(st.integers(-cells, cells), st.integers(-cells, cells)),
+                             min_size=size, max_size=size))
+        return np.array(ints, dtype=float) * step
+    if kind == "collinear":
+        t = np.array(draw(st.lists(coord, min_size=size, max_size=size)))
+        slope, shift = draw(st.floats(-1, 1)), draw(st.floats(-0.5, 0.5))
+        return np.column_stack([t, np.clip(slope * t + shift, -1.0, 1.0)])
+    if kind == "edge":
+        u = np.array(draw(st.lists(st.tuples(coord, coord), min_size=size, max_size=size)))
+        pins = draw(st.lists(st.tuples(st.integers(0, 2), st.sampled_from([-1.0, 1.0])),
+                             min_size=size, max_size=size))
+        for row, (axis, side) in enumerate(pins):
+            if axis < 2:
+                u[row, axis] = side
+        return u
+    if kind == "corner":
+        corners = draw(st.lists(st.tuples(st.sampled_from([-1.0, 1.0]), st.sampled_from([-1.0, 1.0])),
+                                min_size=1, max_size=4))
+        inner = draw(st.lists(st.tuples(coord, coord), max_size=size))
+        return np.array(corners + inner)
+    base = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=max(1, size // 2)))
+    picks = draw(st.lists(st.integers(0, len(base) - 1), min_size=size, max_size=size))
+    return np.array(base)[picks]
+
+
+@settings(max_examples=150, deadline=None)
+@given(variant=st.sampled_from(MP_VARIANTS), u=_mp_fit_samples())
+@example(variant=V.MP2, u=np.array([[0.4, -0.3]]))
+@example(variant=V.RECT, u=np.array([[0.4, -0.3], [-0.2, 0.7]]))
+@example(variant=V.LTRI, u=np.array([[1.0, 1.0], [-1.0, -1.0], [0.3, 0.3], [0.1, 0.2]]))
+def test_mp_ccc_hull_reduction_is_bit_identical(variant, u):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateData)
+        assert ccc_fit(variant, u) == _full_set_mp_fit(variant, u)
+
+
+def test_hull_candidates_keep_vertices_and_edge_points():
+    corners = [[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]
+    on_edges = [[0.0, -1.0], [1.0, 0.25], [-0.5, 1.0], [-1.0, 0.0]]
+    inside = [[0.0, 0.0], [0.9, 0.9], [-0.999, 0.5]]
+    u = np.array(corners + on_edges + inside)
+    np.testing.assert_array_equal(_hull_candidates(u), np.array(corners + on_edges))
+
+
+def test_hull_candidates_return_input_without_a_2d_hull():
+    for u in (
+        np.array([[0.3, -0.2]]),
+        np.array([[0.3, -0.2], [-0.5, 0.1]]),
+        np.array([[-1.0, -0.5], [0.0, 0.0], [0.5, 0.25], [1.0, 0.5]]),
+        np.array([[0.2, 0.2], [0.2, 0.2], [0.2, 0.2]]),
+    ):
+        assert _hull_candidates(u) is u
 
 
 def test_me_infeasible_raises_with_gap():

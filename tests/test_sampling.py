@@ -98,7 +98,7 @@ def test_verify_minimum_draws():
 
 def test_ccc_recovery_is_report_only():
     report = cq.ccc_recovery_report(V.MP2, R6, draws=10_000, seed=2)
-    assert report.method == "ccc"
-    assert report.verdict.startswith("report-only")
-    assert np.isnan(report.tolerance)
+    assert isinstance(report, cq.CCCRecoveryReport)
+    assert not hasattr(report, "verdict")
+    assert not hasattr(report, "tolerance")
     assert report.recovered_R[0, 1] == pytest.approx(0.6, abs=0.05)
