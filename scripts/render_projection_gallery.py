@@ -3,7 +3,7 @@
 Builds the six model variants from the bundled 20-sample set and writes
 one SVG per variant for each variable pair, with the defining samples
 overlaid. Ellipsoid projections are exact ellipses; parallelepiped
-projections show the vertex-projection display hull.
+projections show the exact shadow, the hull of the projected box vertices.
 """
 
 import argparse

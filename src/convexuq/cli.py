@@ -129,8 +129,8 @@ def cmd_project(args: argparse.Namespace) -> int:
         model = load_model(args.model)
     i, j = args.i - 1, args.j - 1
     if args.exact:
-        # the model operation, defined for the ellipsoid only; parallelepiped
-        # figures are vertex-projection display hulls, not projections
+        # the model operation, defined for the ellipsoid only; a
+        # parallelepiped's shadow is a polygon that no 2x2 matrix describes
         sub = project_2d(model, i, j)
         print("projected correlation submatrix =")
         _print_matrix(sub)

@@ -81,7 +81,6 @@ class CorrelationMatrix:
 
     entries: np.ndarray
     method: str  # "ccc" or "scc"
-    variant: ModelVariant | None = None
     repair: RepairReport | None = None
 
     def __post_init__(self) -> None:
@@ -356,7 +355,6 @@ def assemble_correlation_matrix(
     pairwise: list[tuple[int, int, float]],
     n: int,
     method: str,
-    variant: ModelVariant | None = None,
 ) -> CorrelationMatrix:
     """Assemble the symmetric unit-diagonal matrix from n(n-1)/2 pairwise
     coefficients given as (i, j, r) with 0-based i < j."""
@@ -377,7 +375,7 @@ def assemble_correlation_matrix(
             (i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in seen
         ]
         raise MissingPair(f"{expected} pairs required, got {len(seen)}; missing {absent}")
-    return CorrelationMatrix(entries=matrix, method=method, variant=variant)
+    return CorrelationMatrix(entries=matrix, method=method)
 
 
 def ensure_positive_definite(R: CorrelationMatrix, policy: str = "strict") -> CorrelationMatrix:
@@ -419,9 +417,7 @@ def ensure_positive_definite(R: CorrelationMatrix, policy: str = "strict") -> Co
         max_entry_change=float(np.max(np.abs(fixed - entries))),
         iterations=iterations,
     )
-    return CorrelationMatrix(
-        entries=fixed, method=R.method, variant=R.variant, repair=report
-    )
+    return CorrelationMatrix(entries=fixed, method=R.method, repair=report)
 
 
 def fit_correlation_matrix(
@@ -453,6 +449,4 @@ def fit_correlation_matrix(
             else:
                 raise ValueError(f"method must be 'ccc' or 'scc', got {method!r}")
             pairs.append((i, j, r))
-    return assemble_correlation_matrix(
-        pairs, n, method, variant if method == "ccc" else None
-    )
+    return assemble_correlation_matrix(pairs, n, method)

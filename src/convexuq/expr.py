@@ -96,7 +96,7 @@ def _eval_node(node: tuple, env: Mapping[str, float]) -> float:
             raise EvaluationError("division by zero")
         return a / b
     if op == "^":
-        if a < 0.0 and b != math.floor(b):
+        if a < 0.0 and not b.is_integer():
             raise EvaluationError("fractional power of a negative number")
         if a == 0.0 and b < 0.0:
             raise EvaluationError("zero raised to a negative power")

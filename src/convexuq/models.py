@@ -310,11 +310,7 @@ def deserialize(text: str) -> ConvexModel:
     corr = (corr + corr.T) / 2.0
     np.fill_diagonal(corr, 1.0)
     try:
-        R = CorrelationMatrix(
-            entries=corr,
-            method=method,
-            variant=variant if method == "ccc" else None,
-        )
+        R = CorrelationMatrix(entries=corr, method=method)
     except ValueError as exc:
         raise ParseError(str(exc), field="correlation") from None
 

@@ -6,9 +6,10 @@ model's factor: the Cholesky factor P of R for the ellipsoid model
 (membership iff ‖delta‖₂ ≤ 1) and the shape matrix S for parallelepiped
 models (membership iff ‖delta‖_∞ ≤ 1). The solver is multi-start:
 sign-change bracketing plus root-finding along rays from the origin
-lands on the surface, then a
-constrained local refinement with central finite differences polishes
-each start; the reported index is the best surface point found.
+lands on the surface, then one SLSQP problem for either norm, minimise s
+subject to g(delta) = 0 and delta in s·B_p, refines each start with
+central-difference gradients of g; the reported index is the best
+surface point found.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ INFINITY = "infinity"
 
 _SCAN_STEPS = 96
 _AGREE_RTOL = 1e-4
+_G_TOL = 1e-8  # surface tolerance, relative to max(1, |g| at the midpoint)
 
 
 def to_delta(model: ConvexModel, x: np.ndarray) -> np.ndarray:
@@ -73,7 +75,6 @@ class ReliabilityOptions:
     bindings: Mapping[str, float] = field(default_factory=dict)
     norm: str | None = None  # None picks the model's natural norm
     eta_max: float = 10.0
-    g_tol: float = 1e-8  # relative to max(1, |g| at the midpoint)
     seed: int = 0
 
 
@@ -154,7 +155,7 @@ def reliability_index(
     if g_mid == 0.0:
         raise ValueError("midpoint already lies on the limit-state surface")
     scale = max(1.0, abs(g_mid))
-    tol_abs = opts.g_tol * scale
+    tol_abs = _G_TOL * scale
 
     # 2n axis directions plus 2n^2 seeded random directions, unit in the norm
     directions = []
@@ -215,85 +216,63 @@ def reliability_index(
         value = g_at(delta)
         return 1e9 if value is None else value / scale
 
+    def on_surface(delta: np.ndarray) -> np.ndarray | None:
+        value = g_at(delta)
+        return delta if value is not None and abs(value) <= 10.0 * tol_abs else None
+
+    # Epigraph form over y = (delta, s): minimise s subject to g(delta) = 0
+    # and delta in s·B_p. Only the ball constraint depends on the norm.
+    s_grad = np.zeros(n + 1)
+    s_grad[-1] = 1.0
+    if norm == EUCLIDEAN:
+        ball = {
+            "type": "ineq",
+            "fun": lambda y: y[-1] - np.linalg.norm(y[:-1]),
+            "jac": lambda y: np.append(-y[:-1] / np.linalg.norm(y[:-1]), 1.0),
+        }
+    else:
+        box_jac = np.block([[-np.eye(n), np.ones((n, 1))], [np.eye(n), np.ones((n, 1))]])
+        ball = {
+            "type": "ineq",
+            "fun": lambda y: np.concatenate([y[-1] - y[:-1], y[-1] + y[:-1]]),
+            "jac": lambda y: box_jac,
+        }
+    surface = {
+        "type": "eq",
+        "fun": lambda y: constraint_value(y[:-1]),
+        "jac": lambda y: np.append(_central_gradient(constraint_value, y[:-1]), 0.0),
+    }
+
     def refine(delta0: np.ndarray) -> np.ndarray | None:
-        """Constrained local descent from a surface point."""
-        if norm == EUCLIDEAN:
-            result = minimize(
-                lambda d: float(d @ d),
-                delta0,
-                jac=lambda d: 2.0 * d,
-                method="SLSQP",
-                constraints=[
-                    {
-                        "type": "eq",
-                        "fun": constraint_value,
-                        "jac": lambda d: _central_gradient(constraint_value, d),
-                    }
-                ],
-                options={"maxiter": 200, "ftol": 1e-12},
-            )
-            candidate = result.x
-        else:
-            # minimize the bound s with -s <= delta_i <= s and g = 0
-            y0 = np.append(delta0, np.max(np.abs(delta0)))
-
-            def obj(y):
-                return float(y[-1])
-
-            def obj_jac(y):
-                jac = np.zeros_like(y)
-                jac[-1] = 1.0
-                return jac
-
-            cons = [
-                {
-                    "type": "eq",
-                    "fun": lambda y: constraint_value(y[:-1]),
-                    "jac": lambda y: np.append(
-                        _central_gradient(constraint_value, y[:-1]), 0.0
-                    ),
-                },
-                {
-                    "type": "ineq",
-                    "fun": lambda y: y[-1] - y[:-1],
-                    "jac": lambda y: np.hstack([-np.eye(n), np.ones((n, 1))]),
-                },
-                {
-                    "type": "ineq",
-                    "fun": lambda y: y[-1] + y[:-1],
-                    "jac": lambda y: np.hstack([np.eye(n), np.ones((n, 1))]),
-                },
-            ]
-            result = minimize(
-                obj,
-                y0,
-                jac=obj_jac,
-                method="SLSQP",
-                constraints=cons,
-                options={"maxiter": 200, "ftol": 1e-12},
-            )
-            candidate = result.x[:-1]
-        value = g_at(candidate)
-        if value is not None and abs(value) <= 10.0 * tol_abs:
+        """Constrained local descent from a surface point; returns a point
+        checked to lie on the surface, or None."""
+        result = minimize(
+            lambda y: float(y[-1]),
+            np.append(delta0, _norm_of(delta0, norm)),
+            jac=lambda y: s_grad,
+            method="SLSQP",
+            constraints=[surface, ball],
+            options={"maxiter": 200, "ftol": 1e-12},
+        )
+        candidate = result.x[:-1]
+        if on_surface(candidate) is not None:
             return candidate
         # polish by re-rooting along the ray through the candidate
         length = _norm_of(candidate, norm)
         if length > 0:
             t_root = ray_root(candidate / length)
             if t_root is not None:
-                return t_root * (candidate / length)
+                return on_surface(t_root * (candidate / length))
         return None
 
+    # later hits lie no nearer than the 16th, so they cannot lower the
+    # minimum or change `converged` (the 16 raw hits already agree)
     candidates: list[tuple[float, int, np.ndarray]] = []
     for t_root, start_id, delta0 in hits[:16]:
         refined = refine(delta0)
         if refined is not None:
-            value = g_at(refined)
-            if value is not None and abs(value) <= 10.0 * tol_abs:
-                candidates.append((_norm_of(refined, norm), start_id, refined))
+            candidates.append((_norm_of(refined, norm), start_id, refined))
         candidates.append((t_root, start_id, delta0))  # raw hit as fallback
-    for t_root, start_id, delta0 in hits[16:]:
-        candidates.append((t_root, start_id, delta0))
 
     best_eta = min(c[0] for c in candidates)
     near = [c for c in candidates if c[0] <= best_eta * (1.0 + 1e-9)]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlation import CorrelationMatrix, ModelVariant, ccc_fit, scc
+from .correlation import CorrelationMatrix, ModelVariant, fit_correlation_matrix
 from .domain import make_marginal_spec
 from .models import MEMBERSHIP_TOL, ConvexModel, build_model, membership_values
 
@@ -115,15 +115,6 @@ def _standard_model(variant: ModelVariant, R: np.ndarray | CorrelationMatrix) ->
     return build_model(variant, spec, R)
 
 
-def _pairwise_scc(points: np.ndarray) -> np.ndarray:
-    n = points.shape[1]
-    out = np.eye(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            out[i, j] = out[j, i] = scc(points[:, i], points[:, j], 0.0, 0.0)
-    return out
-
-
 def verify_unbiasedness(
     variant: ModelVariant,
     R: np.ndarray | CorrelationMatrix,
@@ -140,7 +131,7 @@ def verify_unbiasedness(
         raise ValueError("draws must be at least 1e4")
     model = _standard_model(variant, R)
     points = sample_uniform(model, draws, seed)
-    recovered = _pairwise_scc(points)
+    recovered = fit_correlation_matrix("scc", variant, points).entries
     true_entries = model.R.entries
     max_err = float(np.max(np.abs(recovered - true_entries)))
     tol = verdict_tolerance(draws)
@@ -170,13 +161,7 @@ def ccc_recovery_report(
         raise ValueError("draws must be at least 1e4")
     model = _standard_model(variant, R)
     points = sample_uniform(model, draws, seed)
-    n = model.n
-    fitted = np.eye(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            fitted[i, j] = fitted[j, i] = ccc_fit(
-                variant, points[:, (i, j)], on_infeasible="relax"
-            )
+    fitted = fit_correlation_matrix("ccc", variant, points, on_infeasible="relax").entries
     true_entries = model.R.entries
     max_err = float(np.max(np.abs(fitted - true_entries)))
     return CCCRecoveryReport(

@@ -3,8 +3,8 @@
 Drawn in regularized coordinates (viewBox spans [-1.1, 1.1] in both
 directions) with tick labels in physical units. For ellipsoid models the
 boundary is the exact projected ellipse; for parallelepiped models it is
-the convex hull of the projected box vertices, which is a display aid
-only, and the figure says so.
+the convex hull of the projected box vertices, which is the exact shadow
+because a linear image of a polytope is the hull of its vertices' images.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from scipy.spatial import ConvexHull
 
 from .correlation import ModelVariant
 from .domain import SampleSet, regularize
-from .errors import IndexOutOfRange
+from .errors import IndexOutOfRange, InputError
 from .models import MEMBERSHIP_TOL, ConvexModel, membership_values
 
 __all__ = ["render_projection"]
@@ -24,6 +24,7 @@ __all__ = ["render_projection"]
 _SIZE = 640
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 78, 30, 34, 64
 _SPAN = 1.1
+_MAX_BOX_DIM = 20  # the parallelepiped shadow enumerates all 2^n box vertices
 
 _STYLE = (
     "text{font-family:sans-serif;font-size:13px;fill:#333}"
@@ -60,22 +61,23 @@ def _star_path(cx: float, cy: float, r: float) -> str:
     return "M" + " L".join(pts) + " Z"
 
 
-def _boundary_points(model: ConvexModel, i: int, j: int) -> tuple[np.ndarray, bool]:
-    """Projected boundary in regularized (u_i, u_j) coordinates.
-
-    Returns the polygon and whether it is exact (True for the ellipse)
-    or a vertex-projection display hull (False).
-    """
+def _boundary_points(model: ConvexModel, i: int, j: int) -> np.ndarray:
+    """Projected boundary polygon in regularized (u_i, u_j) coordinates."""
     if model.variant is ModelVariant.ME:
         r = float(model.R.entries[i, j])
         chol2 = np.linalg.cholesky(np.array([[1.0, r], [r, 1.0]]))
         theta = np.linspace(0.0, 2.0 * np.pi, 257)
         circle = np.stack([np.cos(theta), np.sin(theta)])
-        return (chol2 @ circle).T, True
+        return (chol2 @ circle).T
+    if model.n > _MAX_BOX_DIM:
+        raise InputError(
+            f"cannot project a parallelepiped with n={model.n}: its shadow needs "
+            f"all 2^{model.n} = {2**model.n} box vertices (at most n={_MAX_BOX_DIM})"
+        )
     corners = np.array(list(itertools.product((-1.0, 1.0), repeat=model.n)))
     projected = (corners @ model.factor.T)[:, [i, j]]
     hull = ConvexHull(projected)
-    return projected[hull.vertices], False
+    return projected[hull.vertices]
 
 
 def render_projection(
@@ -98,7 +100,7 @@ def render_projection(
         raise IndexOutOfRange("projection needs two distinct indices")
 
     names = model.spec.names
-    boundary, exact = _boundary_points(model, i, j)
+    boundary = _boundary_points(model, i, j)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SIZE}" height="{_SIZE}" '
@@ -141,7 +143,8 @@ def render_projection(
 
     parts.append(f'<polygon class="domain" points="{_points_attr(boundary)}"/>')
     title = f"{model.variant.label} projection ({names[i]}, {names[j]})"
-    if not exact:
+    if model.variant.is_parallelepiped:
+        # the polygon is the exact shadow; tests and benchmark goldens pin this wording
         title += " - display hull (vertex projection)"
     parts.append(f'<text x="{_MARGIN_L}" y="22">{title}</text>')
 

@@ -207,7 +207,7 @@ def test_criterion_03_ccc_assessment(
     published_me = cq.build_model(
         V.ME,
         standard_spec,
-        cq.CorrelationMatrix(entries=matrix_from(ME_CCC_REF, 3), method="ccc", variant=V.ME),
+        cq.CorrelationMatrix(entries=matrix_from(ME_CCC_REF, 3), method="ccc"),
     )
     for variant in VARIANT_ORDER:
         model = published_me if variant is V.ME else standard_built["ccc"][variant]

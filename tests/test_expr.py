@@ -82,7 +82,15 @@ def test_unbound_variables_sorted():
 
 @pytest.mark.parametrize(
     "text",
-    ["1/0", "(0-8)^0.5", "0^-1", "10^10^10", "1e308*10"],
+    [
+        "1/0",
+        "(0-8)^0.5",
+        "0^-1",
+        "10^10^10",
+        "1e308*10",
+        "(0-2)^(1e308*10)",
+        "(0-2)^(1e308*10-1e308*10)",
+    ],
 )
 def test_evaluation_errors(text):
     with pytest.raises(EvaluationError):

@@ -201,3 +201,68 @@ def test_hyperplane_property_2d(c1, c2, g0):
     expected = g0 / np.linalg.norm(model.radii * a)
     result = cq.reliability_index(model, g)
     assert result.eta == pytest.approx(expected, rel=1e-5)
+
+
+@pytest.mark.parametrize("override", [False, True], ids=["natural", "override"])
+@pytest.mark.parametrize("variant", list(V), ids=lambda v: v.value)
+@settings(max_examples=4, deadline=None)
+@given(n=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
+def test_linear_index_matches_dual_norm_oracle(variant, override, n, seed):
+    """For linear g the index has the closed form
+    eta = |g(X^m)| / ||(D·A)^T a||_q, with q the dual of the ball's norm
+    (q = 2 for p = 2, q = 1 for p = inf), for every variant and norm."""
+    rng = np.random.default_rng(seed)
+    root = rng.uniform(-1.0, 1.0, (n, n)) + 1.5 * np.eye(n)
+    cov = root @ root.T
+    scale = np.sqrt(np.diag(cov))
+    entries = cov / np.outer(scale, scale)
+    np.fill_diagonal(entries, 1.0)
+    mid, rad = rng.uniform(-5.0, 5.0, n), rng.uniform(0.5, 3.0, n)
+    spec = cq.make_marginal_spec(
+        (f"x{k + 1}", mid[k] - rad[k], mid[k] + rad[k]) for k in range(n)
+    )
+    model = cq.build_model(
+        variant, spec, cq.CorrelationMatrix(entries=entries, method="scc")
+    )
+    natural = "euclidean" if variant is V.ME else "infinity"
+    norm = ({"euclidean", "infinity"} - {natural}).pop() if override else natural
+    a = rng.uniform(0.2, 2.0, n) * rng.choice((-1.0, 1.0), n)
+    w = (model.radii[:, None] * model.factor).T @ a
+    dual = np.linalg.norm(w) if norm == "euclidean" else np.sum(np.abs(w))
+    # an index below 1.5 keeps the nearest axis ray's hit (at most
+    # sqrt(n) or n times the index) inside the default eta_max of 10
+    g0 = rng.uniform(0.3, 1.5) * dual * rng.choice((-1.0, 1.0))
+    g = cq.parse_limit_state(linear_expr(a, g0 - float(a @ model.midpoints)))
+    result = cq.reliability_index(
+        model, g, cq.ReliabilityOptions(norm=norm if override else None)
+    )
+    assert result.norm == norm
+    assert result.eta == pytest.approx(abs(g0) / dual, rel=1e-8)
+
+
+class _BareLimitState:
+    """Exposes only what the solver may read, and counts evaluations."""
+
+    __slots__ = ("variables", "_evaluate", "calls")
+
+    def __init__(self, g):
+        self.variables = g.variables
+        self._evaluate = g.evaluate
+        self.calls = 0
+
+    def evaluate(self, env):
+        self.calls += 1
+        return self._evaluate(env)
+
+
+@pytest.mark.parametrize("variant", [V.ME, V.LTRI], ids=lambda v: v.value)
+def test_solver_reads_only_variables_and_evaluate(variant):
+    """`evaluations` counts `evaluate` calls, and a limit state with
+    nothing but `variables` and `evaluate` suffices: the benchmark's traced
+    runs pass such a proxy and check the count."""
+    model = make_model(variant)
+    g = cq.parse_limit_state("x1*x3 - 130")
+    bare = _BareLimitState(g)
+    result = cq.reliability_index(model, bare)
+    assert result.evaluations == bare.calls
+    assert result.eta == cq.reliability_index(model, g).eta

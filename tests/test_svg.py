@@ -5,7 +5,7 @@ import pytest
 
 import convexuq as cq
 from convexuq import ModelVariant as V
-from convexuq.errors import IndexOutOfRange
+from convexuq.errors import IndexOutOfRange, InputError
 
 NS = {"svg": "http://www.w3.org/2000/svg"}
 
@@ -22,12 +22,12 @@ def unit_model(variant, entries):
     spec = cq.make_marginal_spec(
         (f"u{k + 1}", -1.0, 1.0) for k in range(entries.shape[0])
     )
-    R = cq.CorrelationMatrix(entries=entries, method="ccc", variant=variant)
+    R = cq.CorrelationMatrix(entries=entries, method="ccc")
     return cq.build_model(variant, spec, R)
 
 
 def test_ellipse_render_is_valid_svg(standard_spec):
-    R = cq.CorrelationMatrix(entries=ROUNDED_R, method="ccc", variant=V.ME)
+    R = cq.CorrelationMatrix(entries=ROUNDED_R, method="ccc")
     model = cq.build_model(V.ME, standard_spec, R)
     text = cq.render_projection(model, 0, 1)
     root = ET.fromstring(text)
@@ -51,7 +51,7 @@ def test_overlay_marks_outside_samples(standard_spec, standard_samples):
     """With the four-decimal published correlation matrix the ellipsoid
     misses exactly two of the twenty standard samples; those two must be
     drawn as stars, the rest as circles."""
-    R = cq.CorrelationMatrix(entries=ROUNDED_R, method="ccc", variant=V.ME)
+    R = cq.CorrelationMatrix(entries=ROUNDED_R, method="ccc")
     model = cq.build_model(V.ME, standard_spec, R)
     text = cq.render_projection(model, 0, 1, samples=standard_samples)
     root = ET.fromstring(text)
@@ -98,8 +98,16 @@ def test_render_rejects_bad_indices():
 
 
 def test_render_is_deterministic(standard_spec, standard_samples):
-    R = cq.CorrelationMatrix(entries=ROUNDED_R, method="ccc", variant=V.ME)
+    R = cq.CorrelationMatrix(entries=ROUNDED_R, method="ccc")
     model = cq.build_model(V.ME, standard_spec, R)
     a = cq.render_projection(model, 0, 1, samples=standard_samples)
     b = cq.render_projection(model, 0, 1, samples=standard_samples)
     assert a == b
+
+
+def test_wide_parallelepiped_projection_refused():
+    """The shadow enumerates 2^n box vertices, so n = 21 is refused before
+    any are built."""
+    model = unit_model(V.MP2, np.eye(21))
+    with pytest.raises(InputError, match=r"n=21: .* = 2097152 box vertices"):
+        cq.render_projection(model, 0, 1)
