@@ -83,8 +83,16 @@ def cmd_build(args: argparse.Namespace) -> int:
             R = ensure_positive_definite(R, policy=args.pd)
         with _stage("model build"):
             model = build_model(variant, spec, R)
-    save_model(args.out, model)
     _emit_warnings(caught)
+    report = fitness(model, samples)
+    if report.enclosed == 0:
+        # e.g. a PD repair that pushed the matrix to near-singular
+        raise NumericError(
+            f"model build: the {variant.label} model encloses none of the samples "
+            f"(kappa 0/{report.total}; characteristic matrix condition number "
+            f"{np.linalg.cond(model.characteristic):.3g}); no model written"
+        )
+    save_model(args.out, model)
     print(f"n = {model.n}")
     print(f"variant = {variant.label}")
     print(f"method = {args.method}")

@@ -11,6 +11,11 @@ associative, then unary minus, then * and /, then + and -):
 
 Identifiers are [A-Za-z_][A-Za-z0-9_]*. Offsets in errors are 0-based
 byte positions into the source text.
+
+`LimitState.evaluate` takes floats and returns a float, raising
+EvaluationError at an undefined point. Given numpy arrays (of one
+broadcastable shape) it evaluates every point in one pass and returns an
+array that holds nan exactly where the scalar call would raise.
 """
 
 from __future__ import annotations
@@ -19,6 +24,8 @@ import math
 import re
 from dataclasses import dataclass
 from typing import Mapping
+
+import numpy as np
 
 from .errors import (
     EvaluationError,
@@ -65,26 +72,36 @@ class LimitState:
     root: tuple
     variables: frozenset[str]
 
-    def evaluate(self, env: Mapping[str, float]) -> float:
+    def evaluate(self, env: Mapping[str, float | np.ndarray]) -> float | np.ndarray:
         missing = sorted(self.variables - set(env))
         if missing:
             raise UnboundVariable(f"unbound variable(s): {', '.join(missing)}", names=missing)
-        value = _eval_node(self.root, env)
-        if not math.isfinite(value):
-            raise EvaluationError(f"non-finite value from '{self.source}'")
-        return value
+        if not any(isinstance(v, np.ndarray) for v in env.values()):
+            value = _eval_node(self.root, env, None)
+            if not math.isfinite(value):
+                raise EvaluationError(f"non-finite value from '{self.source}'")
+            return value
+        arrays = {k: np.asarray(v, dtype=float) for k, v in env.items()}
+        undefined = np.zeros(np.broadcast_shapes(*(v.shape for v in arrays.values())), bool)
+        with np.errstate(all="ignore"):
+            value = _eval_node(self.root, arrays, undefined)
+            undefined |= ~np.isfinite(value)
+        return np.where(undefined, np.nan, value)
 
 
-def _eval_node(node: tuple, env: Mapping[str, float]) -> float:
+def _eval_node(node: tuple, env: Mapping, undefined: np.ndarray | None):
+    """Value of the subtree at env. With undefined None, env holds scalars
+    and a domain error raises EvaluationError; otherwise env holds arrays
+    and the points in error are ORed into undefined."""
     op = node[0]
     if op == "num":
         return node[1]
     if op == "var":
-        return float(env[node[1]])
+        return env[node[1]] if undefined is not None else float(env[node[1]])
     if op == "neg":
-        return -_eval_node(node[1], env)
-    a = _eval_node(node[1], env)
-    b = _eval_node(node[2], env)
+        return -_eval_node(node[1], env, undefined)
+    a = _eval_node(node[1], env, undefined)
+    b = _eval_node(node[2], env, undefined)
     if op == "+":
         return a + b
     if op == "-":
@@ -92,10 +109,20 @@ def _eval_node(node: tuple, env: Mapping[str, float]) -> float:
     if op == "*":
         return a * b
     if op == "/":
+        if undefined is not None:
+            undefined |= b == 0.0
+            return np.divide(a, b)
         if b == 0.0:
             raise EvaluationError("division by zero")
         return a / b
     if op == "^":
+        if undefined is not None:
+            fractional = (b != np.floor(b)) | np.isinf(b)
+            value = np.power(a, b)
+            undefined |= (a < 0.0) & fractional
+            undefined |= (a == 0.0) & (b < 0.0)
+            undefined |= np.isinf(value) & np.isfinite(a) & np.isfinite(b)
+            return value
         if a < 0.0 and not b.is_integer():
             raise EvaluationError("fractional power of a negative number")
         if a == 0.0 and b < 0.0:

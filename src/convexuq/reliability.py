@@ -5,11 +5,16 @@ The standardized coordinates are delta = A⁻¹D⁻¹(X - X^m), with A the
 model's factor: the Cholesky factor P of R for the ellipsoid model
 (membership iff ‖delta‖₂ ≤ 1) and the shape matrix S for parallelepiped
 models (membership iff ‖delta‖_∞ ≤ 1). The solver is multi-start:
-sign-change bracketing plus root-finding along rays from the origin
-lands on the surface, then one SLSQP problem for either norm, minimise s
-subject to g(delta) = 0 and delta in s·B_p, refines each start with
-central-difference gradients of g; the reported index is the best
-surface point found.
+one array evaluation of g over every ray from the origin times 96 radial
+steps brackets the surface, and brentq finds the root in each ray's
+first sign change whose two ends are both defined; then one SLSQP
+problem for either norm, minimise s subject to g(delta) = 0 and delta in
+s·B_p, refines each start, with the central-difference gradient of g
+taken by one array evaluation over the 2n stencil points. The reported
+index is the best surface point found.
+
+The solver reads only `g.variables` and calls only `g.evaluate`;
+`evaluations` counts those calls, and one call may carry many points.
 """
 
 from __future__ import annotations
@@ -95,18 +100,6 @@ def _norm_of(delta: np.ndarray, norm: str) -> float:
     return float(np.max(np.abs(delta)))
 
 
-def _central_gradient(fun, x: np.ndarray) -> np.ndarray:
-    grad = np.empty_like(x)
-    for k in range(x.size):
-        step = 1e-6 * max(1.0, abs(x[k]))
-        hi = x.copy()
-        lo = x.copy()
-        hi[k] += step
-        lo[k] -= step
-        grad[k] = (fun(hi) - fun(lo)) / (2.0 * step)
-    return grad
-
-
 def reliability_index(
     model: ConvexModel,
     g: LimitState,
@@ -136,6 +129,7 @@ def reliability_index(
         )
 
     n = model.n
+    mid, rad, factor = model.midpoints, model.radii, model.factor
     evaluations = 0
 
     def g_at(delta: np.ndarray) -> float | None:
@@ -148,6 +142,15 @@ def reliability_index(
             return g.evaluate(env)
         except EvaluationError:
             return None
+
+    def g_on(columns: list[np.ndarray]) -> np.ndarray:
+        """g at many points in one call, given each variable's physical
+        coordinates; nan where g is undefined."""
+        nonlocal evaluations
+        evaluations += 1
+        env = dict(zip(names, columns))
+        env.update(bindings)
+        return g.evaluate(env)
 
     g_mid = g_at(np.zeros(n))
     if g_mid is None:
@@ -171,37 +174,42 @@ def reliability_index(
         if length > 0:
             directions.append(row / length)
 
-    def ray_root(direction: np.ndarray) -> float | None:
-        """Smallest t in (0, eta_max] with g(t*direction) = 0, or None."""
-        ts = np.linspace(0.0, opts.eta_max, _SCAN_STEPS + 1)
-        prev_t, prev_g = 0.0, g_mid
-        for t in ts[1:]:
-            cur = g_at(t * direction)
-            if cur is None:
-                prev_g = None
+    ts = np.linspace(0.0, opts.eta_max, _SCAN_STEPS + 1)
+
+    def ray_roots(rays: np.ndarray) -> list[float | None]:
+        """For each unit ray, the smallest t in (0, eta_max] with
+        g(t*ray) = 0, or None. One evaluation covers every ray and step;
+        the root is sought in the first step whose two ends are defined
+        and differ in sign (or end on g = 0)."""
+        reach = rays @ factor.T  # row r holds A·ray_r
+        values = np.empty((len(rays), _SCAN_STEPS + 1))
+        values[:, 0] = g_mid
+        values[:, 1:] = g_on([mid[k] + rad[k] * np.outer(reach[:, k], ts[1:]) for k in range(n)])
+        defined = ~np.isnan(values)
+        below = values < 0.0
+        change = (defined[:, :-1] & defined[:, 1:]) & (
+            (values[:, 1:] == 0.0) | (below[:, :-1] != below[:, 1:])
+        )
+        roots: list[float | None] = []
+        for r, ray in enumerate(rays):
+            if not change[r].any():
+                roots.append(None)
                 continue
-            if prev_g is not None and (cur == 0.0 or (prev_g < 0) != (cur < 0)):
-                if cur == 0.0:
-                    return float(t)
-                try:
-                    return float(
-                        brentq(
-                            lambda s: g_at(s * direction),
-                            prev_t,
-                            t,
-                            xtol=1e-13,
-                            rtol=1e-15,
-                        )
-                    )
-                except (ValueError, TypeError):
-                    return None
-            prev_t, prev_g = t, cur
-        return None
+            j = int(change[r].argmax())
+            if values[r, j + 1] == 0.0:
+                roots.append(float(ts[j + 1]))
+                continue
+            try:
+                root = brentq(lambda t: g_at(t * ray), ts[j], ts[j + 1], xtol=1e-13, rtol=1e-15)
+                roots.append(float(root))
+            except (ValueError, TypeError):
+                roots.append(None)
+        return roots
 
     # stage 1: bracket the surface along every ray
     hits: list[tuple[float, int, np.ndarray]] = []  # (norm, start id, delta)
-    for start_id, direction in enumerate(directions):
-        t_root = ray_root(direction)
+    roots = ray_roots(np.array(directions))
+    for start_id, (direction, t_root) in enumerate(zip(directions, roots)):
         if t_root is not None:
             hits.append((t_root, start_id, t_root * direction))
     if not hits:
@@ -215,6 +223,16 @@ def reliability_index(
     def constraint_value(delta: np.ndarray) -> float:
         value = g_at(delta)
         return 1e9 if value is None else value / scale
+
+    def constraint_gradient(delta: np.ndarray) -> np.ndarray:
+        """Central differences of constraint_value with steps
+        1e-6·max(1, |delta_k|), all 2n stencil points in one evaluation."""
+        steps = 1e-6 * np.maximum(1.0, np.abs(delta))
+        stencil = np.concatenate([delta + np.diag(steps), delta - np.diag(steps)])
+        x = mid + rad * (stencil @ factor.T)
+        values = g_on([x[:, k] for k in range(n)])
+        values = np.where(np.isnan(values), 1e9, values / scale)
+        return (values[:n] - values[n:]) / (2.0 * steps)
 
     def on_surface(delta: np.ndarray) -> np.ndarray | None:
         value = g_at(delta)
@@ -240,7 +258,7 @@ def reliability_index(
     surface = {
         "type": "eq",
         "fun": lambda y: constraint_value(y[:-1]),
-        "jac": lambda y: np.append(_central_gradient(constraint_value, y[:-1]), 0.0),
+        "jac": lambda y: np.append(constraint_gradient(y[:-1]), 0.0),
     }
 
     def refine(delta0: np.ndarray) -> np.ndarray | None:
@@ -260,7 +278,7 @@ def reliability_index(
         # polish by re-rooting along the ray through the candidate
         length = _norm_of(candidate, norm)
         if length > 0:
-            t_root = ray_root(candidate / length)
+            (t_root,) = ray_roots((candidate / length)[None, :])
             if t_root is not None:
                 return on_surface(t_root * (candidate / length))
         return None

@@ -105,6 +105,29 @@ def test_build_rejects_out_of_range_samples(tmp_path, data_dir, capsys):
     assert "regularization:" in capsys.readouterr().err
 
 
+def test_build_refuses_model_enclosing_no_sample(tmp_path, data_dir, capsys):
+    """geotech ME(CCC) after PD repair is near singular and encloses 0/10:
+    a numeric failure (exit 3) that names kappa and the condition number,
+    with no model file written."""
+    out = tmp_path / "m.json"
+    code = main(
+        [
+            "build",
+            "--samples", str(data_dir / "geotech_samples.csv"),
+            "--intervals", str(data_dir / "geotech_intervals.csv"),
+            "--variant", "me",
+            "--method", "ccc",
+            "--pd", "repair",
+            "--out", str(out),
+        ]
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "kappa 0/10" in err
+    assert re.search(r"condition number \d\.\d+e\+1\d", err)
+    assert not out.exists()
+
+
 def test_assess_prints_counts_and_json(built_me, tmp_path, data_dir, capsys):
     report_path = tmp_path / "report.json"
     code = main(

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -266,3 +268,43 @@ def test_solver_reads_only_variables_and_evaluate(variant):
     result = cq.reliability_index(model, bare)
     assert result.evaluations == bare.calls
     assert result.eta == cq.reliability_index(model, g).eta
+
+
+# g is undefined on the slab 3.5 < x1 < 4.5 (a fractional power of a
+# negative number), which crosses the rays that head towards low x1
+SLAB = "0.1*((x1 - 4)^2 - 0.25)^0.5"
+
+
+@pytest.mark.parametrize(
+    "text, variant, eta",
+    [
+        (f"3 - x1 + 0.1*x2 + {SLAB}", V.ME, 0.716689307666254),
+        (f"3 - x1 + 0.1*x2 + {SLAB}", V.LTRI, 0.6845177121029214),
+        (f"3 - x1 + 0.1*x2 + {SLAB}", V.MP2, 0.7336280792996204),
+        ("x2 + 1.5 + (x1 - 4.5)^0.5", V.ME, 0.057378638762235985),
+        ("x2 + 1.5 + (x1 - 4.5)^0.5", V.LTRI, 0.04814560089199095),
+    ],
+    ids=["slab-me", "slab-ltri", "slab-mp2", "halfspace-me", "halfspace-ltri"],
+)
+def test_scan_skips_undefined_points(text, variant, eta):
+    """A step counts as a sign change only when both of its ends are
+    defined. With the slab, g is negative up to it and stays negative past
+    it, so every ray reaching the surface crosses undefined steps first
+    and must still find the sign change beyond them. The indices are those
+    of the scalar step-by-step scan."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = cq.reliability_index(make_model(variant), cq.parse_limit_state(text))
+    assert result.eta == pytest.approx(eta, rel=1e-9)
+    assert result.converged
+
+
+@pytest.mark.parametrize("variant", [V.ME, V.LTRI, V.MP2], ids=lambda v: v.value)
+def test_sign_change_across_undefined_slab_is_no_surface(variant):
+    """g = x1 - 4 changes sign only inside the undefined slab, so no ray
+    has a step with two defined ends of opposite sign."""
+    g = cq.parse_limit_state(f"x1 - 4 + {SLAB}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NoSurfaceFound):
+            cq.reliability_index(make_model(variant), g)
