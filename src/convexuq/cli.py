@@ -3,13 +3,14 @@
 Subcommands: build, assess, project, sample, verify, reliability.
 Exit codes: 0 success, 2 input or validation error, 3 numeric failure.
 Row and variable indices printed by or passed to the CLI are 1-based;
-the library API underneath is 0-based throughout.
+the library API underneath is 0-based throughout. Library warnings
+(DegenerateData, IllConditioned) are printed as `warning: ...` lines on
+stdout after the subcommand's own output.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 import warnings
 from contextlib import contextmanager
@@ -23,9 +24,9 @@ from .correlation import (
     ensure_positive_definite,
     fit_correlation_matrix,
 )
-from .dataio import read_intervals_csv, read_samples_csv, write_samples_csv
+from .dataio import read_intervals_csv, read_matrix_csv, read_samples_csv, write_samples_csv
 from .domain import regularize
-from .errors import ConvexUQError, InputError, NumericError, ParseError
+from .errors import ConvexUQError, InputError, NumericError
 from .models import build_model, fitness, load_model, project_2d, save_model
 from .reliability import (
     ReliabilityOptions,
@@ -54,36 +55,24 @@ def _print_matrix(matrix: np.ndarray, decimals: int = 4) -> None:
         print("  " + "  ".join(f"{v:{decimals + 5}.{decimals}f}" for v in row))
 
 
-def _variant(tag: str) -> ModelVariant:
-    return ModelVariant(tag)
-
-
-def _emit_warnings(caught) -> None:
-    for item in caught:
-        print(f"warning: {item.message}")
-
-
 def cmd_build(args: argparse.Namespace) -> int:
     with _stage("data prep"):
         spec = read_intervals_csv(args.intervals)
         samples = read_samples_csv(args.samples)
-    variant = _variant(args.variant)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        with _stage("regularization"):
-            reg = regularize(spec, samples)
-        with _stage("correlation"):
-            R = fit_correlation_matrix(
-                args.method,
-                variant if args.method == "ccc" else None,
-                reg.rows,
-                on_infeasible="relax",
-            )
-        with _stage("positive definiteness"):
-            R = ensure_positive_definite(R, policy=args.pd)
-        with _stage("model build"):
-            model = build_model(variant, spec, R)
-    _emit_warnings(caught)
+    variant = ModelVariant(args.variant)
+    with _stage("regularization"):
+        reg = regularize(spec, samples)
+    with _stage("correlation"):
+        R = fit_correlation_matrix(
+            args.method,
+            variant if args.method == "ccc" else None,
+            reg.rows,
+            on_infeasible="relax",
+        )
+    with _stage("positive definiteness"):
+        R = ensure_positive_definite(R, policy=args.pd)
+    with _stage("model build"):
+        model = build_model(variant, spec, R)
     report = fitness(model, samples)
     if report.enclosed == 0:
         # e.g. a PD repair that pushed the matrix to near-singular
@@ -163,30 +152,15 @@ def cmd_sample(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_correlation_csv(path: str) -> np.ndarray:
-    rows: list[list[float]] = []
-    with open(path, newline="", encoding="utf-8") as handle:
-        for lineno, record in enumerate(csv.reader(handle), start=1):
-            if not record or all(not cell.strip() for cell in record):
-                continue
-            try:
-                rows.append([float(cell) for cell in record])
-            except ValueError:
-                raise ParseError("non-numeric matrix entry", line=lineno) from None
-    if not rows or any(len(r) != len(rows) for r in rows):
-        raise ParseError("correlation file must hold a square numeric matrix")
-    return np.array(rows)
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
-    variant = _variant(args.variant)
+    variant = ModelVariant(args.variant)
     if args.r is not None:
         if not -1.0 < args.r < 1.0:
             raise InputError("--r must lie strictly between -1 and 1")
         true_r = np.array([[1.0, args.r], [args.r, 1.0]])
     else:
         with _stage("correlation file"):
-            true_r = _read_correlation_csv(args.corr)
+            true_r = read_matrix_csv(args.corr)
     with _stage("correlation matrix"):
         R = CorrelationMatrix(entries=true_r, method="scc")
     if args.method == "ccc":
@@ -291,7 +265,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", required=True, choices=variants)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--r", type=float, help="single 2x2 coefficient")
-    group.add_argument("--corr", help="CSV file holding a full correlation matrix")
+    group.add_argument(
+        "--corr", help="headerless square numeric CSV holding a full correlation matrix"
+    )
     p.add_argument("--n", required=True, type=int, help="draw count")
     p.add_argument("--seed", required=True, type=int)
     p.add_argument(
@@ -320,14 +296,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (ConvexUQError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings(record=True) as caught:
+        # shows every DegenerateData and IllConditioned (both UserWarning);
+        # other categories keep the caller's filters, so an "error" filter
+        # on RuntimeWarning still raises
+        warnings.simplefilter("always", UserWarning)
+        try:
+            code = args.func(args)
+        except NumericError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            code = 3
+        except (ConvexUQError, OSError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            code = 2
+    for item in caught:
+        print(f"warning: {item.message}")
+    return code
 
 
 if __name__ == "__main__":

@@ -122,7 +122,11 @@ def scc(x_i: np.ndarray, x_j: np.ndarray, mid_i: float, mid_j: float) -> float:
     denom_b = float(b @ b)
     if denom_a == 0.0 or denom_b == 0.0:
         raise ZeroDeviation("a column sits identically at its midpoint")
-    value = float(a @ b) / np.sqrt(denom_a * denom_b)
+    denom = np.sqrt(denom_a * denom_b)
+    if denom == 0.0:
+        # the product underflows for columns near 1e-150
+        denom = np.sqrt(denom_a) * np.sqrt(denom_b)
+    value = float(a @ b) / denom
     return float(np.clip(value, -1.0, 1.0))
 
 
@@ -203,13 +207,9 @@ def _scc_sign(u: np.ndarray) -> float:
     return 1.0 if s >= 0.0 else -1.0
 
 
-def _pick_extreme(r_neg: float | None, r_pos: float | None, u: np.ndarray) -> float:
+def _pick_extreme(r_neg: float, r_pos: float, u: np.ndarray) -> float:
     """Choose the fitted value among the two one-sided extremes by max |r|,
     breaking near-ties with the SCC sign of the pair."""
-    if r_pos is None:
-        return r_neg  # type: ignore[return-value]
-    if r_neg is None:
-        return r_pos
     if abs(abs(r_pos) - abs(r_neg)) <= _TIE_TOL:
         return r_pos if _scc_sign(u) >= 0 else r_neg
     return r_pos if abs(r_pos) > abs(r_neg) else r_neg

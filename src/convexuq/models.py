@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -23,15 +24,16 @@ from typing import NamedTuple
 import numpy as np
 
 from .correlation import EPS_PD, MEMBERSHIP_TOL, CorrelationMatrix, ModelVariant
-from .domain import MarginalSpec, SampleSet, make_marginal_spec
+from .domain import Interval, MarginalSpec, SampleSet
 from .errors import (
     DimensionMismatch,
     IllConditioned,
     IndexOutOfRange,
+    InputError,
     NotEllipsoid,
     NotPositiveDefinite,
+    NumericError,
     ParseError,
-    SingularShape,
 )
 from .factorization import ShapeMatrix, core_shape_matrix, shape_matrix
 
@@ -242,28 +244,30 @@ def serialize(model: ConvexModel) -> str:
     return json.dumps(doc, indent=2)
 
 
-def _require(doc: dict, key: str, kind) -> object:
+def _require(doc: dict, key: str, kind: type) -> object:
     if key not in doc:
         raise ParseError("missing key", field=key)
     value = doc[key]
-    if kind is float:
-        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-    elif kind is list:
-        ok = isinstance(value, list)
-    else:
-        ok = isinstance(value, kind)
-    if not ok:
-        raise ParseError(f"expected {getattr(kind, '__name__', kind)}", field=key)
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ParseError(f"expected {kind.__name__}", field=key)
     return value
+
+
+@contextmanager
+def _field(name: str):
+    """Turn a failure while building one field of a model file into a
+    ParseError naming that field."""
+    try:
+        yield
+    except (InputError, NumericError, TypeError, ValueError) as exc:
+        raise ParseError(str(exc), field=name) from None
 
 
 def _matrix_from_flat(values: list, n: int, field: str) -> np.ndarray:
     if len(values) != n * n:
         raise ParseError(f"expected {n * n} row-major entries, got {len(values)}", field=field)
-    try:
-        return np.array([float(v) for v in values], dtype=float).reshape(n, n)
-    except (TypeError, ValueError):
-        raise ParseError("non-numeric matrix entry", field=field) from None
+    with _field(field):
+        return np.array([float(v) for v in values]).reshape(n, n)
 
 
 def deserialize(text: str) -> ConvexModel:
@@ -283,10 +287,8 @@ def deserialize(text: str) -> ConvexModel:
     if version != FORMAT_VERSION:
         raise ParseError(f"unsupported format_version {version}", field="format_version")
     variant_tag = _require(doc, "variant", str)
-    try:
+    with _field("variant"):
         variant = ModelVariant(variant_tag)
-    except ValueError:
-        raise ParseError(f"unknown variant '{variant_tag}'", field="variant") from None
     method = _require(doc, "method", str)
     if method not in ("ccc", "scc"):
         raise ParseError(f"unknown method '{method}'", field="method")
@@ -296,12 +298,12 @@ def deserialize(text: str) -> ConvexModel:
     if not (len(names) == len(lower) == len(upper)) or not names:
         raise ParseError("names/lower/upper lengths differ or are empty", field="names")
     n = len(names)
-    try:
-        spec = make_marginal_spec(
-            (str(names[k]), float(lower[k]), float(upper[k])) for k in range(n)
-        )
-    except (TypeError, ValueError):
-        raise ParseError("non-numeric interval bound", field="lower") from None
+    with _field("lower"):
+        intervals = tuple(Interval(float(lo), float(hi)) for lo, hi in zip(lower, upper))
+    with _field("names"):
+        if not all(isinstance(name, str) for name in names):
+            raise TypeError("variable names must be strings")
+        spec = MarginalSpec(names=tuple(names), intervals=intervals)
     corr = _matrix_from_flat(_require(doc, "correlation", list), n, "correlation")
     if np.max(np.abs(corr - corr.T)) > 1e-9:
         raise ParseError("correlation matrix not symmetric", field="correlation")
@@ -309,15 +311,8 @@ def deserialize(text: str) -> ConvexModel:
         raise ParseError("correlation diagonal must be 1", field="correlation")
     corr = (corr + corr.T) / 2.0
     np.fill_diagonal(corr, 1.0)
-    try:
-        R = CorrelationMatrix(entries=corr, method=method)
-    except ValueError as exc:
-        raise ParseError(str(exc), field="correlation") from None
-
-    try:
-        model = build_model(variant, spec, R)
-    except (NotPositiveDefinite, SingularShape) as exc:
-        raise ParseError(str(exc), field="correlation") from None
+    with _field("correlation"):
+        model = build_model(variant, spec, CorrelationMatrix(entries=corr, method=method))
     field, rebuilt = _derived_matrix(model)
     stored = _matrix_from_flat(_require(doc, field, list), n, field)
     if field == "covariance":

@@ -10,8 +10,9 @@ steps brackets the surface, and brentq finds the root in each ray's
 first sign change whose two ends are both defined; then one SLSQP
 problem for either norm, minimise s subject to g(delta) = 0 and delta in
 s·B_p, refines each start, with the central-difference gradient of g
-taken by one array evaluation over the 2n stencil points. The reported
-index is the best surface point found.
+taken by one array evaluation over the 2n stencil points. A refined point
+off the surface is dropped, and the start's ray hit stands in for it. The
+reported index is the best surface point found.
 
 The solver reads only `g.variables` and calls only `g.evaluate`;
 `evaluations` counts those calls, and one call may carry many points.
@@ -234,10 +235,6 @@ def reliability_index(
         values = np.where(np.isnan(values), 1e9, values / scale)
         return (values[:n] - values[n:]) / (2.0 * steps)
 
-    def on_surface(delta: np.ndarray) -> np.ndarray | None:
-        value = g_at(delta)
-        return delta if value is not None and abs(value) <= 10.0 * tol_abs else None
-
     # Epigraph form over y = (delta, s): minimise s subject to g(delta) = 0
     # and delta in s·B_p. Only the ball constraint depends on the norm.
     s_grad = np.zeros(n + 1)
@@ -262,8 +259,9 @@ def reliability_index(
     }
 
     def refine(delta0: np.ndarray) -> np.ndarray | None:
-        """Constrained local descent from a surface point; returns a point
-        checked to lie on the surface, or None."""
+        """Constrained local descent from a surface point; returns the
+        SLSQP point if it lies on the surface, else None (the start's raw
+        hit stays the fallback)."""
         result = minimize(
             lambda y: float(y[-1]),
             np.append(delta0, _norm_of(delta0, norm)),
@@ -273,15 +271,8 @@ def reliability_index(
             options={"maxiter": 200, "ftol": 1e-12},
         )
         candidate = result.x[:-1]
-        if on_surface(candidate) is not None:
-            return candidate
-        # polish by re-rooting along the ray through the candidate
-        length = _norm_of(candidate, norm)
-        if length > 0:
-            (t_root,) = ray_roots((candidate / length)[None, :])
-            if t_root is not None:
-                return on_surface(t_root * (candidate / length))
-        return None
+        value = g_at(candidate)
+        return candidate if value is not None and abs(value) <= 10.0 * tol_abs else None
 
     # later hits lie no nearer than the 16th, so they cannot lower the
     # minimum or change `converged` (the 16 raw hits already agree)

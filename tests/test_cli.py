@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -149,6 +150,30 @@ def test_assess_prints_counts_and_json(built_me, tmp_path, data_dir, capsys):
     assert doc["enclosed"] == doc["total"] - len(doc["excluded"])
 
 
+def test_assess_prints_library_warning_on_stdout(tmp_path, data_dir, capsys):
+    """geotech ME(CCC), relaxed and PD-repaired, is near singular: loading
+    it warns IllConditioned, which the CLI prints as a `warning:` line on
+    stdout, leaving stderr empty."""
+    spec = cq.read_intervals_csv(data_dir / "geotech_intervals.csv")
+    samples = cq.read_samples_csv(data_dir / "geotech_samples.csv")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        R = cq.fit_correlation_matrix(
+            "ccc", cq.ModelVariant.ME, cq.regularize(spec, samples).rows, on_infeasible="relax"
+        )
+        R = cq.ensure_positive_definite(R, policy="repair")
+        model = cq.build_model(cq.ModelVariant.ME, spec, R)
+    path = tmp_path / "me.json"
+    cq.save_model(path, model)
+    samples_path = str(data_dir / "geotech_samples.csv")
+    assert main(["assess", "--model", str(path), "--samples", samples_path]) == 0
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert lines[0] == "kappa = 0/10"
+    assert lines[-1] == "warning: covariance matrix condition number 1.19e+13 above 1e12"
+    assert captured.err == ""
+
+
 def test_project_writes_svg_with_exact_submatrix(built_me, tmp_path, data_dir, capsys):
     out = tmp_path / "plot.svg"
     code = main(
@@ -287,6 +312,14 @@ def test_verify_rejects_bad_inputs(tmp_path, capsys):
     assert main(
         ["verify", "--variant", "me", "--corr", str(ragged), "--n", "10000", "--seed", "0"]
     ) == 2
+    words = tmp_path / "words.csv"
+    words.write_text("1.0,0.5\n0.5,one\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(
+        ["verify", "--variant", "me", "--corr", str(words), "--n", "10000", "--seed", "0"]
+    ) == 2
+    err = capsys.readouterr().err
+    assert "line 2" in err and "column 2" in err
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--variant", "me", "--r", "0.5", "--corr", str(ragged),
               "--n", "10000", "--seed", "0"])

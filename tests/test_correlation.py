@@ -62,6 +62,8 @@ def test_scc_zero_deviation():
         max_size=12,
     )
 )
+# sqrt(a·a · b·b) underflows to 0 here although neither column is zero
+@example(pairs=[(0.0, 0.0), (7.94e-150, 7.94e-150)])
 def test_scc_bounded(pairs):
     u = np.array(pairs)
     # squared deviations can underflow to an exact zero for subnormal

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import convexuq as cq
+from convexuq.dataio import read_matrix_csv
 from convexuq.errors import ParseError
 
 
@@ -57,3 +58,12 @@ def test_read_intervals_bad_field_count(tmp_path):
     with pytest.raises(ParseError) as exc:
         cq.read_intervals_csv(path)
     assert exc.value.line == 1
+
+
+def test_read_matrix_bad_cell_has_location(tmp_path):
+    path = tmp_path / "r.csv"
+    path.write_text("1,0.5\n\n0.5,one\n")
+    with pytest.raises(ParseError) as exc:
+        read_matrix_csv(path)
+    assert exc.value.line == 3
+    assert exc.value.field == "column 2"

@@ -283,6 +283,25 @@ def test_deserialize_rejects_bad_me_docs(mutate, field):
     assert exc.value.field == field
 
 
+@pytest.mark.parametrize(
+    "mutate, field",
+    [
+        (lambda d: d.update(format_version=True), "format_version"),
+        (lambda d: d.update(names=[1, 2]), "names"),
+        (lambda d: d.update(names=["a", "a"]), "names"),
+        (lambda d: d.update(upper=[-1.0, 2.0]), "lower"),  # lower == upper
+    ],
+)
+def test_deserialize_refuses_self_contradicting_docs(mutate, field):
+    """A bool version, numeric names, a repeated name and a zero-width
+    interval are each refused with the field they break."""
+    doc = loadable_doc("me")
+    mutate(doc)
+    with pytest.raises(ParseError) as exc:
+        cq.deserialize(json.dumps(doc))
+    assert exc.value.field == field
+
+
 def test_deserialize_rejects_bad_shapes():
     doc = loadable_doc("rect")
     doc["shape"] = [0.9, 0.4, 0.25, 0.75]  # first row sums to 1.3
