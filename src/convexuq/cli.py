@@ -44,8 +44,6 @@ def _stage(name: str):
     """Prefix validation failures with the pipeline step they came from."""
     try:
         yield
-    except NumericError:
-        raise
     except (InputError, OSError, ValueError) as exc:
         raise InputError(f"{name}: {exc}") from exc
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
+from .domain import read_only
 from .errors import (
     DegenerateData,
     DimensionMismatch,
@@ -35,7 +36,7 @@ _GRID_STEP = 1e-3
 _REFINE_TOL = 1e-7
 _TIE_TOL = 1e-9
 # margin by which a sample must lie inside every hull edge before the MP fit
-# may drop it; why this keeps the fit bit-identical is in _ccc_fit_mp
+# may drop it; why this keeps the fit bit-identical is in _mp_interval
 _HULL_TOL = 1e-9
 
 
@@ -84,7 +85,7 @@ class CorrelationMatrix:
     repair: RepairReport | None = None
 
     def __post_init__(self) -> None:
-        entries = np.array(self.entries, dtype=float)
+        entries = read_only(self.entries)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise DimensionMismatch(f"correlation matrix must be square, got {entries.shape}")
         if self.method not in ("ccc", "scc"):
@@ -98,7 +99,6 @@ class CorrelationMatrix:
         off = entries[~np.eye(entries.shape[0], dtype=bool)]
         if off.size and np.max(np.abs(off)) >= 1.0:
             raise ValueError("off-diagonal correlation magnitude must be < 1")
-        entries.flags.writeable = False
         object.__setattr__(self, "entries", entries)
 
     @property
@@ -110,6 +110,13 @@ class CorrelationMatrix:
         return float(np.linalg.eigvalsh(self.entries)[0])
 
 
+def _scaled(column: np.ndarray) -> np.ndarray:
+    """The column over its largest magnitude when that lies outside [1e-50,
+    1e50], where scc's dot products could overflow or underflow; else itself."""
+    peak = max(float(column.max()), -float(column.min()))
+    return column / peak if peak > 0.0 and not 1e-50 <= peak <= 1e50 else column
+
+
 def scc(x_i: np.ndarray, x_j: np.ndarray, mid_i: float, mid_j: float) -> float:
     """Sample correlation coefficient about the interval midpoints."""
     a = np.asarray(x_i, dtype=float) - mid_i
@@ -118,15 +125,12 @@ def scc(x_i: np.ndarray, x_j: np.ndarray, mid_i: float, mid_j: float) -> float:
         raise DimensionMismatch(f"columns must be 1-D and equal length, got {a.shape} and {b.shape}")
     if a.size < 2:
         raise DimensionMismatch("need at least 2 samples")
+    a, b = _scaled(a), _scaled(b)
     denom_a = float(a @ a)
     denom_b = float(b @ b)
     if denom_a == 0.0 or denom_b == 0.0:
         raise ZeroDeviation("a column sits identically at its midpoint")
-    denom = np.sqrt(denom_a * denom_b)
-    if denom == 0.0:
-        # the product underflows for columns near 1e-150
-        denom = np.sqrt(denom_a) * np.sqrt(denom_b)
-    value = float(a @ b) / denom
+    value = float(a @ b) / np.sqrt(denom_a * denom_b)
     return float(np.clip(value, -1.0, 1.0))
 
 
@@ -202,49 +206,22 @@ def _mp_feasible(variant: ModelVariant, r: np.ndarray, u: np.ndarray) -> np.ndar
     return worst <= 1.0 + MEMBERSHIP_TOL
 
 
-def _scc_sign(u: np.ndarray) -> float:
-    s = float(u[:, 0] @ u[:, 1])
-    return 1.0 if s >= 0.0 else -1.0
-
-
 def _pick_extreme(r_neg: float, r_pos: float, u: np.ndarray) -> float:
     """Choose the fitted value among the two one-sided extremes by max |r|,
     breaking near-ties with the SCC sign of the pair."""
     if abs(abs(r_pos) - abs(r_neg)) <= _TIE_TOL:
-        return r_pos if _scc_sign(u) >= 0 else r_neg
+        return r_pos if float(u[:, 0] @ u[:, 1]) >= 0.0 else r_neg
     return r_pos if abs(r_pos) > abs(r_neg) else r_neg
 
 
-def _ccc_fit_me(u: np.ndarray, on_infeasible: str) -> float:
-    """Closed-form ME fit: intersect the per-sample feasible r-intervals
-    of the ellipse family u1^2 + u2^2 - 2 r u1 u2 <= 1 - r^2."""
+def _me_interval(u: np.ndarray) -> tuple[float, float]:
+    """Closed-form ME feasible interval: the intersection (lo, hi) of the
+    per-sample feasible r-intervals of the ellipse family
+    u1^2 + u2^2 - 2 r u1 u2 <= 1 - r^2; empty when lo > hi."""
     u1, u2 = u[:, 0], u[:, 1]
     prod = u1 * u2
     half = np.sqrt(np.maximum((1.0 - u1 * u1) * (1.0 - u2 * u2), 0.0))
-    lo = float(np.max(prod - half))
-    hi = float(np.min(prod + half))
-    if lo > hi:
-        gap = lo - hi
-        if on_infeasible == "relax":
-            warnings.warn(
-                f"infeasible ME pair fit relaxed to minimax value (gap {gap:.3g})",
-                DegenerateData,
-            )
-            return float(np.clip((lo + hi) / 2.0, -R_CLAMP, R_CLAMP))
-        raise InfeasibleFit(
-            f"no ellipse of the family encloses all pairs (feasible intervals "
-            f"disjoint, gap {gap:.3g})",
-            gap=gap,
-        )
-    lo_c, hi_c = max(lo, -R_CLAMP), min(hi, R_CLAMP)
-    if lo_c > hi_c:
-        # feasible interval lies entirely beyond the clamp
-        warnings.warn("fit clamped at |r| = 1 - 1e-6", DegenerateData)
-        return R_CLAMP if lo > 0 else -R_CLAMP
-    r = _pick_extreme(lo_c, hi_c, u)
-    if abs(r) >= R_CLAMP:
-        warnings.warn("fit clamped at |r| = 1 - 1e-6", DegenerateData)
-    return float(r)
+    return float(np.max(prod - half)), float(np.min(prod + half))
 
 
 def _refine_boundary(
@@ -277,13 +254,13 @@ def _hull_candidates(u: np.ndarray) -> np.ndarray:
     return u[depth > -_HULL_TOL]
 
 
-def _ccc_fit_mp(variant: ModelVariant, u: np.ndarray) -> float:
-    """Grid-plus-bisection fit for the MP families. Feasibility in r need
-    not be a single interval, so both one-sided extremes of the feasible
-    grid set are refined and the larger |r| wins.
+def _mp_interval(variant: ModelVariant, u: np.ndarray) -> tuple[float, float]:
+    """Grid-plus-bisection extremes (r_neg, r_pos) of the MP feasible set,
+    both within the clamp. Feasibility in r need not be one interval, so
+    each end of the feasible grid set is refined on its own.
 
     The grid and the bisections test only _hull_candidates(u); the SCC
-    tie-break in _pick_extreme still reads every sample. This returns the
+    tie-break in ccc_fit still reads every sample. This returns the
     same bits as testing all of u. For every r, f_r(u) = |S(r)^-1 u|_inf
     is a norm, hence convex, so its maximum over the hull H of the kept
     points is attained at a kept vertex. A dropped point p has
@@ -313,11 +290,7 @@ def _ccc_fit_mp(variant: ModelVariant, u: np.ndarray) -> float:
         r_neg = -R_CLAMP
     else:
         r_neg = _refine_boundary(variant, candidates, float(grid[i_lo]), float(grid[i_lo - 1]))
-    r = _pick_extreme(r_neg, r_pos, u)
-    if abs(r) >= R_CLAMP:
-        warnings.warn("fit clamped at |r| = 1 - 1e-6", DegenerateData)
-        return float(np.sign(r) * R_CLAMP)
-    return float(r)
+    return r_neg, r_pos
 
 
 def ccc_fit(
@@ -329,13 +302,15 @@ def ccc_fit(
     """Fit the convex correlation coefficient of one pair of regularized
     sample columns.
 
-    u_pairs is an (N, 2) array with every entry in [-1, 1]. Returns the r
-    of maximal |r| whose 2D domain encloses all pairs; ties between the
-    positive and negative extremes go to the SCC sign. Fits reaching the
-    clamp |r| = 1 - 1e-6 emit a DegenerateData warning. When no r is
-    feasible (possible only for ME, even on in-box data), on_infeasible selects
-    between raising InfeasibleFit ("error") and returning the
-    minimax-violation r with a warning ("relax").
+    u_pairs is an (N, 2) array with every entry in [-1, 1]. Both families
+    reduce the pair to a feasible r-interval (_me_interval, _mp_interval),
+    which this function alone finishes. Returns the r of maximal |r| whose
+    2D domain encloses all pairs; ties between the positive and negative
+    extremes go to the SCC sign. Fits reaching the clamp |r| = 1 - 1e-6
+    emit a DegenerateData warning. When no r is feasible (possible only for
+    ME, even on in-box data), on_infeasible selects between raising
+    InfeasibleFit ("error") and returning the minimax-violation r with a
+    warning ("relax").
     """
     if on_infeasible not in ("error", "relax"):
         raise ValueError(f"on_infeasible must be 'error' or 'relax', got {on_infeasible!r}")
@@ -347,8 +322,30 @@ def ccc_fit(
     if np.max(np.abs(u)) > 1.0 + 1e-9:
         raise ValueError("u_pairs entries must lie in [-1, 1]")
     if variant is ModelVariant.ME:
-        return _ccc_fit_me(u, on_infeasible)
-    return _ccc_fit_mp(variant, u)
+        lo, hi = _me_interval(u)
+    else:
+        lo, hi = _mp_interval(variant, u)
+    if lo > hi:
+        gap = lo - hi
+        if on_infeasible == "relax":
+            warnings.warn(
+                f"infeasible ME pair fit relaxed to minimax value (gap {gap:.3g})",
+                DegenerateData,
+            )
+            return float(np.clip((lo + hi) / 2.0, -R_CLAMP, R_CLAMP))
+        raise InfeasibleFit(
+            f"no ellipse of the family encloses all pairs (feasible intervals "
+            f"disjoint, gap {gap:.3g})",
+            gap=gap,
+        )
+    lo_c, hi_c = max(lo, -R_CLAMP), min(hi, R_CLAMP)
+    if lo_c > hi_c:
+        r = R_CLAMP if lo > 0 else -R_CLAMP  # the interval lies beyond the clamp
+    else:
+        r = _pick_extreme(lo_c, hi_c, u)
+    if abs(r) >= R_CLAMP:
+        warnings.warn("fit clamped at |r| = 1 - 1e-6", DegenerateData)
+    return float(r)
 
 
 def assemble_correlation_matrix(

@@ -50,10 +50,21 @@ class Interval:
         return (self.upper - self.lower) / 2.0
 
 
-def _read_only(values: list[float]) -> np.ndarray:
-    arr = np.array(values)
+def read_only(values) -> np.ndarray:
+    """A read-only float copy of `values`; the caller's array stays writable."""
+    arr = np.array(values, dtype=float)
     arr.flags.writeable = False
     return arr
+
+
+def _check_names(names: Sequence[str], what: str) -> None:
+    seen = set()
+    for name in names:
+        if not name:
+            raise DuplicateName(f"empty {what} name")
+        if name in seen:
+            raise DuplicateName(f"duplicate {what} name '{name}'")
+        seen.add(name)
 
 
 @dataclass(frozen=True)
@@ -71,13 +82,7 @@ class MarginalSpec:
             raise DimensionMismatch(
                 f"{len(self.names)} names but {len(self.intervals)} intervals"
             )
-        seen = set()
-        for name in self.names:
-            if not name:
-                raise DuplicateName("empty variable name")
-            if name in seen:
-                raise DuplicateName(f"duplicate variable name '{name}'")
-            seen.add(name)
+        _check_names(self.names, "variable")
 
     @property
     def n(self) -> int:
@@ -87,11 +92,11 @@ class MarginalSpec:
     # evaluation through both
     @cached_property
     def midpoints(self) -> np.ndarray:
-        return _read_only([iv.midpoint for iv in self.intervals])
+        return read_only([iv.midpoint for iv in self.intervals])
 
     @cached_property
     def radii(self) -> np.ndarray:
-        return _read_only([iv.radius for iv in self.intervals])
+        return read_only([iv.radius for iv in self.intervals])
 
     @property
     def lowers(self) -> np.ndarray:
@@ -124,7 +129,7 @@ class SampleSet:
     rows: np.ndarray
 
     def __post_init__(self) -> None:
-        rows = np.asarray(self.rows, dtype=float)
+        rows = read_only(self.rows)
         if rows.ndim != 2:
             raise DimensionMismatch(f"sample rows must be 2-D, got shape {rows.shape}")
         if rows.shape[0] < 1 or rows.shape[1] < 1:
@@ -135,23 +140,12 @@ class SampleSet:
             )
         if not np.all(np.isfinite(rows)):
             raise ValueError("sample matrix contains non-finite entries")
-        seen = set()
-        for name in self.names:
-            if not name:
-                raise DuplicateName("empty variable name in sample header")
-            if name in seen:
-                raise DuplicateName(f"duplicate sample column '{name}'")
-            seen.add(name)
-        rows.flags.writeable = False
+        _check_names(self.names, "sample column")
         object.__setattr__(self, "rows", rows)
 
     @property
     def n_samples(self) -> int:
         return self.rows.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.rows.shape[1]
 
     def aligned_to(self, names: Sequence[str]) -> "SampleSet":
         """Reorder columns to match `names`; raises NameMismatch if the
@@ -163,7 +157,7 @@ class SampleSet:
                 f"sample columns {self.names} do not match spec names {tuple(names)}"
             )
         order = [self.names.index(name) for name in names]
-        return SampleSet(names=tuple(names), rows=self.rows[:, order].copy())
+        return SampleSet(names=tuple(names), rows=self.rows[:, order])
 
 
 @dataclass(frozen=True)
@@ -173,17 +167,7 @@ class RegularizedSamples:
     rows: np.ndarray
 
     def __post_init__(self) -> None:
-        rows = np.asarray(self.rows, dtype=float)
-        rows.flags.writeable = False
-        object.__setattr__(self, "rows", rows)
-
-    @property
-    def n_samples(self) -> int:
-        return self.rows.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.rows.shape[1]
+        object.__setattr__(self, "rows", read_only(self.rows))
 
 
 class Violation(NamedTuple):

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correlation import CorrelationMatrix, ModelVariant
+from .domain import read_only
 from .errors import NotPositiveDefinite, SingularShape
 
 _SINGULAR_DET = 1e-14
@@ -24,13 +25,7 @@ class ShapeMatrix:
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        entries = np.array(self.entries, dtype=float)
-        entries.flags.writeable = False
-        object.__setattr__(self, "entries", entries)
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
+        object.__setattr__(self, "entries", read_only(self.entries))
 
 
 def _entries(R: CorrelationMatrix | np.ndarray) -> np.ndarray:
@@ -93,13 +88,7 @@ def upper_factor(R: CorrelationMatrix | np.ndarray) -> np.ndarray:
     """Upper-triangular U with positive diagonal and U·Uᵀ = R, obtained by
     reversing row/column order, taking a Cholesky factor, and reversing
     back (U = J·chol(J·R·J)·J with J the reversal permutation)."""
-    matrix = _entries(R)
-    flipped = matrix[::-1, ::-1]
-    try:
-        L = np.linalg.cholesky(flipped)
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefinite("Cholesky factorization failed; matrix not PD") from None
-    U = L[::-1, ::-1]
+    U = cholesky_lower(_entries(R)[::-1, ::-1])[::-1, ::-1]
     # exact zeros below the diagonal (the reversal guarantees the pattern)
     return np.triu(U)
 

@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .correlation import EPS_PD, MEMBERSHIP_TOL, CorrelationMatrix, ModelVariant
-from .domain import Interval, MarginalSpec, SampleSet
+from .domain import Interval, MarginalSpec, SampleSet, read_only
 from .errors import (
     DimensionMismatch,
     IllConditioned,
@@ -82,9 +82,7 @@ class ConvexModel:
 
     def __post_init__(self) -> None:
         for field in ("factor", "characteristic"):
-            arr = np.asarray(getattr(self, field), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, field, arr)
+            object.__setattr__(self, field, read_only(getattr(self, field)))
 
     @property
     def n(self) -> int:
@@ -263,11 +261,17 @@ def _field(name: str):
         raise ParseError(str(exc), field=name) from None
 
 
+def _numbers(values: list, field: str) -> list[float]:
+    """A numeric field's entries as floats; refuses strings, bools and the like."""
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
+        raise ParseError("entries must be numbers", field=field)
+    return [float(v) for v in values]
+
+
 def _matrix_from_flat(values: list, n: int, field: str) -> np.ndarray:
     if len(values) != n * n:
         raise ParseError(f"expected {n * n} row-major entries, got {len(values)}", field=field)
-    with _field(field):
-        return np.array([float(v) for v in values]).reshape(n, n)
+    return np.array(_numbers(values, field)).reshape(n, n)
 
 
 def deserialize(text: str) -> ConvexModel:
@@ -298,8 +302,9 @@ def deserialize(text: str) -> ConvexModel:
     if not (len(names) == len(lower) == len(upper)) or not names:
         raise ParseError("names/lower/upper lengths differ or are empty", field="names")
     n = len(names)
+    bounds = zip(_numbers(lower, "lower"), _numbers(upper, "upper"))
     with _field("lower"):
-        intervals = tuple(Interval(float(lo), float(hi)) for lo, hi in zip(lower, upper))
+        intervals = tuple(Interval(lo, hi) for lo, hi in bounds)
     with _field("names"):
         if not all(isinstance(name, str) for name in names):
             raise TypeError("variable names must be strings")

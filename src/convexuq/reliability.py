@@ -286,7 +286,7 @@ def reliability_index(
     best_eta = min(c[0] for c in candidates)
     near = [c for c in candidates if c[0] <= best_eta * (1.0 + 1e-9)]
     near.sort(key=lambda c: tuple(c[2]))
-    eta, best_start, delta_star = near[0]
+    eta, _, delta_star = near[0]
     distinct_starts = {c[1] for c in candidates if c[0] <= best_eta * (1.0 + _AGREE_RTOL)}
     converged = len(distinct_starts) >= 2
     return ReliabilityResult(

@@ -115,6 +115,20 @@ def _standard_model(variant: ModelVariant, R: np.ndarray | CorrelationMatrix) ->
     return build_model(variant, spec, R)
 
 
+def _refit_on_draws(
+    method: str, variant: ModelVariant, R: np.ndarray | CorrelationMatrix, draws: int, seed: int
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """The entries of R, those `method` refits on uniform draws from the
+    variant's regularized domain of R, and their largest absolute gap."""
+    if draws < 10_000:
+        raise ValueError("draws must be at least 1e4")
+    model = _standard_model(variant, R)
+    points = sample_uniform(model, draws, seed)
+    recovered = fit_correlation_matrix(method, variant, points, on_infeasible="relax").entries
+    true_entries = model.R.entries
+    return true_entries, recovered, float(np.max(np.abs(recovered - true_entries)))
+
+
 def verify_unbiasedness(
     variant: ModelVariant,
     R: np.ndarray | CorrelationMatrix,
@@ -127,13 +141,7 @@ def verify_unbiasedness(
     The verdict is unbiased-consistent when the largest entry error stays
     within 4/sqrt(draws) + 0.005.
     """
-    if draws < 10_000:
-        raise ValueError("draws must be at least 1e4")
-    model = _standard_model(variant, R)
-    points = sample_uniform(model, draws, seed)
-    recovered = fit_correlation_matrix("scc", variant, points).entries
-    true_entries = model.R.entries
-    max_err = float(np.max(np.abs(recovered - true_entries)))
+    true_entries, recovered, max_err = _refit_on_draws("scc", variant, R, draws, seed)
     tol = verdict_tolerance(draws)
     verdict = VERDICT_UNBIASED if max_err <= tol else VERDICT_BIASED
     return UnbiasednessReport(
@@ -157,13 +165,7 @@ def ccc_recovery_report(
     """Demonstration counterpart of verify_unbiasedness for the CCC
     measure: fit pairwise CCCs on uniform draws from the true domain and
     report the gaps."""
-    if draws < 10_000:
-        raise ValueError("draws must be at least 1e4")
-    model = _standard_model(variant, R)
-    points = sample_uniform(model, draws, seed)
-    fitted = fit_correlation_matrix("ccc", variant, points, on_infeasible="relax").entries
-    true_entries = model.R.entries
-    max_err = float(np.max(np.abs(fitted - true_entries)))
+    true_entries, fitted, max_err = _refit_on_draws("ccc", variant, R, draws, seed)
     return CCCRecoveryReport(
         variant=variant,
         true_R=true_entries,

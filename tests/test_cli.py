@@ -129,6 +129,27 @@ def test_build_refuses_model_enclosing_no_sample(tmp_path, data_dir, capsys):
     assert not out.exists()
 
 
+def test_build_strict_pd_exits_3_unprefixed(tmp_path, data_dir, capsys):
+    """geotech ME(CCC) under the default --pd strict is indefinite: the
+    NumericError leaves the positive-definiteness stage without a stage
+    prefix, exits 3 and writes no model."""
+    out = tmp_path / "m.json"
+    code = main(
+        [
+            "build",
+            "--samples", str(data_dir / "geotech_samples.csv"),
+            "--intervals", str(data_dir / "geotech_intervals.csv"),
+            "--variant", "me",
+            "--method", "ccc",
+            "--out", str(out),
+        ]
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err == "error: smallest eigenvalue -2.021e-01 below 1e-08\n"
+    assert not out.exists()
+
+
 def test_assess_prints_counts_and_json(built_me, tmp_path, data_dir, capsys):
     report_path = tmp_path / "report.json"
     code = main(

@@ -64,11 +64,12 @@ def test_scc_zero_deviation():
 )
 # sqrt(a·a · b·b) underflows to 0 here although neither column is zero
 @example(pairs=[(0.0, 0.0), (7.94e-150, 7.94e-150)])
+# a·a overflows to inf here, and inf/inf is nan
+@example(pairs=[(0.0, 0.0), (1e160, 2e160), (-3e159, 1e159)])
 def test_scc_bounded(pairs):
     u = np.array(pairs)
-    # squared deviations can underflow to an exact zero for subnormal
-    # columns, which is the same degeneracy as an all-zero column
-    if float(u[:, 0] @ u[:, 0]) == 0.0 or float(u[:, 1] @ u[:, 1]) == 0.0:
+    # a column sitting identically at its midpoint has no SCC
+    if not np.any(u[:, 0]) or not np.any(u[:, 1]):
         return
     value = scc(u[:, 0], u[:, 1], 0.0, 0.0)
     assert -1.0 <= value <= 1.0
@@ -169,7 +170,7 @@ def test_ccc_tie_breaks_with_scc_sign():
 
 def _full_set_mp_fit(variant, u):
     """The MP fit run on every sample: the grid, the two bisections and the
-    clamp of _ccc_fit_mp, without the hull reduction."""
+    clamp of ccc_fit, without the hull reduction."""
     steps = int((R_CLAMP - _GRID_STEP / 2) / _GRID_STEP)
     grid = np.concatenate(([-R_CLAMP], np.arange(-steps, steps + 1) * _GRID_STEP, [R_CLAMP]))
     idx = np.flatnonzero(_mp_feasible(variant, grid, u))
@@ -288,6 +289,30 @@ def test_ccc_clamp_warns():
     with pytest.warns(DegenerateData):
         fitted = ccc_fit(V.ME, u)
     assert fitted == pytest.approx(R_CLAMP)
+
+
+def _warning_messages(fit):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", DegenerateData)
+        value = fit()
+    return value, [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_ccc_interval_beyond_clamp_warns_once(sign):
+    """Row (1, ±1) pins the ellipse feasible interval to r = ±1, beyond the
+    clamp: the fit returns ±R_CLAMP and warns exactly once."""
+    u = np.array([[1.0, 1.0], [0.5, 0.5]]) * np.array([1.0, sign])
+    value, messages = _warning_messages(lambda: ccc_fit(V.ME, u))
+    assert value == sign * R_CLAMP
+    assert messages == ["fit clamped at |r| = 1 - 1e-6"]
+
+
+def test_scc_of_exactly_one_is_clamped():
+    u = np.array([[0.5, 0.25], [-0.8, -0.4], [0.2, 0.1]])
+    R, messages = _warning_messages(lambda: cq.fit_correlation_matrix("scc", None, u))
+    assert R.entries[0, 1] == R.entries[1, 0] == R_CLAMP
+    assert messages == ["SCC of pair (0, 1) is exactly ±1; clamped"]
 
 
 def test_assemble_checks_pairs():

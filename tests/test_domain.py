@@ -51,6 +51,15 @@ def test_sampleset_aligned_to_reorders():
         s.aligned_to(("a", "c"))
 
 
+def test_sampleset_holds_a_read_only_copy():
+    rows = np.array([[1.0, 2.0], [3.0, 4.0]])
+    s = cq.SampleSet(("a", "b"), rows)
+    rows[0, 0] = 9.0  # the caller's array stays writable
+    assert s.rows[0, 0] == 1.0
+    with pytest.raises(ValueError):
+        s.rows[0, 0] = 5.0
+
+
 def test_validate_samples_reports_every_violation():
     spec = cq.make_marginal_spec([("a", 0.0, 1.0), ("b", 0.0, 1.0)])
     s = cq.SampleSet(names=("a", "b"), rows=np.array([[0.5, 1.5], [-0.2, 0.3]]))

@@ -78,6 +78,19 @@ def test_ill_conditioned_warning():
         cq.build_model(V.ME, spec, plain_r(np.eye(2)))
 
 
+def test_model_holds_read_only_copies(spec2, r2):
+    built = cq.build_model(V.MP2, spec2, r2)
+    factor = np.array(built.factor)
+    characteristic = np.array(built.characteristic)
+    model = cq.ConvexModel(V.MP2, spec2, r2, factor, characteristic)
+    factor[0, 0] = characteristic[0, 0] = 7.0  # the caller's arrays stay writable
+    np.testing.assert_array_equal(model.factor, built.factor)
+    np.testing.assert_array_equal(model.characteristic, built.characteristic)
+    for held in (model.factor, model.characteristic):
+        with pytest.raises(ValueError):
+            held[0, 0] = 5.0
+
+
 def test_membership_ellipse_boundary():
     spec = cq.make_marginal_spec([("a", -1.0, 1.0), ("b", -1.0, 1.0)])
     model = cq.build_model(V.ME, spec, plain_r(np.eye(2)))
@@ -300,6 +313,27 @@ def test_deserialize_refuses_self_contradicting_docs(mutate, field):
     with pytest.raises(ParseError) as exc:
         cq.deserialize(json.dumps(doc))
     assert exc.value.field == field
+
+
+@pytest.mark.parametrize(
+    "mutate, field",
+    [
+        (lambda d: d.update(lower=["-1.0", False]), "lower"),
+        (lambda d: d.update(upper=[1.0, "2.0"]), "upper"),
+        (lambda d: d.update(correlation=["1.0", "0.5", "0.5", "1.0"]), "correlation"),
+        (lambda d: d.update(correlation=[True, 0.5, 0.5, 1.0]), "correlation"),
+        (lambda d: d.update(covariance=[1.0, "1.0", 1.0, 4.0]), "covariance"),
+    ],
+)
+def test_deserialize_refuses_non_numeric_entries(mutate, field):
+    """Strings and bools are refused, not converted: the first document
+    would otherwise load as the intervals [-1, 1] and [0, 2]."""
+    doc = loadable_doc("me")
+    mutate(doc)
+    with pytest.raises(ParseError) as exc:
+        cq.deserialize(json.dumps(doc))
+    assert exc.value.field == field
+    assert "entries must be numbers" in str(exc.value)
 
 
 def test_deserialize_rejects_bad_shapes():
