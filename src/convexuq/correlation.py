@@ -73,7 +73,6 @@ class RepairReport:
 
     lambda_min_before: float
     max_entry_change: float
-    iterations: int
 
 
 @dataclass(frozen=True)
@@ -117,10 +116,13 @@ def _scaled(column: np.ndarray) -> np.ndarray:
     return column / peak if peak > 0.0 and not 1e-50 <= peak <= 1e50 else column
 
 
-def scc(x_i: np.ndarray, x_j: np.ndarray, mid_i: float, mid_j: float) -> float:
-    """Sample correlation coefficient about the interval midpoints."""
-    a = np.asarray(x_i, dtype=float) - mid_i
-    b = np.asarray(x_j, dtype=float) - mid_j
+def scc(x_i: np.ndarray, x_j: np.ndarray) -> float:
+    """Sample correlation coefficient of two regularized columns, about
+    their interval midpoint 0."""
+    # contiguous copies: a dot product over a strided column can round
+    # differently
+    a = np.array(x_i, dtype=float)
+    b = np.array(x_j, dtype=float)
     if a.shape != b.shape or a.ndim != 1:
         raise DimensionMismatch(f"columns must be 1-D and equal length, got {a.shape} and {b.shape}")
     if a.size < 2:
@@ -319,7 +321,7 @@ def ccc_fit(
         raise DimensionMismatch(f"u_pairs must be (N, 2), got {u.shape}")
     if u.shape[0] < 1:
         raise DimensionMismatch("need at least one sample pair")
-    if np.max(np.abs(u)) > 1.0 + 1e-9:
+    if not np.all(np.abs(u) <= 1.0 + 1e-9):  # also refuses nan
         raise ValueError("u_pairs entries must lie in [-1, 1]")
     if variant is ModelVariant.ME:
         lo, hi = _me_interval(u)
@@ -397,8 +399,7 @@ def ensure_positive_definite(R: CorrelationMatrix, policy: str = "strict") -> Co
             lambda_min=lam_before,
         )
     fixed = entries.copy()
-    iterations = 0
-    for iterations in range(1, 51):
+    for _ in range(50):
         lam, vec = np.linalg.eigh(fixed)
         if lam[0] >= EPS_PD:
             break
@@ -412,7 +413,6 @@ def ensure_positive_definite(R: CorrelationMatrix, policy: str = "strict") -> Co
     report = RepairReport(
         lambda_min_before=lam_before,
         max_entry_change=float(np.max(np.abs(fixed - entries))),
-        iterations=iterations,
     )
     return CorrelationMatrix(entries=fixed, method=R.method, repair=report)
 
@@ -435,7 +435,7 @@ def fit_correlation_matrix(
     for i in range(n):
         for j in range(i + 1, n):
             if method == "scc":
-                r = scc(u[:, i], u[:, j], 0.0, 0.0)
+                r = scc(u[:, i], u[:, j])
                 if abs(r) >= 1.0:
                     warnings.warn(
                         f"SCC of pair ({i}, {j}) is exactly ±1; clamped", DegenerateData

@@ -164,6 +164,24 @@ def contains(model: ConvexModel, x: np.ndarray) -> Membership:
     return Membership(inside=bool(value <= 1.0 + MEMBERSHIP_TOL), value=value)
 
 
+def to_delta(model: ConvexModel, x: np.ndarray) -> np.ndarray:
+    """Standardize a physical point, δ = A⁻¹D⁻¹(x - X^m); inverse of
+    from_delta to 1e-10."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (model.n,):
+        raise DimensionMismatch(f"expected point of length {model.n}, got shape {x.shape}")
+    return np.linalg.solve(model.factor, (x - model.midpoints) / model.radii)
+
+
+def from_delta(model: ConvexModel, delta: np.ndarray) -> np.ndarray:
+    """Map standardized coordinates to physical ones, x = X^m + D·A·δ, for
+    one point or any (…, n) stack of them."""
+    delta = np.asarray(delta, dtype=float)
+    if delta.ndim == 0 or delta.shape[-1] != model.n:
+        raise DimensionMismatch(f"expected vectors of length {model.n}, got shape {delta.shape}")
+    return model.midpoints + model.radii * (delta @ model.factor.T)
+
+
 def volume_ratio(model: ConvexModel) -> tuple[float, float]:
     """Analytic (nu, nu_bar): domain volume over the marginal box volume,
     and its n-th root."""
@@ -265,7 +283,10 @@ def _numbers(values: list, field: str) -> list[float]:
     """A numeric field's entries as floats; refuses strings, bools and the like."""
     if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
         raise ParseError("entries must be numbers", field=field)
-    return [float(v) for v in values]
+    try:
+        return [float(v) for v in values]
+    except OverflowError:  # an integer beyond float range
+        raise ParseError("entry beyond float range", field=field) from None
 
 
 def _matrix_from_flat(values: list, n: int, field: str) -> np.ndarray:

@@ -20,6 +20,7 @@ The solver reads only `g.variables` and calls only `g.evaluate`;
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -27,14 +28,9 @@ import numpy as np
 from scipy.optimize import brentq, minimize
 
 from .correlation import ModelVariant
-from .errors import (
-    DimensionMismatch,
-    EvaluationError,
-    NoSurfaceFound,
-    UnboundVariable,
-)
+from .errors import EvaluationError, NoSurfaceFound, UnboundVariable
 from .expr import LimitState, parse_limit_state  # re-exported for callers
-from .models import ConvexModel
+from .models import ConvexModel, from_delta, to_delta  # re-exported for callers
 
 __all__ = [
     "parse_limit_state",
@@ -52,24 +48,6 @@ INFINITY = "infinity"
 _SCAN_STEPS = 96
 _AGREE_RTOL = 1e-4
 _G_TOL = 1e-8  # surface tolerance, relative to max(1, |g| at the midpoint)
-
-
-def to_delta(model: ConvexModel, x: np.ndarray) -> np.ndarray:
-    """Standardize a physical point, delta = A⁻¹D⁻¹(x - X^m); inverse of
-    from_delta to 1e-10."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (model.n,):
-        raise DimensionMismatch(f"expected point of length {model.n}, got shape {x.shape}")
-    return np.linalg.solve(model.factor, (x - model.midpoints) / model.radii)
-
-
-def from_delta(model: ConvexModel, delta: np.ndarray) -> np.ndarray:
-    """Map a standardized point back to physical coordinates,
-    x = X^m + D·A·delta."""
-    delta = np.asarray(delta, dtype=float)
-    if delta.shape != (model.n,):
-        raise DimensionMismatch(f"expected vector of length {model.n}, got shape {delta.shape}")
-    return model.midpoints + model.radii * (model.factor @ delta)
 
 
 def default_norm(model: ConvexModel) -> str:
@@ -130,31 +108,24 @@ def reliability_index(
         )
 
     n = model.n
-    mid, rad, factor = model.midpoints, model.radii, model.factor
+    mid, rad = model.midpoints, model.radii
     evaluations = 0
 
-    def g_at(delta: np.ndarray) -> float | None:
+    def g_of(x) -> float | np.ndarray:
+        """g at physical coordinates, one entry per variable: floats take
+        the scalar evaluator, arrays one array call. nan wherever g is
+        undefined."""
         nonlocal evaluations
         evaluations += 1
-        x = from_delta(model, delta)
-        env = dict(zip(names, (float(v) for v in x)))
+        env = dict(zip(names, x))
         env.update(bindings)
         try:
             return g.evaluate(env)
         except EvaluationError:
-            return None
+            return math.nan
 
-    def g_on(columns: list[np.ndarray]) -> np.ndarray:
-        """g at many points in one call, given each variable's physical
-        coordinates; nan where g is undefined."""
-        nonlocal evaluations
-        evaluations += 1
-        env = dict(zip(names, columns))
-        env.update(bindings)
-        return g.evaluate(env)
-
-    g_mid = g_at(np.zeros(n))
-    if g_mid is None:
+    g_mid = g_of(from_delta(model, np.zeros(n)))
+    if math.isnan(g_mid):
         raise EvaluationError("limit state is undefined at the domain midpoint")
     if g_mid == 0.0:
         raise ValueError("midpoint already lies on the limit-state surface")
@@ -175,44 +146,39 @@ def reliability_index(
         if length > 0:
             directions.append(row / length)
 
+    # stage 1: bracket the surface along every ray. One evaluation covers
+    # every ray and step; the root is sought in each ray's first step whose
+    # two ends are defined and differ in sign (or end on g = 0). A ray whose
+    # bracket brentq cannot finish (g undefined inside it) has no hit.
     ts = np.linspace(0.0, opts.eta_max, _SCAN_STEPS + 1)
-
-    def ray_roots(rays: np.ndarray) -> list[float | None]:
-        """For each unit ray, the smallest t in (0, eta_max] with
-        g(t*ray) = 0, or None. One evaluation covers every ray and step;
-        the root is sought in the first step whose two ends are defined
-        and differ in sign (or end on g = 0)."""
-        reach = rays @ factor.T  # row r holds A·ray_r
-        values = np.empty((len(rays), _SCAN_STEPS + 1))
-        values[:, 0] = g_mid
-        values[:, 1:] = g_on([mid[k] + rad[k] * np.outer(reach[:, k], ts[1:]) for k in range(n)])
-        defined = ~np.isnan(values)
-        below = values < 0.0
-        change = (defined[:, :-1] & defined[:, 1:]) & (
-            (values[:, 1:] == 0.0) | (below[:, :-1] != below[:, 1:])
-        )
-        roots: list[float | None] = []
-        for r, ray in enumerate(rays):
-            if not change[r].any():
-                roots.append(None)
-                continue
-            j = int(change[r].argmax())
-            if values[r, j + 1] == 0.0:
-                roots.append(float(ts[j + 1]))
-                continue
-            try:
-                root = brentq(lambda t: g_at(t * ray), ts[j], ts[j + 1], xtol=1e-13, rtol=1e-15)
-                roots.append(float(root))
-            except (ValueError, TypeError):
-                roots.append(None)
-        return roots
-
-    # stage 1: bracket the surface along every ray
+    reach = np.array(directions) @ model.factor.T  # row r holds A·ray_r
+    values = np.empty((len(directions), _SCAN_STEPS + 1))
+    values[:, 0] = g_mid
+    values[:, 1:] = g_of([mid[k] + rad[k] * np.outer(reach[:, k], ts[1:]) for k in range(n)])
+    defined = ~np.isnan(values)
+    below = values < 0.0
+    change = (defined[:, :-1] & defined[:, 1:]) & (
+        (values[:, 1:] == 0.0) | (below[:, :-1] != below[:, 1:])
+    )
     hits: list[tuple[float, int, np.ndarray]] = []  # (norm, start id, delta)
-    roots = ray_roots(np.array(directions))
-    for start_id, (direction, t_root) in enumerate(zip(directions, roots)):
-        if t_root is not None:
-            hits.append((t_root, start_id, t_root * direction))
+    for start_id, ray in enumerate(directions):
+        if not change[start_id].any():
+            continue
+        j = int(change[start_id].argmax())
+        if values[start_id, j + 1] == 0.0:
+            t_root = float(ts[j + 1])
+        else:
+            try:
+                t_root = brentq(
+                    lambda t: g_of(from_delta(model, t * ray)),
+                    ts[j],
+                    ts[j + 1],
+                    xtol=1e-13,
+                    rtol=1e-15,
+                )
+            except ValueError:  # what brentq raises on a nan
+                continue
+        hits.append((t_root, start_id, t_root * ray))
     if not hits:
         raise NoSurfaceFound(
             f"g keeps the sign of g(midpoint) on all probed rays within "
@@ -222,16 +188,15 @@ def reliability_index(
     hits.sort(key=lambda h: h[0])
 
     def constraint_value(delta: np.ndarray) -> float:
-        value = g_at(delta)
-        return 1e9 if value is None else value / scale
+        value = g_of(from_delta(model, delta))
+        return 1e9 if math.isnan(value) else value / scale
 
     def constraint_gradient(delta: np.ndarray) -> np.ndarray:
         """Central differences of constraint_value with steps
         1e-6·max(1, |delta_k|), all 2n stencil points in one evaluation."""
         steps = 1e-6 * np.maximum(1.0, np.abs(delta))
         stencil = np.concatenate([delta + np.diag(steps), delta - np.diag(steps)])
-        x = mid + rad * (stencil @ factor.T)
-        values = g_on([x[:, k] for k in range(n)])
+        values = g_of(from_delta(model, stencil).T)
         values = np.where(np.isnan(values), 1e9, values / scale)
         return (values[:n] - values[n:]) / (2.0 * steps)
 
@@ -271,8 +236,8 @@ def reliability_index(
             options={"maxiter": 200, "ftol": 1e-12},
         )
         candidate = result.x[:-1]
-        value = g_at(candidate)
-        return candidate if value is not None and abs(value) <= 10.0 * tol_abs else None
+        value = g_of(from_delta(model, candidate))
+        return candidate if not math.isnan(value) and abs(value) <= 10.0 * tol_abs else None
 
     # later hits lie no nearer than the 16th, so they cannot lower the
     # minimum or change `converged` (the 16 raw hits already agree)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .correlation import CorrelationMatrix, ModelVariant, fit_correlation_matrix
 from .domain import make_marginal_spec
-from .models import MEMBERSHIP_TOL, ConvexModel, build_model, membership_values
+from .models import MEMBERSHIP_TOL, ConvexModel, build_model, from_delta, membership_values
 
 VERDICT_UNBIASED = "unbiased-consistent"
 VERDICT_BIASED = "biased-detected"
@@ -77,8 +77,8 @@ def sample_uniform(model: ConvexModel, count: int, seed: int) -> np.ndarray:
     [-1,1]^n (uniformity is exact by linearity). ME: delta uniform in the
     unit ball (normalized Box-Muller direction times U^(1/n) radius; the
     direction block of count*n normals is drawn before the radius block).
-    The two branches group the product differently, D·(delta·Aᵀ) for ME
-    and delta·(D·A)ᵀ for MP; each grouping fixes the drawn bits.
+    ME maps delta with from_delta, D·(delta·Aᵀ); MP groups the product as
+    delta·(D·A)ᵀ. Each grouping fixes the drawn bits.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -90,7 +90,7 @@ def sample_uniform(model: ConvexModel, count: int, seed: int) -> np.ndarray:
         norms[norms == 0.0] = 1.0
         radial = gen.random(count) ** (1.0 / n)
         delta = z / norms[:, None] * radial[:, None]
-        return model.midpoints + model.radii * (delta @ model.factor.T)
+        return from_delta(model, delta)
     delta = 2.0 * gen.random((count, n)) - 1.0
     return model.midpoints + delta @ (model.radii[:, None] * model.factor).T
 

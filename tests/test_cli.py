@@ -195,6 +195,17 @@ def test_assess_prints_library_warning_on_stdout(tmp_path, data_dir, capsys):
     assert captured.err == ""
 
 
+def test_assess_refuses_integer_beyond_float_range(built_me, tmp_path, data_dir, capsys):
+    doc = json.loads(built_me.read_text())
+    doc["lower"][0] = 10**400
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    samples_path = str(data_dir / "standard_samples.csv")
+    assert main(["assess", "--model", str(path), "--samples", samples_path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "field 'lower'" in err
+
+
 def test_project_writes_svg_with_exact_submatrix(built_me, tmp_path, data_dir, capsys):
     out = tmp_path / "plot.svg"
     code = main(

@@ -36,8 +36,8 @@ def test_scc_hand_value():
     # about midpoints (0, 0), not about sample means
     x = np.array([1.0, -1.0, 2.0])
     y = np.array([2.0, -2.0, 4.0])
-    assert scc(x, y, 0.0, 0.0) == pytest.approx(1.0)
-    assert scc(x, -y, 0.0, 0.0) == pytest.approx(-1.0)
+    assert scc(x, y) == pytest.approx(1.0)
+    assert scc(x, -y) == pytest.approx(-1.0)
 
 
 def test_scc_uses_midpoint_not_mean():
@@ -45,13 +45,13 @@ def test_scc_uses_midpoint_not_mean():
     y = np.array([0.4, 0.2])
     # about the means this pair is perfectly anti-correlated; about the
     # midpoint 0 both products are positive
-    assert scc(x, y, 0.0, 0.0) == pytest.approx(0.8)
+    assert scc(x, y) == pytest.approx(0.8)
     assert np.corrcoef(x, y)[0, 1] == pytest.approx(-1.0)
 
 
 def test_scc_zero_deviation():
     with pytest.raises(ZeroDeviation):
-        scc(np.zeros(3), np.ones(3), 0.0, 0.0)
+        scc(np.zeros(3), np.ones(3))
 
 
 @settings(max_examples=80)
@@ -71,7 +71,7 @@ def test_scc_bounded(pairs):
     # a column sitting identically at its midpoint has no SCC
     if not np.any(u[:, 0]) or not np.any(u[:, 1]):
         return
-    value = scc(u[:, 0], u[:, 1], 0.0, 0.0)
+    value = scc(u[:, 0], u[:, 1])
     assert -1.0 <= value <= 1.0
 
 
@@ -291,6 +291,15 @@ def test_ccc_clamp_warns():
     assert fitted == pytest.approx(R_CLAMP)
 
 
+@pytest.mark.parametrize("variant", [V.ME, V.MP2], ids=lambda v: v.value)
+def test_ccc_fit_refuses_nan(variant):
+    """nan fails the [-1, 1] box check instead of passing it: ME would
+    return nan and MP-II would fail inside qhull."""
+    u = np.array([[np.nan, 0.2], [0.3, 0.1], [-0.5, 0.4]])
+    with pytest.raises(ValueError, match=r"must lie in \[-1, 1\]"):
+        ccc_fit(variant, u)
+
+
 def _warning_messages(fit):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", DegenerateData)
@@ -357,7 +366,7 @@ def test_fit_matrix_scc_matches_manual(standard_u):
             if i == j:
                 assert R.entries[i, j] == 1.0
             else:
-                manual = scc(standard_u[:, i], standard_u[:, j], 0.0, 0.0)
+                manual = scc(standard_u[:, i], standard_u[:, j])
                 assert R.entries[i, j] == pytest.approx(manual)
 
 

@@ -336,6 +336,18 @@ def test_deserialize_refuses_non_numeric_entries(mutate, field):
     assert "entries must be numbers" in str(exc.value)
 
 
+@pytest.mark.parametrize("field", ["lower", "correlation"])
+def test_deserialize_refuses_integer_beyond_float_range(field):
+    """JSON reads a 401-digit integer as a Python int that float() cannot
+    convert: the entry is refused naming its field, not left to raise
+    OverflowError."""
+    doc = loadable_doc("me")
+    doc[field][0] = 10**400
+    with pytest.raises(ParseError) as exc:
+        cq.deserialize(json.dumps(doc))
+    assert exc.value.field == field
+
+
 def test_deserialize_rejects_bad_shapes():
     doc = loadable_doc("rect")
     doc["shape"] = [0.9, 0.4, 0.25, 0.75]  # first row sums to 1.3

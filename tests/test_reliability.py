@@ -308,3 +308,38 @@ def test_sign_change_across_undefined_slab_is_no_surface(variant):
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(NoSurfaceFound):
             cq.reliability_index(make_model(variant), g)
+
+
+# g is undefined where (x1 - 4.7)^2 < 1e-8, a band of half-width 1e-4 around
+# its surface x1 = 4.7 that falls between two scan steps, so the scan sees a
+# sign change with both ends defined and only brentq meets the band
+BAND = "4.7 - x1 + 0.1*((x1 - 4.7)^2 - 1e-8)^0.5"
+
+
+@pytest.mark.parametrize(
+    "text, variant, eta",
+    [
+        (BAND, V.ME, None),
+        (BAND, V.LTRI, None),
+        (BAND, V.MP2, None),
+        (f"{BAND} + 0.05*x2", V.ME, 0.34990900232325056),
+        (f"{BAND} + 0.05*x2", V.LTRI, 0.34222220793641056),
+        (f"{BAND} + 0.05*x2", V.MP2, 0.34222220793641056),
+    ],
+    ids=["band-me", "band-ltri", "band-mp2", "tilted-me", "tilted-ltri", "tilted-mp2"],
+)
+def test_bracket_with_undefined_interior_is_dropped(text, variant, eta):
+    """A ray on which brentq meets an undefined point has no hit. Without
+    x2 every crossing ray's root lies in the band, so no surface is found;
+    with it, only the +x1 axis ray's root does, and the other rays give
+    the index."""
+    spec = cq.make_marginal_spec([("x1", 2.0, 6.0), ("x2", -1.0, 1.0), ("x3", 0.0, 10.0)])
+    model = cq.build_model(variant, spec, cq.CorrelationMatrix(entries=np.eye(3), method="scc"))
+    g = cq.parse_limit_state(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        if eta is None:
+            with pytest.raises(NoSurfaceFound):
+                cq.reliability_index(model, g)
+        else:
+            assert cq.reliability_index(model, g).eta == pytest.approx(eta, rel=1e-9)
