@@ -119,10 +119,10 @@ def _scaled(column: np.ndarray) -> np.ndarray:
 def scc(x_i: np.ndarray, x_j: np.ndarray) -> float:
     """Sample correlation coefficient of two regularized columns, about
     their interval midpoint 0."""
-    # contiguous copies: a dot product over a strided column can round
-    # differently
-    a = np.array(x_i, dtype=float)
-    b = np.array(x_j, dtype=float)
+    # contiguous columns, copied only when strided: a dot product over a
+    # strided column can round differently
+    a = np.ascontiguousarray(x_i, dtype=float)
+    b = np.ascontiguousarray(x_j, dtype=float)
     if a.shape != b.shape or a.ndim != 1:
         raise DimensionMismatch(f"columns must be 1-D and equal length, got {a.shape} and {b.shape}")
     if a.size < 2:
@@ -431,11 +431,13 @@ def fit_correlation_matrix(
     if u.ndim != 2:
         raise DimensionMismatch(f"u_rows must be 2-D, got shape {u.shape}")
     n = u.shape[1]
+    # one contiguous copy of every column, not one per pair
+    columns = np.ascontiguousarray(u.T) if method == "scc" else None
     pairs = []
     for i in range(n):
         for j in range(i + 1, n):
             if method == "scc":
-                r = scc(u[:, i], u[:, j])
+                r = scc(columns[i], columns[j])
                 if abs(r) >= 1.0:
                     warnings.warn(
                         f"SCC of pair ({i}, {j}) is exactly ±1; clamped", DegenerateData

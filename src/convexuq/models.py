@@ -45,6 +45,9 @@ FORMAT_VERSION = 1
 # print-rounded to about three decimals
 _COVARIANCE_RTOL = 1e-9
 _SHAPE_ATOL = 5e-4
+# rows per block of the bulk kernels (membership_values, mc_volume and the
+# ellipsoid draw's norms), whose temporaries stay a few blocks in size
+BLOCK_ROWS = 2**14
 
 
 class Membership(NamedTuple):
@@ -143,19 +146,42 @@ def build_model(variant: ModelVariant, spec: MarginalSpec, R: CorrelationMatrix)
     )
 
 
+def row_blocks(count: int) -> list[slice]:
+    """Consecutive slices covering range(count), each of at most BLOCK_ROWS
+    rows and of near-equal size. No block of a longer range has a single
+    row: numpy hands a one-row matrix product to gemv, which rounds
+    differently from the gemm of the other rows."""
+    k = max(1, -(-count // BLOCK_ROWS))
+    bounds = [count * b // k for b in range(k + 1)]
+    return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+def _membership_block(
+    model: ConvexModel, rows: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    centered = rows - model.midpoints
+    if model.variant is ModelVariant.ME:
+        return np.einsum("ij,jk,ik->i", centered, model.characteristic, centered, out=out)
+    product = centered @ model.characteristic.T
+    return np.max(np.abs(product, out=product), axis=1, out=out)
+
+
 def membership_values(model: ConvexModel, rows: np.ndarray) -> np.ndarray:
-    """Defining-inequality value for each row; ≤ 1 means inside."""
+    """Defining-inequality value for each row; ≤ 1 means inside. Rows are
+    processed in blocks of BLOCK_ROWS, so the temporaries stay bounded
+    beside the returned values; each value is the same bits as in one pass."""
     rows = np.asarray(rows, dtype=float)
     squeeze = rows.ndim == 1
     rows = np.atleast_2d(rows)
     if rows.shape[1] != model.n:
         raise DimensionMismatch(f"points have {rows.shape[1]} columns, model has {model.n}")
-    centered = rows - model.midpoints
-    if model.variant is ModelVariant.ME:
-        values = np.einsum("ij,jk,ik->i", centered, model.characteristic, centered)
-    else:
-        values = np.max(np.abs(centered @ model.characteristic.T), axis=1)
-    return values[0] if squeeze else values
+    if len(rows) <= BLOCK_ROWS:
+        values = _membership_block(model, rows)
+        return values[0] if squeeze else values
+    values = np.empty(len(rows))
+    for block in row_blocks(len(rows)):
+        _membership_block(model, rows[block], out=values[block])
+    return values
 
 
 def contains(model: ConvexModel, x: np.ndarray) -> Membership:
@@ -179,7 +205,10 @@ def from_delta(model: ConvexModel, delta: np.ndarray) -> np.ndarray:
     delta = np.asarray(delta, dtype=float)
     if delta.ndim == 0 or delta.shape[-1] != model.n:
         raise DimensionMismatch(f"expected vectors of length {model.n}, got shape {delta.shape}")
-    return model.midpoints + model.radii * (delta @ model.factor.T)
+    x = delta @ model.factor.T
+    x *= model.radii
+    x += model.midpoints
+    return x
 
 
 def volume_ratio(model: ConvexModel) -> tuple[float, float]:

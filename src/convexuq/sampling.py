@@ -16,7 +16,14 @@ import numpy as np
 
 from .correlation import CorrelationMatrix, ModelVariant, fit_correlation_matrix
 from .domain import make_marginal_spec
-from .models import MEMBERSHIP_TOL, ConvexModel, build_model, from_delta, membership_values
+from .models import (
+    MEMBERSHIP_TOL,
+    ConvexModel,
+    build_model,
+    from_delta,
+    membership_values,
+    row_blocks,
+)
 
 VERDICT_UNBIASED = "unbiased-consistent"
 VERDICT_BIASED = "biased-detected"
@@ -27,14 +34,40 @@ def _generator(seed: int) -> np.random.Generator:
 
 
 def _box_muller(gen: np.random.Generator, count: int) -> np.ndarray:
-    """Standard normal deviates from the uniform stream."""
+    """Standard normal deviates from the uniform stream: the first half of
+    one array holds radius·cos(angle), the second radius·sin(angle), each
+    computed in place from the half's uniforms."""
     half = (count + 1) // 2
-    u1 = gen.random(half)
-    u2 = gen.random(half)
-    radius = np.sqrt(-2.0 * np.log1p(-u1))  # 1-u1 in (0, 1] keeps the log finite
-    angle = 2.0 * np.pi * u2
-    z = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])
+    z = np.empty(2 * half)
+    radius, angle = z[:half], z[half:]
+    gen.random(out=radius)
+    gen.random(out=angle)
+    np.negative(radius, out=radius)
+    np.log1p(radius, out=radius)  # 1-u1 in (0, 1] keeps the log finite
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    angle *= 2.0 * np.pi
+    cos = np.cos(angle)
+    np.sin(angle, out=angle)
+    angle *= radius
+    radius *= cos
     return z[:count]
+
+
+def _unit_ball(gen: np.random.Generator, count: int, n: int) -> np.ndarray:
+    """`count` points uniform in the unit n-ball: normalized Box-Muller
+    directions times U^(1/n) radii, the radius block drawn after the
+    direction block. One count-long buffer holds the norms, then the radii."""
+    z = _box_muller(gen, count * n).reshape(count, n)
+    scale = np.empty(count)
+    for block in row_blocks(count):  # np.linalg.norm(z, axis=1)
+        np.sqrt(np.add.reduce(z[block] * z[block], axis=1), out=scale[block])
+    scale[scale == 0.0] = 1.0
+    z /= scale[:, None]
+    gen.random(out=scale)
+    scale **= 1.0 / n
+    z *= scale[:, None]
+    return z
 
 
 def verdict_tolerance(draws: int) -> float:
@@ -75,24 +108,23 @@ def sample_uniform(model: ConvexModel, count: int, seed: int) -> np.ndarray:
 
     X = X^m + D·A·delta with A the model's factor. MP: delta uniform in
     [-1,1]^n (uniformity is exact by linearity). ME: delta uniform in the
-    unit ball (normalized Box-Muller direction times U^(1/n) radius; the
-    direction block of count*n normals is drawn before the radius block).
-    ME maps delta with from_delta, D·(delta·Aᵀ); MP groups the product as
-    delta·(D·A)ᵀ. Each grouping fixes the drawn bits.
+    unit ball (`_unit_ball`). ME maps delta with from_delta, D·(delta·Aᵀ);
+    MP groups the product as delta·(D·A)ᵀ. Each grouping fixes the drawn
+    bits. Besides the result, a draw holds the count×n deviates and, for
+    ME, half as much again while it turns them into normals.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
     gen = _generator(seed)
     n = model.n
     if model.variant is ModelVariant.ME:
-        z = _box_muller(gen, count * n).reshape(count, n)
-        norms = np.linalg.norm(z, axis=1)
-        norms[norms == 0.0] = 1.0
-        radial = gen.random(count) ** (1.0 / n)
-        delta = z / norms[:, None] * radial[:, None]
-        return from_delta(model, delta)
-    delta = 2.0 * gen.random((count, n)) - 1.0
-    return model.midpoints + delta @ (model.radii[:, None] * model.factor).T
+        return from_delta(model, _unit_ball(gen, count, n))
+    delta = gen.random((count, n))
+    delta *= 2.0
+    delta -= 1.0
+    x = delta @ (model.radii[:, None] * model.factor).T
+    x += model.midpoints
+    return x
 
 
 def mc_volume(model: ConvexModel, count: int, seed: int) -> tuple[float, float]:
@@ -101,8 +133,14 @@ def mc_volume(model: ConvexModel, count: int, seed: int) -> tuple[float, float]:
     if count < 1000:
         raise ValueError("count must be at least 1e3")
     gen = _generator(seed)
-    draws = model.midpoints + model.radii * (2.0 * gen.random((count, model.n)) - 1.0)
-    hits = int(np.sum(membership_values(model, draws) <= 1.0 + MEMBERSHIP_TOL))
+    hits = 0
+    for block in row_blocks(count):  # the draws of one count×n array, streamed
+        draws = gen.random((block.stop - block.start, model.n))
+        draws *= 2.0
+        draws -= 1.0
+        draws *= model.radii
+        draws += model.midpoints
+        hits += int(np.count_nonzero(membership_values(model, draws) <= 1.0 + MEMBERSHIP_TOL))
     p = hits / count
     return p, float(np.sqrt(p * (1.0 - p) / count))
 

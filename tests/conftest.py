@@ -1,6 +1,8 @@
+import tracemalloc
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import convexuq as cq
@@ -54,3 +56,53 @@ def quiet_degenerate():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", cq.errors.DegenerateData)
         yield
+
+
+@pytest.fixture(scope="session")
+def bulk_model():
+    """Factory of n = 10 models over unequal intervals on one seeded
+    correlation matrix, the shape the bulk-kernel guards run on."""
+    rng = np.random.default_rng(14)
+    m = rng.normal(size=(40, 10))
+    cov = m.T @ m
+    d = np.sqrt(np.diag(cov))
+    entries = cov / np.outer(d, d)
+    entries = (entries + entries.T) / 2.0
+    np.fill_diagonal(entries, 1.0)
+    R = cq.CorrelationMatrix(entries=entries, method="scc")
+    spec = cq.make_marginal_spec((f"x{k + 1}", -1.0 - k, 2.0 + 0.5 * k) for k in range(10))
+    return lambda variant: cq.build_model(variant, spec, R)
+
+
+def _one_shot_membership(model, rows):
+    centered = rows - model.midpoints
+    if model.variant is cq.ModelVariant.ME:
+        return np.einsum("ij,jk,ik->i", centered, model.characteristic, centered)
+    return np.max(np.abs(centered @ model.characteristic.T), axis=1)
+
+
+@pytest.fixture(scope="session")
+def one_shot_membership():
+    """membership_values as one pass over every row: the reference that the
+    blocked kernel must reproduce bit for bit."""
+    return _one_shot_membership
+
+
+def _traced_peak(call):
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    before = tracemalloc.get_traced_memory()[0]
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+@pytest.fixture(scope="session")
+def traced_peak():
+    """(result, peak bytes allocated above the starting level) of call()."""
+    return _traced_peak

@@ -15,6 +15,7 @@ from convexuq.errors import (
     NotPositiveDefinite,
     ParseError,
 )
+from convexuq.models import BLOCK_ROWS, row_blocks
 
 ALL_VARIANTS = tuple(V)
 MP_VARIANTS = tuple(v for v in V if v is not V.ME)
@@ -432,3 +433,37 @@ def test_glasses_fixture_loads(data_dir):
     rebuilt = cq.build_model(V.MP2, model.spec, model.R)
     np.testing.assert_array_equal(model.shape.entries, rebuilt.shape.entries)
     assert cq.volume_ratio(model)[0] == pytest.approx(0.1403566, abs=1e-7)
+
+
+BULK_ROWS = (BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 17)
+
+
+def test_row_blocks_cover_in_order_without_single_rows():
+    for count in (1, 2, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1, 5 * BLOCK_ROWS - 1):
+        blocks = row_blocks(count)
+        assert blocks[0].start == 0 and blocks[-1].stop == count
+        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+        sizes = [block.stop - block.start for block in blocks]
+        assert max(sizes) <= BLOCK_ROWS
+        assert len(blocks) == 1 or min(sizes) > 1
+
+
+@pytest.mark.parametrize("rows", BULK_ROWS)
+@pytest.mark.parametrize("variant", [V.ME, V.MP2], ids=lambda v: v.value)
+def test_blocked_membership_is_bit_identical(bulk_model, one_shot_membership, variant, rows):
+    model = bulk_model(variant)
+    points = np.random.default_rng(rows).uniform(-3.0, 5.0, size=(rows, model.n))
+    np.testing.assert_array_equal(
+        cq.membership_values(model, points), one_shot_membership(model, points)
+    )
+
+
+@pytest.mark.parametrize("variant", [V.ME, V.MP2], ids=lambda v: v.value)
+def test_membership_memory_is_bounded(bulk_model, traced_peak, variant):
+    """Beside the returned values, the temporaries of a 4e5-row call stay
+    below three blocks (a one-pass kernel holds at least the 32 MB of
+    centred rows)."""
+    model = bulk_model(variant)
+    points = np.random.default_rng(0).uniform(-3.0, 5.0, size=(400_000, model.n))
+    values, peak = traced_peak(lambda: cq.membership_values(model, points))
+    assert peak < values.nbytes + 3 * BLOCK_ROWS * model.n * 8

@@ -343,3 +343,19 @@ def test_bracket_with_undefined_interior_is_dropped(text, variant, eta):
                 cq.reliability_index(model, g)
         else:
             assert cq.reliability_index(model, g).eta == pytest.approx(eta, rel=1e-9)
+
+
+@pytest.mark.parametrize("variant", [v for v in V if v.is_parallelepiped], ids=lambda v: v.value)
+def test_infinity_optimum_on_a_face(variant):
+    """With R = I on [-1, 1]^3, g = 1 - x1 + x2^2 + 0.1*x2 + 0.5*x3^2 - 0.2*x3
+    is smallest over the box ‖δ‖∞ ≤ t at δ = (t, -0.05, 0.2), where
+    g = 0.9775 - t. The optimum lies on the face δ1 = η with δ2 and δ3
+    inside it, where a sign-based projection of the gradient oscillates."""
+    spec = cq.make_marginal_spec([("x1", -1.0, 1.0), ("x2", -1.0, 1.0), ("x3", -1.0, 1.0)])
+    model = cq.build_model(variant, spec, cq.CorrelationMatrix(entries=np.eye(3), method="scc"))
+    g = cq.parse_limit_state("1 - x1 + x2^2 + 0.1*x2 + 0.5*x3^2 - 0.2*x3")
+    result = cq.reliability_index(model, g)
+    assert result.norm == "infinity"
+    assert result.eta == pytest.approx(0.9775, rel=1e-9)
+    np.testing.assert_allclose(result.delta_star, [0.9775, -0.05, 0.2], atol=1e-6)
+    assert result.converged

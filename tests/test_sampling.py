@@ -3,6 +3,7 @@ import pytest
 
 import convexuq as cq
 from convexuq import ModelVariant as V
+from convexuq.models import BLOCK_ROWS
 
 R6 = np.array([[1.0, 0.6], [0.6, 1.0]])
 
@@ -102,3 +103,58 @@ def test_ccc_recovery_is_report_only():
     assert not hasattr(report, "verdict")
     assert not hasattr(report, "tolerance")
     assert report.recovered_R[0, 1] == pytest.approx(0.6, abs=0.05)
+
+
+BULK_COUNTS = (BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 17)
+
+
+def one_shot_draw(model, count, seed):
+    """sample_uniform written as one pass of whole-array expressions: the
+    reference the in-place draw must reproduce bit for bit."""
+    gen = np.random.Generator(np.random.Philox(key=seed))
+    n = model.n
+    if model.variant is V.ME:
+        half = (count * n + 1) // 2
+        u1 = gen.random(half)
+        u2 = gen.random(half)
+        radius = np.sqrt(-2.0 * np.log1p(-u1))
+        angle = 2.0 * np.pi * u2
+        z = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])
+        z = z[: count * n].reshape(count, n)
+        norms = np.linalg.norm(z, axis=1)
+        norms[norms == 0.0] = 1.0
+        radial = gen.random(count) ** (1.0 / n)
+        delta = z / norms[:, None] * radial[:, None]
+        return model.midpoints + model.radii * (delta @ model.factor.T)
+    delta = 2.0 * gen.random((count, n)) - 1.0
+    return model.midpoints + delta @ (model.radii[:, None] * model.factor).T
+
+
+@pytest.mark.parametrize("count", BULK_COUNTS)
+@pytest.mark.parametrize("variant", [V.ME, V.MP2], ids=lambda v: v.value)
+def test_draws_are_bit_identical_to_one_shot(bulk_model, variant, count):
+    model = bulk_model(variant)
+    np.testing.assert_array_equal(
+        cq.sample_uniform(model, count, seed=count), one_shot_draw(model, count, count)
+    )
+
+
+@pytest.mark.parametrize("count", BULK_COUNTS)
+@pytest.mark.parametrize("variant", [V.ME, V.MP2], ids=lambda v: v.value)
+def test_streamed_mc_volume_counts_one_shot_hits(bulk_model, one_shot_membership, variant, count):
+    model = bulk_model(variant)
+    gen = np.random.Generator(np.random.Philox(key=count))
+    draws = model.midpoints + model.radii * (2.0 * gen.random((count, model.n)) - 1.0)
+    hits = int(np.sum(one_shot_membership(model, draws) <= 1.0 + cq.MEMBERSHIP_TOL))
+    assert hits > 0
+    assert cq.mc_volume(model, count, seed=count)[0] == hits / count
+
+
+@pytest.mark.parametrize("variant", [V.ME, V.MP2], ids=lambda v: v.value)
+def test_mc_volume_memory_is_bounded(bulk_model, traced_peak, variant):
+    """Streamed draws: 4e5 draws at n = 10 peak below a quarter of the
+    32 MB that one array of them takes."""
+    model = bulk_model(variant)
+    count = 400_000
+    _, peak = traced_peak(lambda: cq.mc_volume(model, count, seed=0))
+    assert peak < count * model.n * 8 / 4
