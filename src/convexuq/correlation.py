@@ -116,24 +116,38 @@ def _scaled(column: np.ndarray) -> np.ndarray:
     return column / peak if peak > 0.0 and not 1e-50 <= peak <= 1e50 else column
 
 
-def scc(x_i: np.ndarray, x_j: np.ndarray) -> float:
-    """Sample correlation coefficient of two regularized columns, about
-    their interval midpoint 0."""
-    # contiguous columns, copied only when strided: a dot product over a
-    # strided column can round differently
-    a = np.ascontiguousarray(x_i, dtype=float)
-    b = np.ascontiguousarray(x_j, dtype=float)
-    if a.shape != b.shape or a.ndim != 1:
-        raise DimensionMismatch(f"columns must be 1-D and equal length, got {a.shape} and {b.shape}")
+def _scc_column(x: np.ndarray) -> tuple[np.ndarray, float]:
+    """A column ready for scc's dot products, (a, a·a): contiguous, copied
+    only when strided since a dot product over a strided column can round
+    differently, and `_scaled`."""
+    a = np.ascontiguousarray(x, dtype=float)
     if a.size < 2:
         raise DimensionMismatch("need at least 2 samples")
-    a, b = _scaled(a), _scaled(b)
-    denom_a = float(a @ a)
-    denom_b = float(b @ b)
+    a = _scaled(a)
+    return a, float(a @ a)
+
+
+def _scc_pair(column_i: tuple[np.ndarray, float], column_j: tuple[np.ndarray, float]) -> float:
+    """The SCC of two `_scc_column` results: one dot product a·b over the
+    square root of the two self dots, clipped to [-1, 1]."""
+    (a, denom_a), (b, denom_b) = column_i, column_j
     if denom_a == 0.0 or denom_b == 0.0:
         raise ZeroDeviation("a column sits identically at its midpoint")
     value = float(a @ b) / np.sqrt(denom_a * denom_b)
     return float(np.clip(value, -1.0, 1.0))
+
+
+def scc(x_i: np.ndarray, x_j: np.ndarray) -> float:
+    """Sample correlation coefficient of two regularized columns, about
+    their interval midpoint 0. fit_correlation_matrix("scc") goes through
+    the same two helpers, taking each column once, so its entries are
+    this function's bits."""
+    x_i, x_j = np.asarray(x_i), np.asarray(x_j)
+    if x_i.shape != x_j.shape or x_i.ndim != 1:
+        raise DimensionMismatch(
+            f"columns must be 1-D and equal length, got {x_i.shape} and {x_j.shape}"
+        )
+    return _scc_pair(_scc_column(x_i), _scc_column(x_j))
 
 
 def _mp_shape_2d(variant: ModelVariant, r: np.ndarray) -> np.ndarray:
@@ -431,13 +445,16 @@ def fit_correlation_matrix(
     if u.ndim != 2:
         raise DimensionMismatch(f"u_rows must be 2-D, got shape {u.shape}")
     n = u.shape[1]
-    # one contiguous copy of every column, not one per pair
-    columns = np.ascontiguousarray(u.T) if method == "scc" else None
+    # SCC: one contiguous copy of every column, scaled and self-dotted once,
+    # not once per pair; built only when a pair exists, so a lone column is
+    # [[1.0]] whatever its rows
+    if method == "scc" and n > 1:
+        columns = [_scc_column(column) for column in np.ascontiguousarray(u.T)]
     pairs = []
     for i in range(n):
         for j in range(i + 1, n):
             if method == "scc":
-                r = scc(columns[i], columns[j])
+                r = _scc_pair(columns[i], columns[j])
                 if abs(r) >= 1.0:
                     warnings.warn(
                         f"SCC of pair ({i}, {j}) is exactly ±1; clamped", DegenerateData

@@ -20,6 +20,7 @@ from convexuq.correlation import (
 )
 from convexuq.errors import (
     DegenerateData,
+    DimensionMismatch,
     DuplicatePair,
     InfeasibleFit,
     MissingPair,
@@ -366,8 +367,54 @@ def test_fit_matrix_scc_matches_manual(standard_u):
             if i == j:
                 assert R.entries[i, j] == 1.0
             else:
-                manual = scc(standard_u[:, i], standard_u[:, j])
-                assert R.entries[i, j] == pytest.approx(manual)
+                assert R.entries[i, j] == scc(standard_u[:, i], standard_u[:, j])
+
+
+_SCC_COLUMNS = st.integers(2, 12).flatmap(
+    lambda rows: st.lists(
+        st.lists(st.floats(-1, 1), min_size=rows, max_size=rows), min_size=2, max_size=6
+    )
+)
+
+
+@settings(max_examples=80)
+@given(_SCC_COLUMNS)
+# the columns of test_scc_bounded's examples, which take the _scaled path
+@example(
+    columns=[
+        [0.0, 7.94e-150, 0.5],
+        [0.0, 7.94e-150, -0.25],
+        [0.0, 1e160, -3e159],
+        [0.0, 2e160, 1e159],
+    ]
+)
+def test_fit_matrix_scc_is_pairwise_scc(columns):
+    """Each column is scaled and self-dotted once for the whole matrix, and
+    every entry is still scc of its two columns, bit for bit (or its clamp)."""
+    u = np.array(columns).T
+    if not np.all(np.any(u, axis=0)):
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateData)
+        R = cq.fit_correlation_matrix("scc", None, u)
+    for i in range(u.shape[1]):
+        for j in range(i + 1, u.shape[1]):
+            value = scc(u[:, i], u[:, j])
+            if abs(value) >= 1.0:
+                value = np.sign(value) * R_CLAMP
+            assert R.entries[i, j] == R.entries[j, i] == value
+
+
+def test_fit_matrix_scc_edges():
+    # no pair: a single column, even one at its midpoint, is [[1.0]]
+    for rows in (np.zeros((5, 1)), np.zeros((1, 1))):
+        assert cq.fit_correlation_matrix("scc", None, rows).entries.tolist() == [[1.0]]
+    for rows in (np.zeros((1, 3)), np.zeros((0, 2))):
+        with pytest.raises(DimensionMismatch, match="need at least 2 samples"):
+            cq.fit_correlation_matrix("scc", None, rows)
+    u = np.array([[0.5, 0.0, 0.1], [-0.2, 0.0, 0.3], [0.4, 0.0, -0.6]])
+    with pytest.raises(ZeroDeviation):
+        cq.fit_correlation_matrix("scc", None, u)
 
 
 def test_fit_matrix_ccc_uses_variant_geometry(standard_u):

@@ -15,7 +15,7 @@ from convexuq.errors import (
     NotPositiveDefinite,
     ParseError,
 )
-from convexuq.models import BLOCK_ROWS, row_blocks
+from convexuq.models import _REDUCE_ROWS_PER_COLUMN, BLOCK_ROWS, row_blocks
 
 ALL_VARIANTS = tuple(V)
 MP_VARIANTS = tuple(v for v in V if v is not V.ME)
@@ -115,6 +115,15 @@ def test_membership_rejects_wrong_width(spec2, r2):
     model = cq.build_model(V.ME, spec2, r2)
     with pytest.raises(DimensionMismatch):
         cq.membership_values(model, np.zeros((4, 3)))
+
+
+@pytest.mark.parametrize("variant", [V.ME, V.MP2], ids=lambda v: v.value)
+def test_membership_rejects_stacks(variant):
+    # a stack whose middle axis equals n used to be reduced over that axis
+    spec = cq.make_marginal_spec([(f"u{k}", -1.0, 1.0) for k in range(1, 4)])
+    model = cq.build_model(variant, spec, plain_r(np.eye(3)))
+    with pytest.raises(DimensionMismatch):
+        cq.membership_values(model, np.zeros((2, 3, 3)))
 
 
 def test_volume_ellipse_closed_form(spec2):
@@ -436,6 +445,9 @@ def test_glasses_fixture_loads(data_dir):
 
 
 BULK_ROWS = (BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 17)
+# the row counts on either side of the MP membership switch from one np.max
+# to the column loop, at bulk_model's n = 10
+SWITCH_ROWS = (_REDUCE_ROWS_PER_COLUMN * 10, _REDUCE_ROWS_PER_COLUMN * 10 + 1)
 
 
 def test_row_blocks_cover_in_order_without_single_rows():
@@ -448,14 +460,51 @@ def test_row_blocks_cover_in_order_without_single_rows():
         assert len(blocks) == 1 or min(sizes) > 1
 
 
-@pytest.mark.parametrize("rows", BULK_ROWS)
-@pytest.mark.parametrize("variant", [V.ME, V.MP2], ids=lambda v: v.value)
+@pytest.mark.parametrize("rows", (0, 1, 2) + SWITCH_ROWS + BULK_ROWS)
+@pytest.mark.parametrize("variant", list(V), ids=lambda v: v.value)
 def test_blocked_membership_is_bit_identical(bulk_model, one_shot_membership, variant, rows):
     model = bulk_model(variant)
     points = np.random.default_rng(rows).uniform(-3.0, 5.0, size=(rows, model.n))
     np.testing.assert_array_equal(
         cq.membership_values(model, points), one_shot_membership(model, points)
     )
+
+
+@pytest.mark.parametrize("rows", (8, BLOCK_ROWS + 1))
+@pytest.mark.parametrize("variant", list(V), ids=lambda v: v.value)
+def test_membership_of_nonfinite_rows_is_bit_identical(
+    bulk_model, one_shot_membership, variant, rows
+):
+    """nan and ±inf rows, in the first and the last block, give np.max's
+    bits. A row whose product is nan in some columns and ±inf in others is
+    nan, as np.max has it; np.fmax would give inf."""
+    model = bulk_model(variant)
+    n = model.n
+    uniform = np.random.default_rng(rows).uniform(-3.0, 5.0, size=(rows, n))
+    points = uniform.copy()
+    # ±inf where its column has no zero coefficient, so the product is
+    # free of inf·0, which would warn
+    full = int(np.flatnonzero(np.all(model.characteristic != 0.0, axis=0))[0])
+    for at in (0, rows - 4):
+        points[at, 3] = np.nan
+        points[at + 1, full] = np.inf
+        points[at + 2, full] = -np.inf
+        points[at + 3] = np.nan
+    np.testing.assert_array_equal(
+        cq.membership_values(model, points), one_shot_membership(model, points)
+    )
+    points = uniform
+    for at in (0, rows - 4):
+        points[at, 0] = np.inf
+        points[at + 1, n - 1] = -np.inf
+        points[at + 2, [0, n - 1]] = np.inf, -np.inf
+    # inf·0 and inf − inf in the product are invalid operations
+    with np.errstate(invalid="ignore"):
+        values = cq.membership_values(model, points)
+        np.testing.assert_array_equal(values, one_shot_membership(model, points))
+        product = np.abs((points - model.midpoints) @ model.characteristic.T)
+    if variant is not V.ME:
+        assert np.isnan(values).sum() > np.isnan(np.fmax.reduce(product, axis=1)).sum()
 
 
 @pytest.mark.parametrize("variant", [V.ME, V.MP2], ids=lambda v: v.value)

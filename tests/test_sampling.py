@@ -140,14 +140,22 @@ def test_draws_are_bit_identical_to_one_shot(bulk_model, variant, count):
 
 
 @pytest.mark.parametrize("count", BULK_COUNTS)
-@pytest.mark.parametrize("variant", [V.ME, V.MP2], ids=lambda v: v.value)
-def test_streamed_mc_volume_counts_one_shot_hits(bulk_model, one_shot_membership, variant, count):
+@pytest.mark.parametrize("variant", list(V), ids=lambda v: v.value)
+def test_streamed_mc_volume_counts_one_shot_hits(
+    bulk_model, one_shot_membership, monkeypatch, variant, count
+):
+    """The hits at the real threshold, and at the draws' median membership
+    value, which every variant hits with about half its draws: RectMP's
+    ν is 4.7e-5 here, about one real hit per count."""
     model = bulk_model(variant)
     gen = np.random.Generator(np.random.Philox(key=count))
     draws = model.midpoints + model.radii * (2.0 * gen.random((count, model.n)) - 1.0)
-    hits = int(np.sum(one_shot_membership(model, draws) <= 1.0 + cq.MEMBERSHIP_TOL))
-    assert hits > 0
-    assert cq.mc_volume(model, count, seed=count)[0] == hits / count
+    values = one_shot_membership(model, draws)
+    for tol in (cq.MEMBERSHIP_TOL, float(np.median(values)) - 1.0):
+        hits = int(np.sum(values <= 1.0 + tol))
+        monkeypatch.setattr(cq.sampling, "MEMBERSHIP_TOL", tol)
+        assert cq.mc_volume(model, count, seed=count)[0] == hits / count
+    assert hits > count // 4
 
 
 @pytest.mark.parametrize("variant", [V.ME, V.MP2], ids=lambda v: v.value)
