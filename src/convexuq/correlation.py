@@ -14,6 +14,7 @@ from __future__ import annotations
 import enum
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
@@ -104,7 +105,9 @@ class CorrelationMatrix:
     def n(self) -> int:
         return self.entries.shape[0]
 
-    @property
+    # computed once per matrix: ensure_positive_definite and build_model
+    # both read it
+    @cached_property
     def lambda_min(self) -> float:
         return float(np.linalg.eigvalsh(self.entries)[0])
 
@@ -404,7 +407,7 @@ def ensure_positive_definite(R: CorrelationMatrix, policy: str = "strict") -> Co
     if policy not in ("strict", "repair"):
         raise ValueError(f"policy must be 'strict' or 'repair', got {policy!r}")
     entries = R.entries
-    lam_before = float(np.linalg.eigvalsh(entries)[0])
+    lam_before = R.lambda_min
     if lam_before >= EPS_PD:
         return R
     if policy == "strict":

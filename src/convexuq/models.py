@@ -48,14 +48,6 @@ _SHAPE_ATOL = 5e-4
 # rows per block of the bulk kernels (membership_values, mc_volume and the
 # ellipsoid draw's norms), whose temporaries stay a few blocks in size
 BLOCK_ROWS = 2**14
-# rows per column up to which an MP block's membership is one np.max over
-# each row; above it, a running np.maximum across the n columns, about ten
-# times faster on a 2¹⁴-row block. Called repeatedly, the loop wins from
-# about 3 rows per column at n = 6 and 8 at n = 10 and 30 (one x86_64 core,
-# numpy 2.4), but one cold call on the 32-row n = 3 beam sample set took
-# about 1.5 µs longer through it, so the bundled sample sets and the scalar
-# `contains` path stay on np.max.
-_REDUCE_ROWS_PER_COLUMN = 16
 
 
 class Membership(NamedTuple):
@@ -167,38 +159,35 @@ def row_blocks(count: int) -> list[slice]:
 def _membership_block(
     model: ConvexModel, rows: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
-    centered = rows - model.midpoints
     if model.variant is ModelVariant.ME:
+        centered = rows - model.midpoints
         return np.einsum("ij,jk,ik->i", centered, model.characteristic, centered, out=out)
-    product = centered @ model.characteristic.T
+    # one column per point, each reduced by its largest magnitude: the same
+    # bits, nan included, as np.max(|centered @ characteristicᵀ|, axis=1).
+    # The centring is C-ordered because a Fortran-ordered one can round the
+    # transposed product differently.
+    product = model.characteristic @ np.subtract(rows, model.midpoints, order="C").T
     np.abs(product, out=product)
-    count, n = product.shape
-    if count <= _REDUCE_ROWS_PER_COLUMN * n:
-        return np.max(product, axis=1, out=out)
-    # the max over each row as a running maximum across the n columns (n = 1
-    # takes the maximum of column 0 with itself): the same bits, nan
-    # included, as np.max(product, axis=1)
-    columns = product.T
-    out = np.maximum(columns[0], columns[-1], out=out)
-    for column in columns[1:-1]:
-        np.maximum(out, column, out=out)
-    return out
+    return np.max(product, axis=0, out=out)
 
 
 def membership_values(model: ConvexModel, rows: np.ndarray) -> np.ndarray:
-    """Defining-inequality value for each row; ≤ 1 means inside. Rows are
-    processed in blocks of BLOCK_ROWS, so the temporaries stay bounded
-    beside the returned values; each value is the same bits as in one pass."""
+    """Defining-inequality value for each row; ≤ 1 means inside. One point
+    of n coordinates gives one value. Rows are processed in blocks of
+    BLOCK_ROWS, so the temporaries stay bounded beside the returned values;
+    each value is the same bits as in one pass."""
     rows = np.asarray(rows, dtype=float)
-    squeeze = rows.ndim == 1
-    rows = np.atleast_2d(rows)
-    if rows.ndim != 2 or rows.shape[1] != model.n:
+    if rows.ndim not in (1, 2) or rows.shape[-1] != model.n:
         raise DimensionMismatch(
             f"points must be rows of {model.n} coordinates, got shape {rows.shape}"
         )
+    if rows.ndim == 1:
+        return _membership_block(model, rows[None])[0]
+    # up to one block the rows go to the kernel directly, as every sample-set
+    # fitness does: through the blocked loop a 1- or 10-row call took about
+    # 3 µs (30%) longer (ME and MP-II at n = 6; one x86_64 core, numpy 2.4)
     if len(rows) <= BLOCK_ROWS:
-        values = _membership_block(model, rows)
-        return values[0] if squeeze else values
+        return _membership_block(model, rows)
     values = np.empty(len(rows))
     for block in row_blocks(len(rows)):
         _membership_block(model, rows[block], out=values[block])
@@ -206,8 +195,14 @@ def membership_values(model: ConvexModel, rows: np.ndarray) -> np.ndarray:
 
 
 def contains(model: ConvexModel, x: np.ndarray) -> Membership:
-    """Membership with the defining-inequality value as diagnostic slack."""
-    value = float(membership_values(model, x))
+    """Membership of one point of n coordinates, with the
+    defining-inequality value as diagnostic slack."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (model.n,):
+        raise DimensionMismatch(
+            f"expected one point of {model.n} coordinates, got shape {x.shape}"
+        )
+    value = float(_membership_block(model, x[None])[0])
     return Membership(inside=bool(value <= 1.0 + MEMBERSHIP_TOL), value=value)
 
 

@@ -87,14 +87,16 @@ def reliability_index(
     """Compute eta = min ‖delta‖ subject to g(from_delta(delta)) = 0.
 
     Raises NoSurfaceFound when g keeps one sign on every probed ray within
-    the eta_max ball (eta_max is then a lower bound on the index), and
+    the eta_max ball (eta_max is then a lower bound on the index),
     UnboundVariable when g uses names that are neither model variables nor
-    option bindings.
+    option bindings, and ValueError when eta_max is not finite and > 0.
     """
     opts = options or ReliabilityOptions()
     norm = opts.norm or default_norm(model)
     if norm not in (EUCLIDEAN, INFINITY):
         raise ValueError(f"norm must be '{EUCLIDEAN}' or '{INFINITY}', got {opts.norm!r}")
+    if not (math.isfinite(opts.eta_max) and opts.eta_max > 0.0):
+        raise ValueError(f"eta_max must be finite and > 0, got {opts.eta_max!r}")
     names = model.spec.names
     bindings = dict(opts.bindings)
     shadowed = set(bindings) & set(names)

@@ -17,7 +17,7 @@ from scipy.spatial import ConvexHull
 from .correlation import ModelVariant
 from .domain import SampleSet, regularize
 from .errors import IndexOutOfRange, InputError
-from .models import MEMBERSHIP_TOL, ConvexModel, membership_values
+from .models import MEMBERSHIP_TOL, ConvexModel, membership_values, project_2d
 
 __all__ = ["render_projection"]
 
@@ -64,8 +64,7 @@ def _star_path(cx: float, cy: float, r: float) -> str:
 def _boundary_points(model: ConvexModel, i: int, j: int) -> np.ndarray:
     """Projected boundary polygon in regularized (u_i, u_j) coordinates."""
     if model.variant is ModelVariant.ME:
-        r = float(model.R.entries[i, j])
-        chol2 = np.linalg.cholesky(np.array([[1.0, r], [r, 1.0]]))
+        chol2 = np.linalg.cholesky(project_2d(model, i, j))
         theta = np.linspace(0.0, 2.0 * np.pi, 257)
         circle = np.stack([np.cos(theta), np.sin(theta)])
         return (chol2 @ circle).T

@@ -60,18 +60,22 @@ def quiet_degenerate():
 
 @pytest.fixture(scope="session")
 def bulk_model():
-    """Factory of n = 10 models over unequal intervals on one seeded
-    correlation matrix, the shape the bulk-kernel guards run on."""
-    rng = np.random.default_rng(14)
-    m = rng.normal(size=(40, 10))
-    cov = m.T @ m
-    d = np.sqrt(np.diag(cov))
-    entries = cov / np.outer(d, d)
-    entries = (entries + entries.T) / 2.0
-    np.fill_diagonal(entries, 1.0)
-    R = cq.CorrelationMatrix(entries=entries, method="scc")
-    spec = cq.make_marginal_spec((f"x{k + 1}", -1.0 - k, 2.0 + 0.5 * k) for k in range(10))
-    return lambda variant: cq.build_model(variant, spec, R)
+    """Factory of models over unequal intervals on a seeded correlation
+    matrix of four samples per variable (at least 40), n = 10 unless given:
+    the shape the bulk-kernel guards run on."""
+
+    def build(variant, n=10):
+        m = np.random.default_rng(14).normal(size=(4 * max(n, 10), n))
+        cov = m.T @ m
+        d = np.sqrt(np.diag(cov))
+        entries = cov / np.outer(d, d)
+        entries = (entries + entries.T) / 2.0
+        np.fill_diagonal(entries, 1.0)
+        R = cq.CorrelationMatrix(entries=entries, method="scc")
+        spec = cq.make_marginal_spec((f"x{k + 1}", -1.0 - k, 2.0 + 0.5 * k) for k in range(n))
+        return cq.build_model(variant, spec, R)
+
+    return build
 
 
 def _one_shot_membership(model, rows):

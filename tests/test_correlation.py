@@ -360,6 +360,16 @@ def test_ensure_pd_leaves_good_matrix_alone():
     assert out is R
 
 
+def test_pd_check_and_build_share_one_eigendecomposition(monkeypatch):
+    R = cq.CorrelationMatrix(entries=np.array([[1.0, 0.3], [0.3, 1.0]]), method="scc")
+    spec = cq.make_marginal_spec([("a", 0.0, 1.0), ("b", 0.0, 1.0)])
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+    cq.build_model(V.ME, spec, cq.ensure_positive_definite(R))
+    assert len(calls) == 1
+
+
 def test_fit_matrix_scc_matches_manual(standard_u):
     R = cq.fit_correlation_matrix("scc", None, standard_u)
     for i in range(3):

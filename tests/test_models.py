@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from convexuq.errors import (
     NotPositiveDefinite,
     ParseError,
 )
-from convexuq.models import _REDUCE_ROWS_PER_COLUMN, BLOCK_ROWS, row_blocks
+from convexuq.models import BLOCK_ROWS, row_blocks
 
 ALL_VARIANTS = tuple(V)
 MP_VARIANTS = tuple(v for v in V if v is not V.ME)
@@ -115,6 +116,22 @@ def test_membership_rejects_wrong_width(spec2, r2):
     model = cq.build_model(V.ME, spec2, r2)
     with pytest.raises(DimensionMismatch):
         cq.membership_values(model, np.zeros((4, 3)))
+
+
+@pytest.mark.parametrize("variant", [V.ME, V.MP2], ids=lambda v: v.value)
+@pytest.mark.parametrize(
+    "point",
+    [[[1.0, 15.0]], [[1.0, 15.0], [4.0, 15.0]], 5.0, [1.0, 15.0, 0.0]],
+    ids=["row", "two-rows", "scalar", "three-coordinates"],
+)
+def test_contains_takes_one_point(spec2, r2, variant, point):
+    model = cq.build_model(variant, spec2, r2)
+    shape = str(np.shape(point))
+    with pytest.raises(DimensionMismatch, match=re.escape(shape)):
+        cq.contains(model, point)
+    if np.ndim(point) != 2:
+        with pytest.raises(DimensionMismatch, match=re.escape(shape)):
+            cq.membership_values(model, point)
 
 
 @pytest.mark.parametrize("variant", [V.ME, V.MP2], ids=lambda v: v.value)
@@ -445,9 +462,6 @@ def test_glasses_fixture_loads(data_dir):
 
 
 BULK_ROWS = (BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 17)
-# the row counts on either side of the MP membership switch from one np.max
-# to the column loop, at bulk_model's n = 10
-SWITCH_ROWS = (_REDUCE_ROWS_PER_COLUMN * 10, _REDUCE_ROWS_PER_COLUMN * 10 + 1)
 
 
 def test_row_blocks_cover_in_order_without_single_rows():
@@ -460,7 +474,7 @@ def test_row_blocks_cover_in_order_without_single_rows():
         assert len(blocks) == 1 or min(sizes) > 1
 
 
-@pytest.mark.parametrize("rows", (0, 1, 2) + SWITCH_ROWS + BULK_ROWS)
+@pytest.mark.parametrize("rows", (0, 1, 2, 3, 17, 160, 161) + BULK_ROWS)
 @pytest.mark.parametrize("variant", list(V), ids=lambda v: v.value)
 def test_blocked_membership_is_bit_identical(bulk_model, one_shot_membership, variant, rows):
     model = bulk_model(variant)
@@ -470,14 +484,39 @@ def test_blocked_membership_is_bit_identical(bulk_model, one_shot_membership, va
     )
 
 
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+@pytest.mark.parametrize("n", [1, 2, 3, 16, 30])
+def test_mp_membership_is_bit_identical_across_widths_and_layouts(
+    bulk_model, one_shot_membership, n, layout
+):
+    """The MP kernel's column-wise product and max give the row-wise
+    reference's bits whatever the memory layout of the rows; a
+    Fortran-ordered centring would not at n = 16 and 30."""
+    models = [bulk_model(V.MP2, n), bulk_model(V.LTRI, n)]
+    for rows in (0, 1, 2, 3, 17, 161, BLOCK_ROWS - 1, BLOCK_ROWS + 1):
+        wide = np.random.default_rng(rows).uniform(-3.0, 5.0, size=(rows, 2 * n))
+        points = {
+            "C": np.ascontiguousarray(wide[:, :n]),
+            "F": np.asfortranarray(wide[:, :n]),
+            "strided": wide[:, ::2],
+        }[layout]
+        for model in models:
+            np.testing.assert_array_equal(
+                cq.membership_values(model, points),
+                one_shot_membership(model, points),
+                err_msg=f"{model.variant.value}, {rows} rows",
+            )
+
+
 @pytest.mark.parametrize("rows", (8, BLOCK_ROWS + 1))
 @pytest.mark.parametrize("variant", list(V), ids=lambda v: v.value)
 def test_membership_of_nonfinite_rows_is_bit_identical(
     bulk_model, one_shot_membership, variant, rows
 ):
-    """nan and ±inf rows, in the first and the last block, give np.max's
-    bits. A row whose product is nan in some columns and ±inf in others is
-    nan, as np.max has it; np.fmax would give inf."""
+    """nan and ±inf rows, in the first and the last block, give the
+    reference's bits. A point whose product is nan in some coordinates and
+    ±inf in others is nan, as the kernel's np.max down the point's column
+    has it; np.fmax would give inf."""
     model = bulk_model(variant)
     n = model.n
     uniform = np.random.default_rng(rows).uniform(-3.0, 5.0, size=(rows, n))

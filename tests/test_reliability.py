@@ -141,6 +141,14 @@ def test_no_surface_within_eta_max():
     assert wide.eta == pytest.approx(105.0 / 3.0, rel=1e-9)
 
 
+@pytest.mark.parametrize("eta_max", [-10.0, 0.0, np.inf, np.nan])
+def test_eta_max_must_be_finite_and_positive(eta_max):
+    model = make_model(V.ME, np.eye(3))
+    g = cq.parse_limit_state("x1 + 100")
+    with pytest.raises(ValueError, match="eta_max"):
+        cq.reliability_index(model, g, cq.ReliabilityOptions(eta_max=eta_max))
+
+
 def test_bindings_supply_parameters():
     model = make_model(V.ME, np.eye(3))
     g = cq.parse_limit_state("x1 - S")
