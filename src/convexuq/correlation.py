@@ -35,6 +35,11 @@ R_CLAMP = 1.0 - 1e-6
 MEMBERSHIP_TOL = 1e-9
 _GRID_STEP = 1e-3
 _REFINE_TOL = 1e-7
+_STEPS = int((R_CLAMP - _GRID_STEP / 2) / _GRID_STEP)  # largest grid multiple below the clamp
+# the MP fit's r grid, 2001 points: ±R_CLAMP and every multiple of _GRID_STEP between
+_GRID = read_only(
+    np.concatenate(([-R_CLAMP], np.arange(-_STEPS, _STEPS + 1) * _GRID_STEP, [R_CLAMP]))
+)
 _TIE_TOL = 1e-9
 # margin by which a sample must lie inside every hull edge before the MP fit
 # may drop it; why this keeps the fit bit-identical is in _mp_interval
@@ -243,23 +248,6 @@ def _me_interval(u: np.ndarray) -> tuple[float, float]:
     return float(np.max(prod - half)), float(np.min(prod + half))
 
 
-def _refine_boundary(
-    variant: ModelVariant, u: np.ndarray, r_feas: float, r_infeas: float
-) -> float:
-    """Bisect the feasibility boundary between a feasible and an
-    infeasible r; returns the feasible end of the final bracket so the
-    fitted domain still encloses every sample."""
-    for _ in range(64):
-        if abs(r_infeas - r_feas) <= _REFINE_TOL:
-            break
-        mid = (r_feas + r_infeas) / 2.0
-        if bool(_mp_feasible(variant, np.array([mid]), u)[0]):
-            r_feas = mid
-        else:
-            r_infeas = mid
-    return r_feas
-
-
 def _hull_candidates(u: np.ndarray) -> np.ndarray:
     """The samples that can bind an MP fit: every row of u not inside
     every edge of the samples' convex hull by at least _HULL_TOL. Returns
@@ -276,7 +264,9 @@ def _hull_candidates(u: np.ndarray) -> np.ndarray:
 def _mp_interval(variant: ModelVariant, u: np.ndarray) -> tuple[float, float]:
     """Grid-plus-bisection extremes (r_neg, r_pos) of the MP feasible set,
     both within the clamp. Feasibility in r need not be one interval, so
-    each end of the feasible grid set is refined on its own.
+    the first and the last feasible grid points are each bisected toward
+    their infeasible outer neighbour, both ends in one loop; an end at the
+    clamp has no neighbour and stays there.
 
     The grid and the bisections test only _hull_candidates(u); the SCC
     tie-break in ccc_fit still reads every sample. This returns the
@@ -290,26 +280,27 @@ def _mp_interval(variant: ModelVariant, u: np.ndarray) -> tuple[float, float]:
     clamp, where |S^-1| reaches about 1e3 (1e6 for MP-I). The test against
     1 + MEMBERSHIP_TOL therefore gives the same answer at every r the fit
     visits, and with it the same grid indices, bisection path and fitted
-    r. The hull edges are computed in floating point, so the guarantee
-    rests on the tau margin alone.
+    r. Each r's test is elementwise, so its answer does not depend on the
+    other r of the same call. The hull edges are computed in floating
+    point, so the guarantee rests on the tau margin alone.
     """
     candidates = _hull_candidates(u)
-    steps = int((R_CLAMP - _GRID_STEP / 2) / _GRID_STEP)  # largest grid multiple below the clamp
-    inner = np.arange(-steps, steps + 1) * _GRID_STEP
-    grid = np.concatenate(([-R_CLAMP], inner, [R_CLAMP]))
     # never all False: r = 0 is on the grid, S(0) = I, and ccc_fit admits |u| <= 1 + 1e-9 only
-    feas = _mp_feasible(variant, grid, candidates)
-    idx = np.flatnonzero(feas)
-    i_hi, i_lo = int(idx[-1]), int(idx[0])
-    if i_hi == len(grid) - 1:
-        r_pos = R_CLAMP
-    else:
-        r_pos = _refine_boundary(variant, candidates, float(grid[i_hi]), float(grid[i_hi + 1]))
-    if i_lo == 0:
-        r_neg = -R_CLAMP
-    else:
-        r_neg = _refine_boundary(variant, candidates, float(grid[i_lo]), float(grid[i_lo - 1]))
-    return r_neg, r_pos
+    idx = np.flatnonzero(_mp_feasible(variant, _GRID, candidates))
+    ends = idx[[0, -1]]
+    feas = _GRID[ends]
+    # an end at the clamp brackets itself, so it starts closed
+    infeas = _GRID[np.clip(ends + [-1, 1], 0, len(_GRID) - 1)]
+    for _ in range(64):
+        open_ = np.abs(infeas - feas) > _REFINE_TOL
+        if not open_.any():
+            break
+        mid = np.where(open_, (feas + infeas) / 2.0, feas)
+        # a closed end retests its own feasible r, so neither side moves
+        ok = _mp_feasible(variant, mid, candidates)
+        feas = np.where(ok, mid, feas)
+        infeas = np.where(ok, infeas, mid)
+    return float(feas[0]), float(feas[1])
 
 
 def ccc_fit(
@@ -331,6 +322,8 @@ def ccc_fit(
     InfeasibleFit ("error") and returning the minimax-violation r with a
     warning ("relax").
     """
+    if not isinstance(variant, ModelVariant):
+        raise ValueError(f"variant must be a ModelVariant, got {variant!r}")
     if on_infeasible not in ("error", "relax"):
         raise ValueError(f"on_infeasible must be 'error' or 'relax', got {on_infeasible!r}")
     u = np.asarray(u_pairs, dtype=float)

@@ -110,15 +110,19 @@ def core_shape_matrix(variant: ModelVariant, R: CorrelationMatrix | np.ndarray) 
 
 
 def shape_matrix(H: np.ndarray) -> ShapeMatrix:
-    """Row-normalize the factor: S = diag(w)·H with w_i = 1/Σ_j |H_ij|."""
+    """Row-normalize the factor: S = diag(w)·H with w_i = 1/Σ_j |H_ij|.
+
+    S is singular when |det S| falls below _SINGULAR_DET times Hadamard's
+    bound ∏‖S_i‖₂ (the det of S with unit-length rows), so the test does
+    not tighten with n; the ratio is √det R for every variant but MP-I."""
     entries = np.asarray(H, dtype=float)
     row_sums = np.sum(np.abs(entries), axis=1)
     if np.any(row_sums == 0.0):
         raise SingularShape("factor has a zero row")
     weights = 1.0 / row_sums
     S = entries * weights[:, None]
-    if abs(np.linalg.det(S)) < _SINGULAR_DET:
+    if abs(np.linalg.det(S / np.linalg.norm(S, axis=1)[:, None])) < _SINGULAR_DET:
         raise SingularShape(
-            f"shape matrix determinant below {_SINGULAR_DET:g} in magnitude"
+            f"shape matrix determinant below {_SINGULAR_DET:g} of Hadamard's bound"
         )
     return ShapeMatrix(entries=S)

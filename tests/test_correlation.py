@@ -10,11 +10,12 @@ from convexuq import ModelVariant as V
 from convexuq.correlation import (
     _GRID_STEP,
     R_CLAMP,
+    _REFINE_TOL,
     _hull_candidates,
     _mp_feasible,
+    _mp_interval,
     _mp_shape_2d,
     _pick_extreme,
-    _refine_boundary,
     ccc_fit,
     scc,
 )
@@ -169,9 +170,24 @@ def test_ccc_tie_breaks_with_scc_sign():
         assert r_pos == pytest.approx(-r_neg, abs=1e-9)
 
 
-def _full_set_mp_fit(variant, u):
-    """The MP fit run on every sample: the grid, the two bisections and the
-    clamp of ccc_fit, without the hull reduction."""
+def _refine_boundary(variant, u, r_feas, r_infeas):
+    """Bisect one end of the feasible set between a feasible and an
+    infeasible r, one r per call; returns the feasible end."""
+    for _ in range(64):
+        if abs(r_infeas - r_feas) <= _REFINE_TOL:
+            break
+        mid = (r_feas + r_infeas) / 2.0
+        if bool(_mp_feasible(variant, np.array([mid]), u)[0]):
+            r_feas = mid
+        else:
+            r_infeas = mid
+    return r_feas
+
+
+def _full_set_mp_interval(variant, u):
+    """The MP feasible interval (r_neg, r_pos) found on every sample, one
+    end at a time: the grid, then a bisection for each end not at the
+    clamp, without the hull reduction."""
     steps = int((R_CLAMP - _GRID_STEP / 2) / _GRID_STEP)
     grid = np.concatenate(([-R_CLAMP], np.arange(-steps, steps + 1) * _GRID_STEP, [R_CLAMP]))
     idx = np.flatnonzero(_mp_feasible(variant, grid, u))
@@ -184,10 +200,7 @@ def _full_set_mp_fit(variant, u):
         r_neg = -R_CLAMP
     else:
         r_neg = _refine_boundary(variant, u, float(grid[i_lo]), float(grid[i_lo - 1]))
-    r = _pick_extreme(r_neg, r_pos, u)
-    if abs(r) >= R_CLAMP:
-        return float(np.sign(r) * R_CLAMP)
-    return float(r)
+    return r_neg, r_pos
 
 
 @st.composite
@@ -233,10 +246,20 @@ def _mp_fit_samples(draw):
 @example(variant=V.MP2, u=np.array([[0.4, -0.3]]))
 @example(variant=V.RECT, u=np.array([[0.4, -0.3], [-0.2, 0.7]]))
 @example(variant=V.LTRI, u=np.array([[1.0, 1.0], [-1.0, -1.0], [0.3, 0.3], [0.1, 0.2]]))
+# r_pos at the clamp while r_neg is bisected (to 0.0)
+@example(variant=V.RECT, u=np.array([[0.5, 0.5], [-0.3, -0.3], [0.9, 0.9]]))
+# only r = 0 is feasible: both ends bisect inward
+@example(variant=V.MP2, u=np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]]))
+# both ends at the clamp: no bisection
+@example(variant=V.UTRI, u=np.array([[0.0, 0.0]]))
 def test_mp_ccc_hull_reduction_is_bit_identical(variant, u):
+    """Both ends bisected together on the hull candidates give the bits
+    of each end bisected on its own over every sample."""
+    r_neg, r_pos = _full_set_mp_interval(variant, u)
+    assert _mp_interval(variant, u) == (r_neg, r_pos)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateData)
-        assert ccc_fit(variant, u) == _full_set_mp_fit(variant, u)
+        assert ccc_fit(variant, u) == _pick_extreme(r_neg, r_pos, u)
 
 
 def test_hull_candidates_keep_vertices_and_edge_points():
@@ -299,6 +322,15 @@ def test_ccc_fit_refuses_nan(variant):
     u = np.array([[np.nan, 0.2], [0.3, 0.1], [-0.5, 0.4]])
     with pytest.raises(ValueError, match=r"must lie in \[-1, 1\]"):
         ccc_fit(variant, u)
+
+
+@pytest.mark.parametrize("variant", [None, "me", "mp2"])
+def test_ccc_fit_refuses_a_variant_that_is_not_a_model_variant(variant):
+    u = np.array([[0.3, 0.1], [-0.5, 0.4], [0.2, -0.6]])
+    with pytest.raises(ValueError, match=f"variant must be a ModelVariant, got {variant!r}"):
+        ccc_fit(variant, u)
+    with pytest.raises(ValueError, match="variant must be a ModelVariant"):
+        cq.fit_correlation_matrix("ccc", variant, u)
 
 
 def _warning_messages(fit):

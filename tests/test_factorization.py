@@ -101,6 +101,20 @@ def test_shape_matrix_row_sums(r3):
 def test_shape_matrix_singular_rejected():
     with pytest.raises(SingularShape):
         cq.shape_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
+    with pytest.raises(SingularShape, match="zero row"):
+        cq.shape_matrix(np.array([[1.0, 0.5], [0.0, 0.0]]))
+
+
+def test_shape_matrix_accepts_well_conditioned_wide_model():
+    """At n = 30 a well-conditioned RectMP shape has det S near 3e-20,
+    far below any absolute floor; against Hadamard's bound it is
+    √det R ≈ 0.8."""
+    u = np.clip(np.random.default_rng(0).standard_normal((1000, 30)) / 4.5, -1, 1)
+    R = cq.fit_correlation_matrix("scc", V.RECT, u)
+    S = cq.shape_matrix(cq.core_shape_matrix(V.RECT, R)).entries
+    assert abs(np.linalg.det(S)) < 1e-19
+    hadamard = np.prod(np.linalg.norm(S, axis=1))
+    assert abs(np.linalg.det(S)) / hadamard == pytest.approx(np.sqrt(np.linalg.det(R.entries)))
 
 
 @settings(max_examples=40, deadline=None)
