@@ -42,8 +42,10 @@ _GRID = read_only(
 )
 _TIE_TOL = 1e-9
 # margin by which a sample must lie inside every hull edge before the MP fit
-# may drop it; why this keeps the fit bit-identical is in _mp_interval
+# may drop it; why this keeps the fit bit-identical is in _mp_intervals
 _HULL_TOL = 1e-9
+# most (r, sample) elements _mp_feasible holds in one of its temporaries
+_BLOCK = 1 << 17
 
 
 class ModelVariant(enum.Enum):
@@ -215,18 +217,45 @@ def _mp_shape_2d(variant: ModelVariant, r: np.ndarray) -> np.ndarray:
     return out
 
 
-def _mp_feasible(variant: ModelVariant, r: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """For each r, do all sample pairs u lie inside the variant's 2D
-    domain |S(r)^-1 u| <= e (with membership tolerance)?"""
-    shapes = _mp_shape_2d(variant, r)  # (G, 2, 2)
+def _mp_terms(variant: ModelVariant, r: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The adjugate terms (a11, a12, a21, a22, det) of S(r), each of r's shape."""
+    shapes = _mp_shape_2d(variant, r)
     a11, a12 = shapes[..., 0, 0], shapes[..., 0, 1]
     a21, a22 = shapes[..., 1, 0], shapes[..., 1, 1]
-    det = a11 * a22 - a12 * a21
-    u1, u2 = u[:, 0], u[:, 1]
-    # delta = S^-1 u via the 2x2 adjugate, broadcast (G, N)
-    d1 = (a22[:, None] * u1 - a12[:, None] * u2) / det[:, None]
-    d2 = (-a21[:, None] * u1 + a11[:, None] * u2) / det[:, None]
-    worst = np.maximum(np.abs(d1), np.abs(d2)).max(axis=1)
+    return a11, a12, a21, a22, a11 * a22 - a12 * a21
+
+
+def _mp_feasible(
+    terms: tuple[np.ndarray, ...], u: np.ndarray, starts: np.ndarray | list[int]
+) -> np.ndarray:
+    """For each of G values of r and each of P pairs, do all the pair's
+    sample rows lie inside its 2D domain |S(r)^-1 u| <= e (with membership
+    tolerance)? u stacks the K rows of every pair, pair p's from
+    starts[p] on; terms are _mp_terms, each broadcastable to (G, K).
+    Returns a (G, P) bool array.
+
+    The rows go in blocks of at most _BLOCK (r, row) elements, and each
+    pair takes the exact max of its rows, so neither the blocks nor the
+    other pairs change any answer: every test is elementwise in r and in
+    sample."""
+    g, k = terms[0].shape[0], len(u)
+    terms = [np.broadcast_to(t, (g, k)) for t in terms]
+    worst = np.full((g, len(starts)), -np.inf)
+    step = max(1, _BLOCK // g)
+    for lo in range(0, k, step):
+        hi = min(lo + step, k)
+        a11, a12, a21, a22, det = (t[:, lo:hi] for t in terms)
+        u1, u2 = u[lo:hi, 0], u[lo:hi, 1]
+        # delta = S^-1 u via the 2x2 adjugate, (G, rows)
+        d1 = (a22 * u1 - a12 * u2) / det
+        d2 = (-a21 * u1 + a11 * u2) / det
+        dist = np.maximum(np.abs(d1), np.abs(d2))
+        # the pairs with rows in this block, and where each one's rows begin in it
+        first = np.searchsorted(starts, lo, side="right") - 1
+        last = np.searchsorted(starts, hi)
+        cuts = np.maximum(starts[first:last], lo) - lo
+        part = worst[:, first:last]
+        np.maximum(part, np.maximum.reduceat(dist, cuts, axis=1), out=part)
     return worst <= 1.0 + MEMBERSHIP_TOL
 
 
@@ -261,82 +290,101 @@ def _hull_candidates(u: np.ndarray) -> np.ndarray:
     return u[depth > -_HULL_TOL]
 
 
-def _mp_interval(variant: ModelVariant, u: np.ndarray) -> tuple[float, float]:
-    """Grid-plus-bisection extremes (r_neg, r_pos) of the MP feasible set,
-    both within the clamp. Feasibility in r need not be one interval, so
-    the first and the last feasible grid points are each bisected toward
-    their infeasible outer neighbour, both ends in one loop; an end at the
-    clamp has no neighbour and stays there.
+def _mp_intervals(
+    variant: ModelVariant, u: np.ndarray, pairs: list[tuple[int, int]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Grid-plus-bisection extremes (r_neg, r_pos) of the MP feasible set
+    of every column pair of u, each within the clamp, as two arrays in the
+    order of pairs. Feasibility in r need not be one interval, so each
+    pair's first and last feasible grid points are bisected toward their
+    infeasible outer neighbours; an end at the clamp has no neighbour and
+    stays there. The grid is one _mp_feasible call per pair, on grid
+    terms built once per call; the bisection is one loop for both ends of
+    every pair, each step one _mp_feasible call over the stacked
+    candidates of all pairs. Each pair gets the grid indices, bisection
+    path and ends it would get alone: its tests are its own, and a closed
+    end retests its own feasible r, so it does not move.
 
-    The grid and the bisections test only _hull_candidates(u); the SCC
-    tie-break in ccc_fit still reads every sample. This returns the
-    same bits as testing all of u. For every r, f_r(u) = |S(r)^-1 u|_inf
-    is a norm, hence convex, so its maximum over the hull H of the kept
-    points is attained at a kept vertex. A dropped point p has
-    p + tau*B inside H (tau = _HULL_TOL, B the unit disc), so
+    The grid and the bisections test only _hull_candidates of each pair;
+    the SCC tie-break in _finish_ccc still reads every sample. This returns
+    the same bits as testing all of u. For every r, f_r(u) =
+    |S(r)^-1 u|_inf is a norm, hence convex, so its maximum over the hull
+    H of the kept points is attained at a kept vertex. A dropped point p
+    has p + tau*B inside H (tau = _HULL_TOL, B the unit disc), so
     p*(1 + tau/|p|) lies in H and f_r(p) <= max_H f_r / (1 + tau/sqrt(2)):
     a relative margin of about 7e-10, since |p| <= sqrt(2) in the unit
     box. Rounding in _mp_feasible stays below 1e-13 relative, even at the
     clamp, where |S^-1| reaches about 1e3 (1e6 for MP-I). The test against
     1 + MEMBERSHIP_TOL therefore gives the same answer at every r the fit
     visits, and with it the same grid indices, bisection path and fitted
-    r. Each r's test is elementwise, so its answer does not depend on the
-    other r of the same call. The hull edges are computed in floating
-    point, so the guarantee rests on the tau margin alone.
+    r. The hull edges are computed in floating point, so the guarantee
+    rests on the tau margin alone.
     """
-    candidates = _hull_candidates(u)
-    # never all False: r = 0 is on the grid, S(0) = I, and ccc_fit admits |u| <= 1 + 1e-9 only
-    idx = np.flatnonzero(_mp_feasible(variant, _GRID, candidates))
-    ends = idx[[0, -1]]
+    grid_terms = _mp_terms(variant, _GRID[:, None])
+    candidates, ends = [], []
+    for pair in pairs:
+        # one pair's (N, 2) copy at a time; only its candidates are kept
+        candidates.append(_hull_candidates(u[:, pair]))
+        feasible = _mp_feasible(grid_terms, candidates[-1], [0])[:, 0]
+        # never all False: r = 0 is on the grid, S(0) = I, and _ccc_fits admits |u| <= 1 + 1e-9 only
+        ends.append(np.flatnonzero(feasible)[[0, -1]])
+    ends = np.array(ends).T
     feas = _GRID[ends]
     # an end at the clamp brackets itself, so it starts closed
-    infeas = _GRID[np.clip(ends + [-1, 1], 0, len(_GRID) - 1)]
+    infeas = _GRID[np.clip(ends + [[-1], [1]], 0, len(_GRID) - 1)]
+    counts = [len(c) for c in candidates]
+    starts = np.cumsum([0] + counts[:-1])
+    rows = np.concatenate(candidates)
     for _ in range(64):
         open_ = np.abs(infeas - feas) > _REFINE_TOL
         if not open_.any():
             break
-        mid = np.where(open_, (feas + infeas) / 2.0, feas)
         # a closed end retests its own feasible r, so neither side moves
-        ok = _mp_feasible(variant, mid, candidates)
+        mid = np.where(open_, (feas + infeas) / 2.0, feas)
+        # each pair's two r, repeated over its candidate rows
+        terms = [np.repeat(t, counts, axis=1) for t in _mp_terms(variant, mid)]
+        ok = _mp_feasible(terms, rows, starts)
         feas = np.where(ok, mid, feas)
         infeas = np.where(ok, infeas, mid)
-    return float(feas[0]), float(feas[1])
+    return feas[0], feas[1]
 
 
-def ccc_fit(
-    variant: ModelVariant,
-    u_pairs: np.ndarray,
-    *,
-    on_infeasible: str = "error",
-) -> float:
-    """Fit the convex correlation coefficient of one pair of regularized
-    sample columns.
-
-    u_pairs is an (N, 2) array with every entry in [-1, 1]. Both families
-    reduce the pair to a feasible r-interval (_me_interval, _mp_interval),
-    which this function alone finishes. Returns the r of maximal |r| whose
-    2D domain encloses all pairs; ties between the positive and negative
-    extremes go to the SCC sign. Fits reaching the clamp |r| = 1 - 1e-6
-    emit a DegenerateData warning. When no r is feasible (possible only for
-    ME, even on in-box data), on_infeasible selects between raising
-    InfeasibleFit ("error") and returning the minimax-violation r with a
-    warning ("relax").
-    """
-    if not isinstance(variant, ModelVariant):
+def _check_fit_options(method: str, variant, on_infeasible: str) -> None:
+    if method not in ("ccc", "scc"):
+        raise ValueError(f"method must be 'ccc' or 'scc', got {method!r}")
+    if method == "ccc" and not isinstance(variant, ModelVariant):
         raise ValueError(f"variant must be a ModelVariant, got {variant!r}")
     if on_infeasible not in ("error", "relax"):
         raise ValueError(f"on_infeasible must be 'error' or 'relax', got {on_infeasible!r}")
-    u = np.asarray(u_pairs, dtype=float)
-    if u.ndim != 2 or u.shape[1] != 2:
-        raise DimensionMismatch(f"u_pairs must be (N, 2), got {u.shape}")
+
+
+def _ccc_fits(
+    variant: ModelVariant,
+    u: np.ndarray,
+    pairs: list[tuple[int, int]],
+    on_infeasible: str,
+) -> list[float]:
+    """The CCC of every column pair of u, in the order of pairs: first the
+    feasible r-interval of every pair (_me_interval one pair at a time,
+    _mp_intervals all pairs together), then each pair finished on its own,
+    warnings and errors in pair order."""
     if u.shape[0] < 1:
         raise DimensionMismatch("need at least one sample pair")
     if not np.all(np.abs(u) <= 1.0 + 1e-9):  # also refuses nan
         raise ValueError("u_pairs entries must lie in [-1, 1]")
     if variant is ModelVariant.ME:
-        lo, hi = _me_interval(u)
+        intervals = [_me_interval(u[:, pair]) for pair in pairs]
     else:
-        lo, hi = _mp_interval(variant, u)
+        r_neg, r_pos = _mp_intervals(variant, u, pairs)
+        intervals = zip(r_neg.tolist(), r_pos.tolist())
+    return [
+        _finish_ccc(lo, hi, u[:, pair], on_infeasible)
+        for pair, (lo, hi) in zip(pairs, intervals)
+    ]
+
+
+def _finish_ccc(lo: float, hi: float, u: np.ndarray, on_infeasible: str) -> float:
+    """One pair's CCC from its feasible interval (lo, hi) and its samples u."""
     if lo > hi:
         gap = lo - hi
         if on_infeasible == "relax":
@@ -358,6 +406,33 @@ def ccc_fit(
     if abs(r) >= R_CLAMP:
         warnings.warn("fit clamped at |r| = 1 - 1e-6", DegenerateData)
     return float(r)
+
+
+def ccc_fit(
+    variant: ModelVariant,
+    u_pairs: np.ndarray,
+    *,
+    on_infeasible: str = "error",
+) -> float:
+    """Fit the convex correlation coefficient of one pair of regularized
+    sample columns.
+
+    u_pairs is an (N, 2) array with every entry in [-1, 1]. This is the
+    one-pair call of fit_correlation_matrix's CCC stage: both families
+    reduce the pair to a feasible r-interval (_me_interval,
+    _mp_intervals), which the stage then finishes. Returns the r of
+    maximal |r| whose 2D domain encloses all pairs; ties between the
+    positive and negative extremes go to the SCC sign. Fits reaching the
+    clamp |r| = 1 - 1e-6 emit a DegenerateData warning. When no r is
+    feasible (possible only for ME, even on in-box data), on_infeasible
+    selects between raising InfeasibleFit ("error") and returning the
+    minimax-violation r with a warning ("relax").
+    """
+    _check_fit_options("ccc", variant, on_infeasible)
+    u = np.asarray(u_pairs, dtype=float)
+    if u.ndim != 2 or u.shape[1] != 2:
+        raise DimensionMismatch(f"u_pairs must be (N, 2), got {u.shape}")
+    return _ccc_fits(variant, u, [(0, 1)], on_infeasible)[0]
 
 
 def assemble_correlation_matrix(
@@ -429,36 +504,45 @@ def ensure_positive_definite(R: CorrelationMatrix, policy: str = "strict") -> Co
 
 def fit_correlation_matrix(
     method: str,
-    variant: ModelVariant,
+    variant: ModelVariant | None,
     u_rows: np.ndarray,
     *,
     on_infeasible: str = "error",
 ) -> CorrelationMatrix:
     """Compute all pairwise coefficients from regularized sample rows and
-    assemble the matrix. SCC values that land exactly at ±1 are pulled to
-    the clamp with a DegenerateData warning so assembly stays valid."""
+    assemble the matrix. method, variant (a ModelVariant for "ccc", unread
+    for "scc") and on_infeasible are checked before any work, whatever the
+    number of columns.
+
+    "ccc" fits every pair in one stage, the one ccc_fit calls for its one
+    pair, so each entry is that pair's ccc_fit, bit for bit and with its
+    warnings in pair order: the feasible intervals of all pairs first (for
+    the parallelepipeds one grid test per pair, then one bisection over
+    all pairs together; see _mp_intervals), then each pair finished on its
+    own. SCC values that land exactly at ±1 are pulled to the clamp with a
+    DegenerateData warning so assembly stays valid."""
+    _check_fit_options(method, variant, on_infeasible)
     u = np.asarray(u_rows, dtype=float)
     if u.ndim != 2:
         raise DimensionMismatch(f"u_rows must be 2-D, got shape {u.shape}")
     n = u.shape[1]
-    # SCC: one contiguous copy of every column, scaled and self-dotted once,
-    # not once per pair; built only when a pair exists, so a lone column is
-    # [[1.0]] whatever its rows
-    if method == "scc" and n > 1:
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    # fitted only when a pair exists, so a lone column is [[1.0]] whatever its rows
+    if not pairs:
+        values = []
+    elif method == "ccc":
+        values = _ccc_fits(variant, u, pairs, on_infeasible)
+    else:
+        # one contiguous copy of every column, scaled and self-dotted once,
+        # not once per pair
         columns = [_scc_column(column) for column in np.ascontiguousarray(u.T)]
-    pairs = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if method == "scc":
-                r = _scc_pair(columns[i], columns[j])
-                if abs(r) >= 1.0:
-                    warnings.warn(
-                        f"SCC of pair ({i}, {j}) is exactly ±1; clamped", DegenerateData
-                    )
-                    r = float(np.sign(r)) * R_CLAMP
-            elif method == "ccc":
-                r = ccc_fit(variant, u[:, (i, j)], on_infeasible=on_infeasible)
-            else:
-                raise ValueError(f"method must be 'ccc' or 'scc', got {method!r}")
-            pairs.append((i, j, r))
-    return assemble_correlation_matrix(pairs, n, method)
+        values = []
+        for i, j in pairs:
+            r = _scc_pair(columns[i], columns[j])
+            if abs(r) >= 1.0:
+                warnings.warn(f"SCC of pair ({i}, {j}) is exactly ±1; clamped", DegenerateData)
+                r = float(np.sign(r)) * R_CLAMP
+            values.append(r)
+    return assemble_correlation_matrix(
+        [(i, j, r) for (i, j), r in zip(pairs, values)], n, method
+    )

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,14 +7,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import convexuq as cq
+import convexuq.correlation as correlation
 from convexuq import ModelVariant as V
 from convexuq.correlation import (
     _GRID_STEP,
     R_CLAMP,
     _REFINE_TOL,
     _hull_candidates,
-    _mp_feasible,
-    _mp_interval,
+    _mp_intervals,
     _mp_shape_2d,
     _pick_extreme,
     ccc_fit,
@@ -102,6 +103,21 @@ def test_rect_family_discontinuous_at_zero():
     np.testing.assert_allclose(s_eps, [[0.5, 0.5], [0.5, -0.5]], atol=1e-8)
 
 
+def _full_set_feasible(variant, r, u):
+    """For each r, do all sample rows u lie inside the variant's 2D domain
+    |S(r)^-1 u| <= e (with membership tolerance)? Every sample, one (G, N)
+    array: the reference for the library's blocked, batched test."""
+    shapes = _mp_shape_2d(variant, r)
+    a11, a12 = shapes[..., 0, 0], shapes[..., 0, 1]
+    a21, a22 = shapes[..., 1, 0], shapes[..., 1, 1]
+    det = a11 * a22 - a12 * a21
+    u1, u2 = u[:, 0], u[:, 1]
+    d1 = (a22[:, None] * u1 - a12[:, None] * u2) / det[:, None]
+    d2 = (-a21[:, None] * u1 + a11[:, None] * u2) / det[:, None]
+    worst = np.maximum(np.abs(d1), np.abs(d2)).max(axis=1)
+    return worst <= 1.0 + correlation.MEMBERSHIP_TOL
+
+
 def _me_values(r, u):
     R = np.array([[1.0, r], [r, 1.0]])
     return np.einsum("ij,jk,ik->i", u, np.linalg.inv(R), u)
@@ -139,10 +155,10 @@ def test_mp_ccc_is_feasible_extreme(variant):
     for _ in range(6):
         u = rng.uniform(-0.92, 0.92, size=(10, 2))
         fitted = ccc_fit(variant, u)
-        assert bool(_mp_feasible(variant, np.array([fitted]), u)[0])
+        assert bool(_full_set_feasible(variant, np.array([fitted]), u)[0])
         if fitted != 0.0 and abs(fitted) < R_CLAMP - 1e-3:
             stepped = fitted + np.sign(fitted) * 2e-3
-            assert not bool(_mp_feasible(variant, np.array([stepped]), u)[0])
+            assert not bool(_full_set_feasible(variant, np.array([stepped]), u)[0])
 
 
 def test_me_ccc_is_feasible_extreme():
@@ -177,7 +193,7 @@ def _refine_boundary(variant, u, r_feas, r_infeas):
         if abs(r_infeas - r_feas) <= _REFINE_TOL:
             break
         mid = (r_feas + r_infeas) / 2.0
-        if bool(_mp_feasible(variant, np.array([mid]), u)[0]):
+        if bool(_full_set_feasible(variant, np.array([mid]), u)[0]):
             r_feas = mid
         else:
             r_infeas = mid
@@ -190,7 +206,7 @@ def _full_set_mp_interval(variant, u):
     clamp, without the hull reduction."""
     steps = int((R_CLAMP - _GRID_STEP / 2) / _GRID_STEP)
     grid = np.concatenate(([-R_CLAMP], np.arange(-steps, steps + 1) * _GRID_STEP, [R_CLAMP]))
-    idx = np.flatnonzero(_mp_feasible(variant, grid, u))
+    idx = np.flatnonzero(_full_set_feasible(variant, grid, u))
     i_hi, i_lo = int(idx[-1]), int(idx[0])
     if i_hi == len(grid) - 1:
         r_pos = R_CLAMP
@@ -256,10 +272,112 @@ def test_mp_ccc_hull_reduction_is_bit_identical(variant, u):
     """Both ends bisected together on the hull candidates give the bits
     of each end bisected on its own over every sample."""
     r_neg, r_pos = _full_set_mp_interval(variant, u)
-    assert _mp_interval(variant, u) == (r_neg, r_pos)
+    assert [a.tolist() for a in _mp_intervals(variant, u, [(0, 1)])] == [[r_neg], [r_pos]]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateData)
         assert ccc_fit(variant, u) == _pick_extreme(r_neg, r_pos, u)
+
+
+@st.composite
+def _mp_fit_matrices(draw):
+    """Sample matrices whose column pairs mix hull sizes: uniform columns,
+    lattice columns on {-1, 0, 1} (two of them holding all four corners
+    admit only r = 0), columns linear in an earlier one (no 2-D hull) and
+    signed copies of an earlier one (an end at the clamp)."""
+    n, size = draw(st.integers(2, 6)), draw(st.integers(1, 30))
+    columns = []
+    for j in range(n):
+        kind = draw(st.sampled_from(["uniform", "lattice"] + ["linear", "copy"] * (j > 0)))
+        if kind == "uniform":
+            column = draw(st.lists(st.floats(-1, 1), min_size=size, max_size=size))
+        elif kind == "lattice":
+            level = st.sampled_from([-1.0, 0.0, 1.0])
+            column = draw(st.lists(level, min_size=size, max_size=size))
+        elif kind == "linear":
+            slope, shift = draw(st.floats(-1, 1)), draw(st.floats(-0.5, 0.5))
+            column = np.clip(slope * columns[draw(st.integers(0, j - 1))] + shift, -1.0, 1.0)
+        else:
+            column = draw(st.sampled_from([1.0, -1.0])) * columns[draw(st.integers(0, j - 1))]
+        columns.append(np.array(column, dtype=float))
+    return np.column_stack(columns)
+
+
+_MIXED = np.array(
+    [
+        # x0, x1 hold the four corners: only r = 0 for that pair;
+        # x2 = x0 (r_pos at the clamp); x3 linear in x1 (no 2-D hull)
+        [-1.0, -1.0, -1.0, -0.4, 0.31],
+        [1.0, -1.0, 1.0, -0.4, -0.72],
+        [-1.0, 1.0, -1.0, 0.6, 0.05],
+        [1.0, 1.0, 1.0, 0.6, 0.66],
+        [0.2, 0.5, 0.2, 0.35, -0.18],
+        [-0.3, 0.1, -0.3, 0.15, 0.93],
+    ]
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(variant=st.sampled_from(MP_VARIANTS), u=_mp_fit_matrices())
+@example(variant=V.MP2, u=_MIXED)
+@example(variant=V.RECT, u=_MIXED)
+@example(variant=V.MP1, u=_MIXED[:1])
+@example(variant=V.LTRI, u=_MIXED[:, ::-1])
+def test_matrix_fit_is_the_pairwise_fit(variant, u):
+    """Every entry of the one-stage matrix fit is _pick_extreme of the
+    one-end-at-a-time reference on all samples of its pair, and the
+    matrix warns as ccc_fit does pair by pair, in the same order."""
+    R, messages = _warning_messages(lambda: cq.fit_correlation_matrix("ccc", variant, u))
+    expected = []
+    for i in range(u.shape[1]):
+        for j in range(i + 1, u.shape[1]):
+            pair = u[:, (i, j)]
+            reference = _pick_extreme(*_full_set_mp_interval(variant, pair), pair)
+            assert R.entries[i, j].hex() == float(reference).hex()
+            expected += _warning_messages(lambda: ccc_fit(variant, pair))[1]
+    assert messages == expected
+
+
+@pytest.mark.parametrize("variant", MP_VARIANTS, ids=lambda v: v.value)
+def test_mp_matrix_fit_work_is_one_grid_call_per_pair(variant, monkeypatch):
+    """P pairs take P grid calls of the feasibility test and at most 64
+    bisection calls for all of them together."""
+    grid_calls, bisection_calls = [], []
+    feasible = correlation._mp_feasible
+
+    def counted(terms, u, starts):
+        (grid_calls if len(terms[0]) == len(correlation._GRID) else bisection_calls).append(1)
+        return feasible(terms, u, starts)
+
+    monkeypatch.setattr(correlation, "_mp_feasible", counted)
+    rng = np.random.Generator(np.random.Philox(key=19))
+    u = rng.uniform(-0.95, 0.95, size=(40, 6))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateData)
+        cq.fit_correlation_matrix("ccc", variant, u)
+    assert len(grid_calls) == 15
+    assert 0 < len(bisection_calls) <= 64
+
+
+def _peak_bytes(fit):
+    tracemalloc.start()
+    try:
+        fit()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_mp_fit_memory_is_bounded_without_a_2d_hull():
+    """A collinear pair keeps all its N samples as candidates; the grid
+    test still holds a few blocks, not several 2001 x N arrays (about
+    400 MB at N = 5000), and a matrix beside it stays linear in N."""
+    rng = np.random.Generator(np.random.Philox(key=23))
+    t = rng.uniform(-1.0, 1.0, size=5000)
+    collinear = np.column_stack([t, 0.5 * t + 0.25])
+    assert _hull_candidates(collinear) is collinear
+    assert _peak_bytes(lambda: ccc_fit(V.MP2, collinear)) < 16e6
+    u = np.column_stack([collinear, rng.uniform(-1.0, 1.0, size=(5000, 2))])
+    assert _peak_bytes(lambda: cq.fit_correlation_matrix("ccc", V.MP2, u)) < 16e6
 
 
 def test_hull_candidates_keep_vertices_and_edge_points():
@@ -329,8 +447,35 @@ def test_ccc_fit_refuses_a_variant_that_is_not_a_model_variant(variant):
     u = np.array([[0.3, 0.1], [-0.5, 0.4], [0.2, -0.6]])
     with pytest.raises(ValueError, match=f"variant must be a ModelVariant, got {variant!r}"):
         ccc_fit(variant, u)
-    with pytest.raises(ValueError, match="variant must be a ModelVariant"):
-        cq.fit_correlation_matrix("ccc", variant, u)
+    # a lone column has no pair to fit and is refused all the same
+    for columns in (u, u[:, :1]):
+        with pytest.raises(ValueError, match="variant must be a ModelVariant"):
+            cq.fit_correlation_matrix("ccc", variant, columns)
+
+
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_fit_matrix_checks_options_before_any_work(n):
+    """method, variant and on_infeasible are refused at every n, even on
+    rows that are not 2-D."""
+    u = np.full((4, n), 0.5)
+    for rows in (u, u.ravel()):
+        with pytest.raises(ValueError, match="method must be 'ccc' or 'scc', got 'pearson'"):
+            cq.fit_correlation_matrix("pearson", V.MP2, rows)
+        with pytest.raises(ValueError, match="on_infeasible must be 'error' or 'relax'"):
+            cq.fit_correlation_matrix("scc", None, rows, on_infeasible="bogus")
+        with pytest.raises(ValueError, match="on_infeasible must be 'error' or 'relax'"):
+            cq.fit_correlation_matrix("ccc", V.ME, rows, on_infeasible="bogus")
+
+
+def test_fit_matrix_refuses_out_of_box_entry_before_any_pair():
+    """The box check covers every column before the first pair is fitted,
+    so pair (0, 1), which would warn at the clamp, does not."""
+    u = np.array([[0.5, 0.5, 0.2], [-0.3, -0.3, 1.5], [0.9, 0.9, -0.1]])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match=r"must lie in \[-1, 1\]"):
+            cq.fit_correlation_matrix("ccc", V.MP2, u)
+    assert not caught
 
 
 def _warning_messages(fit):
