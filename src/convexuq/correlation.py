@@ -44,8 +44,12 @@ _TIE_TOL = 1e-9
 # margin by which a sample must lie inside every hull edge before the MP fit
 # may drop it; why this keeps the fit bit-identical is in _mp_intervals
 _HULL_TOL = 1e-9
-# most (r, sample) elements _mp_feasible holds in one of its temporaries
-_BLOCK = 1 << 17
+# most elements a blocked CCC stage holds in one temporary: (r, sample) for
+# the parallelepipeds, (sample, pair) for the ellipse. An _mp_feasible block
+# holds about ten such temporaries, so this keeps it near 1 MB
+_BLOCK = 1 << 14
+# grid points per cell of the witness pass; see _witness_pass
+_CELL = 25
 
 
 class ModelVariant(enum.Enum):
@@ -225,38 +229,80 @@ def _mp_terms(variant: ModelVariant, r: np.ndarray) -> tuple[np.ndarray, ...]:
     return a11, a12, a21, a22, a11 * a22 - a12 * a21
 
 
-def _mp_feasible(
-    terms: tuple[np.ndarray, ...], u: np.ndarray, starts: np.ndarray | list[int]
-) -> np.ndarray:
-    """For each of G values of r and each of P pairs, do all the pair's
-    sample rows lie inside its 2D domain |S(r)^-1 u| <= e (with membership
-    tolerance)? u stacks the K rows of every pair, pair p's from
-    starts[p] on; terms are _mp_terms, each broadcastable to (G, K).
-    Returns a (G, P) bool array.
+def _mp_distance(terms: tuple[np.ndarray, ...], u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+    """|S(r)^-1 u|_inf of each (r, row) element, with S^-1 u taken through
+    the 2x2 adjugate; terms are _mp_terms, and terms, u1 and u2 broadcast
+    to the elements' shape, which a22 * u1 already has. The one formula of
+    every MP feasibility test: an element's value has the same bits
+    wherever it is computed."""
+    a11, a12, a21, a22, det = terms
+    d1 = a22 * u1
+    d1 -= a12 * u2
+    d1 /= det
+    d2 = -a21 * u1
+    d2 += a11 * u2
+    d2 /= det
+    np.abs(d1, out=d1)
+    np.abs(d2, out=d2)
+    return np.maximum(d1, d2, out=d1)
 
-    The rows go in blocks of at most _BLOCK (r, row) elements, and each
-    pair takes the exact max of its rows, so neither the blocks nor the
-    other pairs change any answer: every test is elementwise in r and in
-    sample."""
-    g, k = terms[0].shape[0], len(u)
-    terms = [np.broadcast_to(t, (g, k)) for t in terms]
-    worst = np.full((g, len(starts)), -np.inf)
-    step = max(1, _BLOCK // g)
-    for lo in range(0, k, step):
-        hi = min(lo + step, k)
-        a11, a12, a21, a22, det = (t[:, lo:hi] for t in terms)
-        u1, u2 = u[lo:hi, 0], u[lo:hi, 1]
-        # delta = S^-1 u via the 2x2 adjugate, (G, rows)
-        d1 = (a22 * u1 - a12 * u2) / det
-        d2 = (-a21 * u1 + a11 * u2) / det
-        dist = np.maximum(np.abs(d1), np.abs(d2))
-        # the pairs with rows in this block, and where each one's rows begin in it
-        first = np.searchsorted(starts, lo, side="right") - 1
-        last = np.searchsorted(starts, hi)
-        cuts = np.maximum(starts[first:last], lo) - lo
-        part = worst[:, first:last]
-        np.maximum(part, np.maximum.reduceat(dist, cuts, axis=1), out=part)
+
+def _blocks(begins: np.ndarray, size: int, step: int):
+    """Walk a run of size elements cut into segments at begins (sorted,
+    from 0, none empty) in blocks of at most step elements; yield each
+    block's (lo, hi), the segments a:b it meets, and where each of them
+    begins in it."""
+    for lo in range(0, size, step):
+        hi = min(lo + step, size)
+        a = int(np.searchsorted(begins, lo, side="right")) - 1
+        b = int(np.searchsorted(begins, hi))
+        yield lo, hi, a, b, np.maximum(begins[a:b], lo) - lo
+
+
+def _mp_feasible(
+    terms: tuple[np.ndarray, ...], coords: np.ndarray, first: np.ndarray, counts: np.ndarray
+) -> np.ndarray:
+    """For each of T tests, do all its sample rows lie inside its 2D domain
+    |S(r)^-1 u| <= e (with membership tolerance)? Test t reads the counts[t]
+    rows of coords (a (2, K) array of u1 and u2) from first[t] on, at the r
+    whose _mp_terms are each term's entry t. Returns a (T,) bool array.
+
+    The tests' (r, row) elements go in blocks of at most _BLOCK, and each
+    test takes the exact max of its rows' _mp_distance, so neither the
+    blocks nor the other tests change any answer: every value is
+    elementwise in r and in sample."""
+    begins = np.cumsum(counts) - counts
+    shift = first - begins
+    worst = np.full(len(counts), -np.inf)
+    for lo, hi, a, b, cuts in _blocks(begins, int(counts.sum()), _BLOCK):
+        lengths = np.diff(cuts, append=hi - lo)
+        row = np.arange(lo, hi) + np.repeat(shift[a:b], lengths)
+        u1, u2 = coords[0, row], coords[1, row]
+        del row
+        dist = _mp_distance([np.repeat(t[a:b], lengths) for t in terms], u1, u2)
+        part = worst[a:b]
+        np.maximum(part, np.maximum.reduceat(dist, cuts), out=part)
     return worst <= 1.0 + MEMBERSHIP_TOL
+
+
+def _witnesses(terms: tuple[np.ndarray, ...], coords: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """For each of C values of r (terms of shape (C,)) and each pair, the
+    index in coords of the pair's first candidate row at the largest
+    _mp_distance. Pair p's rows run from starts[p] to the next start; rows
+    go in blocks of at most _BLOCK (r, row) elements. Returns (C, P)."""
+    c, k = len(terms[0]), coords.shape[1]
+    column = [t[:, None] for t in terms]
+    best = np.full((c, len(starts)), -np.inf)
+    which = np.zeros((c, len(starts)), dtype=np.intp)
+    for lo, hi, a, b, cuts in _blocks(starts, k, max(1, _BLOCK // c)):
+        dist = _mp_distance(column, coords[0, lo:hi], coords[1, lo:hi])
+        top = np.maximum.reduceat(dist, cuts, axis=1)
+        reach = dist == np.repeat(top, np.diff(cuts, append=hi - lo), axis=1)
+        arg = np.minimum.reduceat(np.where(reach, np.arange(lo, hi), k), cuts, axis=1)
+        gain = top > best[:, a:b]
+        np.copyto(best[:, a:b], top, where=gain)
+        np.copyto(which[:, a:b], arg, where=gain)
+    return which
 
 
 def _pick_extreme(r_neg: float, r_pos: float, u: np.ndarray) -> float:
@@ -267,14 +313,28 @@ def _pick_extreme(r_neg: float, r_pos: float, u: np.ndarray) -> float:
     return r_pos if abs(r_pos) > abs(r_neg) else r_neg
 
 
-def _me_interval(u: np.ndarray) -> tuple[float, float]:
-    """Closed-form ME feasible interval: the intersection (lo, hi) of the
-    per-sample feasible r-intervals of the ellipse family
-    u1^2 + u2^2 - 2 r u1 u2 <= 1 - r^2; empty when lo > hi."""
-    u1, u2 = u[:, 0], u[:, 1]
-    prod = u1 * u2
-    half = np.sqrt(np.maximum((1.0 - u1 * u1) * (1.0 - u2 * u2), 0.0))
-    return float(np.max(prod - half)), float(np.min(prod + half))
+def _me_intervals(u: np.ndarray, pairs: list[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form ME feasible intervals (lo, hi) of every column pair of u,
+    as two arrays in the order of pairs: the intersection of the per-sample
+    feasible r-intervals of the ellipse family u1^2 + u2^2 - 2 r u1 u2 <=
+    1 - r^2; empty when lo > hi. The per-sample bounds of all pairs are
+    taken as columns, in blocks of at most _BLOCK (sample, pair) elements,
+    and each pair's lo and hi are the exact max and min of its samples'."""
+    first, second = np.array(pairs).T
+    lo, hi = np.full(len(pairs), -np.inf), np.full(len(pairs), np.inf)
+    rows = min(len(u), _BLOCK)
+    step = max(1, _BLOCK // rows)
+    for r0 in range(0, len(u), rows):
+        block = u[r0 : r0 + rows]
+        for p0 in range(0, len(pairs), step):
+            u1, u2 = block[:, first[p0 : p0 + step]], block[:, second[p0 : p0 + step]]
+            prod = u1 * u2
+            half = np.sqrt(np.maximum((1.0 - u1 * u1) * (1.0 - u2 * u2), 0.0))
+            part = lo[p0 : p0 + step]
+            np.maximum(part, (prod - half).max(axis=0), out=part)
+            part = hi[p0 : p0 + step]
+            np.minimum(part, (prod + half).min(axis=0), out=part)
+    return lo, hi
 
 
 def _hull_candidates(u: np.ndarray) -> np.ndarray:
@@ -290,6 +350,65 @@ def _hull_candidates(u: np.ndarray) -> np.ndarray:
     return u[depth > -_HULL_TOL]
 
 
+def _witness_pass(terms: tuple[np.ndarray, ...], coords: np.ndarray, starts: np.ndarray):
+    """The (grid point, pair) tests that the witnesses leave open, as two
+    index arrays in pair order, then point order; terms are _mp_terms of
+    _GRID, and pair p's candidate rows are the columns of coords from
+    starts[p] to the next start.
+
+    The grid is cut into cells of _CELL points, each between two coarse
+    points (every _CELL-th grid point). A pair's witnesses are its
+    _witnesses at the coarse points, and every grid point is tested on the
+    witnesses of its cell's two coarse points, pairs in blocks of at most
+    _BLOCK (point, witness) elements. A point where a witness's distance
+    exceeds 1 + MEMBERSHIP_TOL is infeasible; every other point stays
+    open."""
+    coarse = np.arange(0, len(_GRID), _CELL)
+    witnesses = _witnesses([t[coarse] for t in terms], coords, starts)
+    # cell c holds grid points c*_CELL onward and lies between coarse points
+    # c and c + 1; the last cell's tail past the grid repeats its last point
+    padded = [t[np.minimum(np.arange(len(coarse) * _CELL), len(_GRID) - 1)] for t in terms]
+    upper = np.minimum(np.arange(1, len(coarse) + 1), len(coarse) - 1)
+    step = max(1, _BLOCK // padded[0].size)
+    points, pairs = [], []
+    for p0 in range(0, len(starts), step):
+        lower = witnesses[:, p0 : p0 + step].T
+        open_ = True
+        for rows in (lower, lower[:, upper]):
+            # one row per pair, one column per padded grid point
+            u1, u2 = (np.repeat(coords[axis, rows], _CELL, axis=1) for axis in (0, 1))
+            open_ = open_ & (_mp_distance(padded, u1, u2) <= 1.0 + MEMBERSHIP_TOL)
+        pair, point = np.nonzero(open_[:, : len(_GRID)])
+        points.append(point)
+        pairs.append(pair + p0)
+    return np.concatenate(points), np.concatenate(pairs)
+
+
+def _grid_ends(
+    variant: ModelVariant, coords: np.ndarray, starts: np.ndarray, counts: np.ndarray
+) -> np.ndarray:
+    """The first and last feasible _GRID index of every pair, a (2, P)
+    array; pair p's candidate rows are the counts[p] columns of coords
+    from starts[p] on. Every (point, pair) that _witness_pass leaves open
+    takes the full test, one _mp_feasible call on all of them, each with
+    its own r.
+
+    This gives the grid answers of testing every point on every candidate.
+    A witness is one of its pair's candidates, and _mp_distance gives its
+    distance the bits of the same element inside the full test's exact
+    max, which is at least that value. So a point that a witness rules out
+    fails the full test too, and every other point takes the full test.
+    The choice of witnesses affects only how many points remain."""
+    terms = _mp_terms(variant, _GRID)
+    point, pair = _witness_pass(terms, coords, starts)
+    feasible = _mp_feasible([t[point] for t in terms], coords, starts[pair], counts[pair])
+    point, pair = point[feasible], pair[feasible]
+    # never empty for a pair: r = 0 is on the grid, S(0) = I, and _ccc_fits
+    # admits |u| <= 1 + 1e-9 only
+    index = np.arange(len(starts))
+    return point[[np.searchsorted(pair, index), np.searchsorted(pair, index, side="right") - 1]]
+
+
 def _mp_intervals(
     variant: ModelVariant, u: np.ndarray, pairs: list[tuple[int, int]]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -298,12 +417,13 @@ def _mp_intervals(
     order of pairs. Feasibility in r need not be one interval, so each
     pair's first and last feasible grid points are bisected toward their
     infeasible outer neighbours; an end at the clamp has no neighbour and
-    stays there. The grid is one _mp_feasible call per pair, on grid
-    terms built once per call; the bisection is one loop for both ends of
-    every pair, each step one _mp_feasible call over the stacked
-    candidates of all pairs. Each pair gets the grid indices, bisection
-    path and ends it would get alone: its tests are its own, and a closed
-    end retests its own feasible r, so it does not move.
+    stays there. The grid is one stage over all pairs (_grid_ends: a
+    witness pass, then one full test of the points it leaves open); the
+    bisection is one loop for both ends of every pair, each step one
+    _mp_feasible call over the stacked candidates of all pairs. Each pair
+    gets the grid indices, bisection path and ends it would get alone: its
+    tests are its own, and a closed end retests its own feasible r, so it
+    does not move.
 
     The grid and the bisections test only _hull_candidates of each pair;
     the SCC tie-break in _finish_ccc still reads every sample. This returns
@@ -313,37 +433,32 @@ def _mp_intervals(
     has p + tau*B inside H (tau = _HULL_TOL, B the unit disc), so
     p*(1 + tau/|p|) lies in H and f_r(p) <= max_H f_r / (1 + tau/sqrt(2)):
     a relative margin of about 7e-10, since |p| <= sqrt(2) in the unit
-    box. Rounding in _mp_feasible stays below 1e-13 relative, even at the
+    box. Rounding in _mp_distance stays below 1e-13 relative, even at the
     clamp, where |S^-1| reaches about 1e3 (1e6 for MP-I). The test against
     1 + MEMBERSHIP_TOL therefore gives the same answer at every r the fit
     visits, and with it the same grid indices, bisection path and fitted
     r. The hull edges are computed in floating point, so the guarantee
     rests on the tau margin alone.
     """
-    grid_terms = _mp_terms(variant, _GRID[:, None])
-    candidates, ends = [], []
-    for pair in pairs:
-        # one pair's (N, 2) copy at a time; only its candidates are kept
-        candidates.append(_hull_candidates(u[:, pair]))
-        feasible = _mp_feasible(grid_terms, candidates[-1], [0])[:, 0]
-        # never all False: r = 0 is on the grid, S(0) = I, and _ccc_fits admits |u| <= 1 + 1e-9 only
-        ends.append(np.flatnonzero(feasible)[[0, -1]])
-    ends = np.array(ends).T
+    # one pair's (N, 2) copy at a time; only its candidates are kept
+    candidates = [_hull_candidates(u[:, pair]) for pair in pairs]
+    counts = np.array([len(c) for c in candidates])
+    starts = np.cumsum(counts) - counts
+    coords = np.concatenate(candidates).T.copy()
+    del candidates
+    ends = _grid_ends(variant, coords, starts, counts)
     feas = _GRID[ends]
     # an end at the clamp brackets itself, so it starts closed
     infeas = _GRID[np.clip(ends + [[-1], [1]], 0, len(_GRID) - 1)]
-    counts = [len(c) for c in candidates]
-    starts = np.cumsum([0] + counts[:-1])
-    rows = np.concatenate(candidates)
+    both_starts, both_counts = np.tile(starts, 2), np.tile(counts, 2)
     for _ in range(64):
         open_ = np.abs(infeas - feas) > _REFINE_TOL
         if not open_.any():
             break
         # a closed end retests its own feasible r, so neither side moves
         mid = np.where(open_, (feas + infeas) / 2.0, feas)
-        # each pair's two r, repeated over its candidate rows
-        terms = [np.repeat(t, counts, axis=1) for t in _mp_terms(variant, mid)]
-        ok = _mp_feasible(terms, rows, starts)
+        terms = [t.ravel() for t in _mp_terms(variant, mid)]
+        ok = _mp_feasible(terms, coords, both_starts, both_counts).reshape(mid.shape)
         feas = np.where(ok, mid, feas)
         infeas = np.where(ok, infeas, mid)
     return feas[0], feas[1]
@@ -365,21 +480,20 @@ def _ccc_fits(
     on_infeasible: str,
 ) -> list[float]:
     """The CCC of every column pair of u, in the order of pairs: first the
-    feasible r-interval of every pair (_me_interval one pair at a time,
-    _mp_intervals all pairs together), then each pair finished on its own,
-    warnings and errors in pair order."""
+    feasible r-interval of every pair (_me_intervals or _mp_intervals, all
+    pairs together), then each pair finished on its own, warnings and
+    errors in pair order."""
     if u.shape[0] < 1:
         raise DimensionMismatch("need at least one sample pair")
     if not np.all(np.abs(u) <= 1.0 + 1e-9):  # also refuses nan
         raise ValueError("u_pairs entries must lie in [-1, 1]")
     if variant is ModelVariant.ME:
-        intervals = [_me_interval(u[:, pair]) for pair in pairs]
+        lo, hi = _me_intervals(u, pairs)
     else:
-        r_neg, r_pos = _mp_intervals(variant, u, pairs)
-        intervals = zip(r_neg.tolist(), r_pos.tolist())
+        lo, hi = _mp_intervals(variant, u, pairs)
     return [
-        _finish_ccc(lo, hi, u[:, pair], on_infeasible)
-        for pair, (lo, hi) in zip(pairs, intervals)
+        _finish_ccc(lo_p, hi_p, u[:, pair], on_infeasible)
+        for pair, lo_p, hi_p in zip(pairs, lo.tolist(), hi.tolist())
     ]
 
 
@@ -419,7 +533,7 @@ def ccc_fit(
 
     u_pairs is an (N, 2) array with every entry in [-1, 1]. This is the
     one-pair call of fit_correlation_matrix's CCC stage: both families
-    reduce the pair to a feasible r-interval (_me_interval,
+    reduce the pair to a feasible r-interval (_me_intervals,
     _mp_intervals), which the stage then finishes. Returns the r of
     maximal |r| whose 2D domain encloses all pairs; ties between the
     positive and negative extremes go to the SCC sign. Fits reaching the
@@ -516,10 +630,14 @@ def fit_correlation_matrix(
 
     "ccc" fits every pair in one stage, the one ccc_fit calls for its one
     pair, so each entry is that pair's ccc_fit, bit for bit and with its
-    warnings in pair order: the feasible intervals of all pairs first (for
-    the parallelepipeds one grid test per pair, then one bisection over
-    all pairs together; see _mp_intervals), then each pair finished on its
-    own. SCC values that land exactly at ±1 are pulled to the clamp with a
+    warnings in pair order: the feasible intervals of all pairs first,
+    then each pair finished on its own. For the ellipse the intervals are
+    closed-form, all pairs as columns of one blocked pass. For the
+    parallelepipeds one grid stage serves all pairs: a witness pass rules
+    out most grid points with one candidate each, and one full test
+    settles the rest on all candidates, with the answers of testing every
+    point (see _grid_ends); then one bisection runs over all pairs
+    together (see _mp_intervals). SCC values that land exactly at ±1 are pulled to the clamp with a
     DegenerateData warning so assembly stays valid."""
     _check_fit_options(method, variant, on_infeasible)
     u = np.asarray(u_rows, dtype=float)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 
 import convexuq as cq
 import convexuq.correlation as correlation
@@ -106,16 +107,19 @@ def test_rect_family_discontinuous_at_zero():
 def _full_set_feasible(variant, r, u):
     """For each r, do all sample rows u lie inside the variant's 2D domain
     |S(r)^-1 u| <= e (with membership tolerance)? Every sample, one (G, N)
-    array: the reference for the library's blocked, batched test."""
-    shapes = _mp_shape_2d(variant, r)
-    a11, a12 = shapes[..., 0, 0], shapes[..., 0, 1]
-    a21, a22 = shapes[..., 1, 0], shapes[..., 1, 1]
-    det = a11 * a22 - a12 * a21
-    u1, u2 = u[:, 0], u[:, 1]
-    d1 = (a22[:, None] * u1 - a12[:, None] * u2) / det[:, None]
-    d2 = (-a21[:, None] * u1 + a11[:, None] * u2) / det[:, None]
-    worst = np.maximum(np.abs(d1), np.abs(d2)).max(axis=1)
-    return worst <= 1.0 + correlation.MEMBERSHIP_TOL
+    array per 64 values of r: the reference for the library's blocked,
+    batched test."""
+    worst = []
+    for lo in range(0, len(r), 64):
+        shapes = _mp_shape_2d(variant, r[lo : lo + 64])
+        a11, a12 = shapes[..., 0, 0], shapes[..., 0, 1]
+        a21, a22 = shapes[..., 1, 0], shapes[..., 1, 1]
+        det = a11 * a22 - a12 * a21
+        u1, u2 = u[:, 0], u[:, 1]
+        d1 = (a22[:, None] * u1 - a12[:, None] * u2) / det[:, None]
+        d2 = (-a21[:, None] * u1 + a11[:, None] * u2) / det[:, None]
+        worst.append(np.maximum(np.abs(d1), np.abs(d2)).max(axis=1))
+    return np.concatenate(worst) <= 1.0 + correlation.MEMBERSHIP_TOL
 
 
 def _me_values(r, u):
@@ -257,8 +261,26 @@ def _mp_fit_samples(draw):
     return np.array(base)[picks]
 
 
+def _copula(key, size, loads):
+    """Seeded in-box samples with one common Gaussian factor, as the
+    benchmark's wide sets draw them: column j loads loads[j] on it."""
+    rng = np.random.Generator(np.random.Philox(key=key))
+    loads = np.asarray(loads)
+    z = rng.standard_normal((size, 1)) * loads + rng.standard_normal((size, len(loads))) * np.sqrt(
+        1.0 - loads**2
+    )
+    return 2.0 * ndtr(z) - 1.0
+
+
 @settings(max_examples=150, deadline=None)
 @given(variant=st.sampled_from(MP_VARIANTS), u=_mp_fit_samples())
+# copula pairs where only a few grid points are feasible, so nearly every
+# point is settled by a witness alone
+@example(variant=V.MP2, u=_copula(31, 200, [0.6, -0.4]))
+@example(variant=V.MP1, u=_copula(32, 200, [0.9, 0.9]))
+@example(variant=V.RECT, u=_copula(33, 2000, [0.5, 0.3]))
+@example(variant=V.LTRI, u=_copula(34, 2000, [-0.9, 0.7]))
+@example(variant=V.UTRI, u=_copula(35, 2000, [0.2, 0.0]))
 @example(variant=V.MP2, u=np.array([[0.4, -0.3]]))
 @example(variant=V.RECT, u=np.array([[0.4, -0.3], [-0.2, 0.7]]))
 @example(variant=V.LTRI, u=np.array([[1.0, 1.0], [-1.0, -1.0], [0.3, 0.3], [0.1, 0.2]]))
@@ -269,8 +291,9 @@ def _mp_fit_samples(draw):
 # both ends at the clamp: no bisection
 @example(variant=V.UTRI, u=np.array([[0.0, 0.0]]))
 def test_mp_ccc_hull_reduction_is_bit_identical(variant, u):
-    """Both ends bisected together on the hull candidates give the bits
-    of each end bisected on its own over every sample."""
+    """The witness-settled grid and both ends bisected together on the hull
+    candidates give the bits of the whole grid and each end bisected on
+    its own over every sample."""
     r_neg, r_pos = _full_set_mp_interval(variant, u)
     assert [a.tolist() for a in _mp_intervals(variant, u, [(0, 1)])] == [[r_neg], [r_pos]]
     with warnings.catch_warnings():
@@ -337,25 +360,94 @@ def test_matrix_fit_is_the_pairwise_fit(variant, u):
     assert messages == expected
 
 
-@pytest.mark.parametrize("variant", MP_VARIANTS, ids=lambda v: v.value)
-def test_mp_matrix_fit_work_is_one_grid_call_per_pair(variant, monkeypatch):
-    """P pairs take P grid calls of the feasibility test and at most 64
-    bisection calls for all of them together."""
-    grid_calls, bisection_calls = [], []
+def _first_candidate_witnesses(terms, coords, starts):
+    """A poor witness choice: each pair's first candidate at every coarse r."""
+    return np.broadcast_to(starts, (len(terms[0]), len(starts)))
+
+
+def _full_test_elements(variant, u, monkeypatch):
+    """The (r, row) elements of the grid stage's full test, which is the
+    first _mp_feasible call of a fit, and the number of calls."""
+    calls = []
     feasible = correlation._mp_feasible
 
-    def counted(terms, u, starts):
-        (grid_calls if len(terms[0]) == len(correlation._GRID) else bisection_calls).append(1)
-        return feasible(terms, u, starts)
+    def counted(terms, coords, first, counts):
+        calls.append(int(np.sum(counts)))
+        return feasible(terms, coords, first, counts)
 
-    monkeypatch.setattr(correlation, "_mp_feasible", counted)
-    rng = np.random.Generator(np.random.Philox(key=19))
-    u = rng.uniform(-0.95, 0.95, size=(40, 6))
+    with monkeypatch.context() as patch:
+        patch.setattr(correlation, "_mp_feasible", counted)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateData)
+            cq.fit_correlation_matrix("ccc", variant, u)
+    return calls[0], len(calls)
+
+
+def _me_interval(u):
+    """The closed-form ME interval of one pair, its samples in one 1-D pass."""
+    u1, u2 = u[:, 0], u[:, 1]
+    prod = u1 * u2
+    half = np.sqrt(np.maximum((1.0 - u1 * u1) * (1.0 - u2 * u2), 0.0))
+    return float(np.max(prod - half)), float(np.min(prod + half))
+
+
+@settings(max_examples=60, deadline=None)
+@given(u=_mp_fit_matrices())
+@example(u=_MIXED)
+# rows ±e_k or 0: every pair's interval is [±0, ±0], and the rows span
+# more than one block
+@example(u=np.eye(4)[np.random.Generator(np.random.Philox(key=41)).integers(0, 4, 40000), :3]
+         * np.random.Generator(np.random.Philox(key=43)).choice([-1.0, 1.0], size=(40000, 1)))
+def test_me_matrix_intervals_are_the_pairwise_closed_form(u):
+    """All pairs' ME intervals taken as blocked columns have the bits of
+    each pair's own 1-D pass, and so does every matrix entry."""
+    n = u.shape[1]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    lo, hi = correlation._me_intervals(u, pairs)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateData)
-        cq.fit_correlation_matrix("ccc", variant, u)
-    assert len(grid_calls) == 15
-    assert 0 < len(bisection_calls) <= 64
+        R = cq.fit_correlation_matrix("ccc", V.ME, u, on_infeasible="relax")
+        for k, pair in enumerate(pairs):
+            interval = _me_interval(u[:, pair])
+            assert (lo[k].hex(), hi[k].hex()) == tuple(float(x).hex() for x in interval)
+            entry = correlation._finish_ccc(*interval, u[:, pair], "relax")
+            assert R.entries[pair].hex() == entry.hex()
+
+
+@pytest.mark.parametrize("variant", MP_VARIANTS, ids=lambda v: v.value)
+def test_mp_fit_with_poor_witnesses_is_bit_identical(variant, monkeypatch):
+    """Witnesses only save work: with each pair's first candidate as its
+    witness everywhere, the full test settles more points, and every entry
+    still has the one-end-at-a-time reference's bits."""
+    u = _copula(37, 200, [0.7, -0.5, 0.3])
+    good, _ = _full_test_elements(variant, u, monkeypatch)
+    monkeypatch.setattr(correlation, "_witnesses", _first_candidate_witnesses)
+    poor, _ = _full_test_elements(variant, u, monkeypatch)
+    assert poor > good
+    for data in (u, _MIXED):
+        R = _warning_messages(lambda: cq.fit_correlation_matrix("ccc", variant, data))[0]
+        for i in range(data.shape[1]):
+            for j in range(i + 1, data.shape[1]):
+                pair = data[:, (i, j)]
+                reference = _pick_extreme(*_full_set_mp_interval(variant, pair), pair)
+                assert R.entries[i, j].hex() == float(reference).hex()
+
+
+@pytest.mark.parametrize("variant", MP_VARIANTS, ids=lambda v: v.value)
+def test_mp_matrix_fit_work_does_not_grow_with_pairs(variant, monkeypatch):
+    """The grid stage is one full test of the (r, pair) points its witnesses
+    leave open, and the bisection at most 64 calls for all pairs together:
+    the feasibility calls do not grow from 6 pairs to 28, and the full test
+    covers at most a quarter of the whole grid's (r, row) elements."""
+    rng = np.random.Generator(np.random.Philox(key=19))
+    u = rng.uniform(-0.95, 0.95, size=(40, 6))
+    wider = np.column_stack([u, rng.uniform(-0.95, 0.95, size=(40, 2))])
+    _, small = _full_test_elements(variant, wider[:, :4], monkeypatch)
+    _, large = _full_test_elements(variant, wider, monkeypatch)
+    assert large <= small <= 1 + 64
+    full, _ = _full_test_elements(variant, u, monkeypatch)
+    rows = sum(len(_hull_candidates(u[:, (i, j)])) for i in range(6) for j in range(i + 1, 6))
+    assert full <= 0.25 * len(correlation._GRID) * rows
 
 
 def _peak_bytes(fit):
@@ -378,6 +470,14 @@ def test_mp_fit_memory_is_bounded_without_a_2d_hull():
     assert _peak_bytes(lambda: ccc_fit(V.MP2, collinear)) < 16e6
     u = np.column_stack([collinear, rng.uniform(-1.0, 1.0, size=(5000, 2))])
     assert _peak_bytes(lambda: cq.fit_correlation_matrix("ccc", V.MP2, u)) < 16e6
+
+
+def test_wide_mp_fit_memory_is_bounded():
+    """A generic wide fit, 435 pairs of 200 samples, holds a few blocks of
+    the witness pass and of the full test at a time, not whole grids."""
+    loads = np.random.Generator(np.random.Philox(key=29)).uniform(-0.5, 0.5, size=30)
+    u = _copula(29, 200, loads)
+    assert _peak_bytes(lambda: cq.fit_correlation_matrix("ccc", V.MP2, u)) < 3e6
 
 
 def test_hull_candidates_keep_vertices_and_edge_points():
