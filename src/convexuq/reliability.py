@@ -7,12 +7,17 @@ model's factor: the Cholesky factor P of R for the ellipsoid model
 models (membership iff ‖delta‖_∞ ≤ 1). The solver is multi-start:
 one array evaluation of g over every ray from the origin times 96 radial
 steps brackets the surface, and brentq finds the root in each ray's
-first sign change whose two ends are both defined; then one SLSQP
+first sign change whose two ends are both defined. Then one SLSQP
 problem for either norm, minimise s subject to g(delta) = 0 and delta in
-s·B_p, refines each start, with the central-difference gradient of g
-taken by one array evaluation over the 2n stencil points. A refined point
-off the surface is dropped, and the start's ray hit stands in for it. The
-reported index is the best surface point found.
+s·B_p, refines each of the 16 nearest hits. The starts are refined in
+lockstep: each keeps its own state in scipy's reverse-communication
+SLSQP core (the loop of minimize(method="SLSQP"), bit for bit), every
+round steps each unfinished start once, and one array evaluation carries
+the 2n-point central-difference stencils of every start that needs a
+gradient; constraint values are taken point by point. A refined point
+off the surface is dropped, and the start's ray hit stands in for it.
+The reported index is the best surface point found; `starts` records
+each refined start.
 
 The solver reads only `g.variables` and calls only `g.evaluate`;
 `evaluations` counts those calls, and one call may carry many points.
@@ -25,7 +30,15 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
-from scipy.optimize import brentq, minimize
+from scipy.optimize import brentq
+
+try:  # the SLSQP core that scipy's own minimize(method="SLSQP") loops over
+    from scipy.optimize._slsqplib import slsqp
+except ImportError as exc:
+    raise ImportError(
+        "convexuq requires scipy>=1.17: its reliability solver drives "
+        "scipy.optimize._slsqplib.slsqp, which this scipy lacks"
+    ) from exc
 
 from .correlation import ModelVariant
 from .errors import EvaluationError, NoSurfaceFound, UnboundVariable
@@ -37,6 +50,7 @@ __all__ = [
     "LimitState",
     "ReliabilityOptions",
     "ReliabilityResult",
+    "StartRecord",
     "to_delta",
     "from_delta",
     "reliability_index",
@@ -48,6 +62,8 @@ INFINITY = "infinity"
 _SCAN_STEPS = 96
 _AGREE_RTOL = 1e-4
 _G_TOL = 1e-8  # surface tolerance, relative to max(1, |g| at the midpoint)
+_FTOL = 1e-12  # SLSQP accuracy
+_MAXITER = 200  # SLSQP iterations per start
 
 
 def default_norm(model: ConvexModel) -> str:
@@ -63,6 +79,20 @@ class ReliabilityOptions:
 
 
 @dataclass(frozen=True)
+class StartRecord:
+    """One refined start: its ray's id, the distance of its ray hit, the
+    norm of its SLSQP point (None when that point is off the surface, so
+    the hit stood in for it), SLSQP's exit mode (0 is success) and its
+    iteration count."""
+
+    start_id: int
+    hit: float
+    refined: float | None
+    exit_mode: int
+    iterations: int
+
+
+@dataclass(frozen=True)
 class ReliabilityResult:
     eta: float
     delta_star: np.ndarray
@@ -71,6 +101,63 @@ class ReliabilityResult:
     converged: bool
     evaluations: int
     g_midpoint: float
+    starts: tuple[StartRecord, ...]  # the refined starts, nearest hit first
+
+
+class _Slsqp:
+    """One start's SLSQP problem over y = (delta, s): minimise s subject to
+    one equality (the surface) and m - 1 inequalities (the ball), with
+    acc = ftol = 1e-12 and at most 200 iterations, set up as
+    scipy.optimize.minimize(method="SLSQP") sets it up (no bounds).
+
+    `step` runs scipy's reverse-communication core once. It updates y and
+    the solver's state in place and leaves `mode` at 1 when it needs the
+    objective and constraint values at y (`fx`, `d`), at -1 when it needs
+    their gradients (`C`; the objective's, e_s, never changes), and at any
+    other value once it has finished, 0 being success."""
+
+    def __init__(self, y0: np.ndarray, m: int) -> None:
+        size = y0.size
+        meq = 1
+        self.y = np.clip(y0, -np.inf, np.inf)
+        self.fx = 0.0
+        self.gx = np.zeros(size)
+        self.gx[-1] = 1.0
+        self.C = np.zeros((m, size), order="F")
+        self.d = np.zeros(m)
+        self.lower = np.full(size, np.nan)  # nan marks an absent bound
+        self.upper = np.full(size, np.nan)
+        self.mult = np.zeros(m + 2 * size + 2)
+        self.indices = np.zeros(m + 2 * size + 2, dtype=np.int32)
+        # the core's worst-case workspace, as scipy sizes it
+        self.buffer = np.zeros(
+            size * (size + 1) // 2 + 3 * m * size - (m + 5 * size + 7) * meq
+            + 9 * m + 8 * size * size + 35 * size + meq * meq + 28
+        )
+        self.state = {  # the core's own variables, keyed as its C struct
+            **dict.fromkeys(("alpha", "f0", "gs", "h1", "h2", "h3", "h4", "t", "t0"), 0.0),
+            **dict.fromkeys(("exact", "inconsistent", "reset", "iter", "line", "mode"), 0),
+            "acc": _FTOL,
+            "tol": 10.0 * _FTOL,
+            "itermax": _MAXITER,
+            "m": m,
+            "meq": meq,
+            "n": size,
+        }
+
+    @property
+    def mode(self) -> int:
+        return self.state["mode"]
+
+    @property
+    def iterations(self) -> int:
+        return self.state["iter"]
+
+    def step(self) -> None:
+        slsqp(
+            self.state, self.fx, self.gx, self.C, self.d, self.y, self.mult,
+            self.lower, self.upper, self.buffer, self.indices,
+        )
 
 
 def _norm_of(delta: np.ndarray, norm: str) -> float:
@@ -189,66 +276,83 @@ def reliability_index(
         )
     hits.sort(key=lambda h: h[0])
 
-    def constraint_value(delta: np.ndarray) -> float:
-        value = g_of(from_delta(model, delta))
-        return 1e9 if math.isnan(value) else value / scale
-
-    def constraint_gradient(delta: np.ndarray) -> np.ndarray:
-        """Central differences of constraint_value with steps
-        1e-6·max(1, |delta_k|), all 2n stencil points in one evaluation."""
-        steps = 1e-6 * np.maximum(1.0, np.abs(delta))
-        stencil = np.concatenate([delta + np.diag(steps), delta - np.diag(steps)])
-        values = g_of(from_delta(model, stencil).T)
-        values = np.where(np.isnan(values), 1e9, values / scale)
-        return (values[:n] - values[n:]) / (2.0 * steps)
-
     # Epigraph form over y = (delta, s): minimise s subject to g(delta) = 0
     # and delta in s·B_p. Only the ball constraint depends on the norm.
-    s_grad = np.zeros(n + 1)
-    s_grad[-1] = 1.0
     if norm == EUCLIDEAN:
-        ball = {
-            "type": "ineq",
-            "fun": lambda y: y[-1] - np.linalg.norm(y[:-1]),
-            "jac": lambda y: np.append(-y[:-1] / np.linalg.norm(y[:-1]), 1.0),
-        }
+
+        def ball(y: np.ndarray) -> float:
+            return y[-1] - np.linalg.norm(y[:-1])
+
+        def ball_jac(y: np.ndarray) -> np.ndarray:
+            return np.append(-y[:-1] / np.linalg.norm(y[:-1]), 1.0)
+
     else:
         box_jac = np.block([[-np.eye(n), np.ones((n, 1))], [np.eye(n), np.ones((n, 1))]])
-        ball = {
-            "type": "ineq",
-            "fun": lambda y: np.concatenate([y[-1] - y[:-1], y[-1] + y[:-1]]),
-            "jac": lambda y: box_jac,
-        }
-    surface = {
-        "type": "eq",
-        "fun": lambda y: constraint_value(y[:-1]),
-        "jac": lambda y: np.append(constraint_gradient(y[:-1]), 0.0),
-    }
 
-    def refine(delta0: np.ndarray) -> np.ndarray | None:
-        """Constrained local descent from a surface point; returns the
-        SLSQP point if it lies on the surface, else None (the start's raw
-        hit stays the fallback)."""
-        result = minimize(
-            lambda y: float(y[-1]),
-            np.append(delta0, _norm_of(delta0, norm)),
-            jac=lambda y: s_grad,
-            method="SLSQP",
-            constraints=[surface, ball],
-            options={"maxiter": 200, "ftol": 1e-12},
-        )
-        candidate = result.x[:-1]
-        value = g_of(from_delta(model, candidate))
-        return candidate if not math.isnan(value) and abs(value) <= 10.0 * tol_abs else None
+        def ball(y: np.ndarray) -> np.ndarray:
+            return np.concatenate([y[-1] - y[:-1], y[-1] + y[:-1]])
+
+        def ball_jac(y: np.ndarray) -> np.ndarray:
+            return box_jac
+
+    def put_values(start: _Slsqp) -> None:
+        """Objective and constraint values at the start's y; the surface
+        value is g / max(1, |g_mid|), with 1e9 where g is undefined."""
+        start.fx = float(start.y[-1])
+        value = g_of(from_delta(model, start.y[:-1]))
+        start.d[0] = 1e9 if math.isnan(value) else value / scale
+        start.d[1:] = ball(start.y)
+
+    def put_gradients(batch: list[_Slsqp]) -> None:
+        """Constraint gradients at the y of every start in batch. The
+        surface row takes central differences of the surface value with
+        steps 1e-6·max(1, |delta_k|); the 2n stencil points of all starts
+        go to g in one evaluation. Each start's are mapped by their own
+        from_delta call: one product over all of them might take another
+        BLAS kernel and round differently."""
+        if not batch:
+            return
+        deltas = [start.y[:-1] for start in batch]
+        steps = [1e-6 * np.maximum(1.0, np.abs(delta)) for delta in deltas]
+        stencils = [np.concatenate([d + np.diag(h), d - np.diag(h)]) for d, h in zip(deltas, steps)]
+        points = np.concatenate([from_delta(model, stencil) for stencil in stencils])
+        values = g_of(points.T)
+        values = np.where(np.isnan(values), 1e9, values / scale)
+        for k, (start, h) in enumerate(zip(batch, steps)):
+            own = values[2 * n * k : 2 * n * (k + 1)]
+            start.C[0, :-1] = (own[:n] - own[n:]) / (2.0 * h)
+            start.C[1:] = ball_jac(start.y)
 
     # later hits lie no nearer than the 16th, so they cannot lower the
-    # minimum or change `converged` (the 16 raw hits already agree)
+    # minimum or change `converged` (the 16 raw hits already agree). All
+    # starts are refined together: each round steps every unfinished one,
+    # and one g call carries the gradient stencils of all that need them.
+    hits = hits[:16]
+    m = 2 if norm == EUCLIDEAN else 1 + 2 * n  # surface, then ball rows
+    starts = [_Slsqp(np.append(delta0, _norm_of(delta0, norm)), m) for *_, delta0 in hits]
+    for start in starts:
+        put_values(start)
+    put_gradients(starts)
+    active = starts
+    while active:
+        for start in active:
+            start.step()
+            if start.mode == 1:
+                put_values(start)
+        put_gradients([start for start in active if start.mode == -1])
+        active = [start for start in active if abs(start.mode) == 1]
+
     candidates: list[tuple[float, int, np.ndarray]] = []
-    for t_root, start_id, delta0 in hits[:16]:
-        refined = refine(delta0)
-        if refined is not None:
-            candidates.append((_norm_of(refined, norm), start_id, refined))
+    records = []
+    for (t_root, start_id, delta0), start in zip(hits, starts):
+        refined = start.y[:-1]
+        value = g_of(from_delta(model, refined))
+        length = None
+        if not math.isnan(value) and abs(value) <= 10.0 * tol_abs:
+            length = _norm_of(refined, norm)
+            candidates.append((length, start_id, refined))
         candidates.append((t_root, start_id, delta0))  # raw hit as fallback
+        records.append(StartRecord(start_id, t_root, length, start.mode, start.iterations))
 
     best_eta = min(c[0] for c in candidates)
     near = [c for c in candidates if c[0] <= best_eta * (1.0 + 1e-9)]
@@ -264,4 +368,5 @@ def reliability_index(
         converged=converged,
         evaluations=evaluations,
         g_midpoint=float(g_mid),
+        starts=tuple(records),
     )

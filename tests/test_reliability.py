@@ -1,12 +1,19 @@
+import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq, minimize
 
 import convexuq as cq
 from convexuq import ModelVariant as V
+from convexuq import reliability
 from convexuq.errors import EvaluationError, NoSurfaceFound, UnboundVariable
 from convexuq.reliability import default_norm
 
@@ -367,3 +374,271 @@ def test_infinity_optimum_on_a_face(variant):
     assert result.eta == pytest.approx(0.9775, rel=1e-9)
     np.testing.assert_allclose(result.delta_star, [0.9775, -0.05, 0.2], atol=1e-6)
     assert result.converged
+
+
+# --------------------------------------------------------------------------
+# the lockstep SLSQP driver
+
+
+class _RecordedSlsqp(reliability._Slsqp):
+    """The solver's per-start SLSQP state, keeping its starting point and
+    its number of core steps; `log` (when set) also gets one "step" entry
+    per core step."""
+
+    made: list = []
+    log: list | None = None
+
+    def __init__(self, y0, m):
+        super().__init__(y0, m)
+        self.y0 = self.y.copy()
+        self.steps = 0
+        _RecordedSlsqp.made.append(self)
+
+    def step(self):
+        self.steps += 1
+        if _RecordedSlsqp.log is not None:
+            _RecordedSlsqp.log.append("step")
+        super().step()
+
+
+@pytest.fixture()
+def recorded_starts(monkeypatch):
+    monkeypatch.setattr(_RecordedSlsqp, "made", [])
+    monkeypatch.setattr(_RecordedSlsqp, "log", None)
+    monkeypatch.setattr(reliability, "_Slsqp", _RecordedSlsqp)
+    return _RecordedSlsqp
+
+
+def _reference_slsqp(model, g, bindings, norm, y0):
+    """One start's refinement through the public minimize(method="SLSQP"):
+    the objective, constraints and options the solver refined each start
+    with, one problem at a time, each gradient one g call on its own 2n
+    stencil points."""
+    names, n = model.spec.names, model.n
+
+    def g_of(x):
+        env = dict(zip(names, x))
+        env.update(bindings)
+        try:
+            return g.evaluate(env)
+        except EvaluationError:
+            return math.nan
+
+    scale = max(1.0, abs(g_of(cq.from_delta(model, np.zeros(n)))))
+
+    def value(delta):
+        v = g_of(cq.from_delta(model, delta))
+        return 1e9 if math.isnan(v) else v / scale
+
+    def gradient(delta):
+        steps = 1e-6 * np.maximum(1.0, np.abs(delta))
+        stencil = np.concatenate([delta + np.diag(steps), delta - np.diag(steps)])
+        values = g_of(cq.from_delta(model, stencil).T)
+        values = np.where(np.isnan(values), 1e9, values / scale)
+        return (values[:n] - values[n:]) / (2.0 * steps)
+
+    if norm == "euclidean":
+        ball = {
+            "type": "ineq",
+            "fun": lambda y: y[-1] - np.linalg.norm(y[:-1]),
+            "jac": lambda y: np.append(-y[:-1] / np.linalg.norm(y[:-1]), 1.0),
+        }
+    else:
+        box_jac = np.block([[-np.eye(n), np.ones((n, 1))], [np.eye(n), np.ones((n, 1))]])
+        ball = {
+            "type": "ineq",
+            "fun": lambda y: np.concatenate([y[-1] - y[:-1], y[-1] + y[:-1]]),
+            "jac": lambda y: box_jac,
+        }
+    surface = {
+        "type": "eq",
+        "fun": lambda y: value(y[:-1]),
+        "jac": lambda y: np.append(gradient(y[:-1]), 0.0),
+    }
+    s_grad = np.zeros(n + 1)
+    s_grad[-1] = 1.0
+    return minimize(
+        lambda y: float(y[-1]),
+        y0,
+        jac=lambda y: s_grad,
+        method="SLSQP",
+        constraints=[surface, ball],
+        options={"maxiter": 200, "ftol": 1e-12},
+    )
+
+
+def _beam_model(variant, data_dir):
+    spec = cq.read_intervals_csv(data_dir / "beam_intervals.csv")
+    samples = cq.read_samples_csv(data_dir / "beam_samples.csv")
+    u = cq.regularize(spec, samples).rows
+    R = cq.ensure_positive_definite(cq.fit_correlation_matrix("scc", None, u), policy="repair")
+    return cq.build_model(variant, spec, R)
+
+
+def _beam_case(variant, norm):
+    def build(data_dir, bulk_model):
+        g = cq.parse_limit_state((data_dir / "beam_limit_state.txt").read_text(encoding="utf-8"))
+        return _beam_model(variant, data_dir), g, {"S": 250.0}, norm
+
+    return build
+
+
+def _synthetic_case(variant):
+    """A seeded n = 10 model and g = c - a·x - b·x2·x10, as the benchmark's
+    synthetic set draws them."""
+
+    def build(data_dir, bulk_model):
+        model = bulk_model(variant)
+        rng = np.random.default_rng(31)
+        a = rng.uniform(0.5, 1.5, 10) * rng.choice((-1.0, 1.0), 10)
+        c = float(a @ model.midpoints + 0.1 * model.midpoints[1] * model.midpoints[9])
+        c += 0.45 * float(np.abs(a) @ model.radii)
+        g = cq.parse_limit_state(f"{c!r} - ({linear_expr(a, 0.0)}) - 0.1*x2*x10")
+        return model, g, {}, None
+
+    return build
+
+
+def _edge_case(norm):
+    """g's surface ends where it becomes undefined (x2 < -0.2), and SLSQP's
+    steps across that edge meet the 1e9 penalty, and starts end with exit
+    mode 8 (positive directional derivative in the line search)."""
+
+    def build(data_dir, bulk_model):
+        spec = cq.make_marginal_spec([("x1", -1.0, 1.0), ("x2", -1.0, 1.0), ("x3", -1.0, 1.0)])
+        model = cq.build_model(V.MP2, spec, cq.CorrelationMatrix(entries=np.eye(3), method="scc"))
+        return model, cq.parse_limit_state("1 - x1 - x2 + 5*(x2 + 0.2)^0.5"), {}, norm
+
+    return build
+
+
+LOCKSTEP_CASES = {
+    "beam-me-euclidean": _beam_case(V.ME, "euclidean"),
+    "beam-me-infinity": _beam_case(V.ME, "infinity"),
+    "beam-mp2-euclidean": _beam_case(V.MP2, "euclidean"),
+    "beam-mp2-infinity": _beam_case(V.MP2, "infinity"),
+    "synthetic-n10-ltri": _synthetic_case(V.LTRI),
+    "synthetic-n10-me": _synthetic_case(V.ME),
+    "edge-infinity": _edge_case("infinity"),
+    "edge-euclidean": _edge_case("euclidean"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOCKSTEP_CASES))
+def test_lockstep_starts_match_public_slsqp(case, data_dir, bulk_model, recorded_starts):
+    """Every start's final point, exit mode and iteration count equal, by
+    float.hex, those of minimize(method="SLSQP") on the same problem from
+    the same point, although the solver steps all starts together and
+    takes all their gradient stencils in one g call per round."""
+    model, g, bindings, norm = LOCKSTEP_CASES[case](data_dir, bulk_model)
+    result = cq.reliability_index(model, g, cq.ReliabilityOptions(bindings=bindings, norm=norm))
+    starts = recorded_starts.made
+    assert len(starts) == len(result.starts) > 1
+    for start, record in zip(starts, result.starts):
+        reference = _reference_slsqp(model, g, bindings, result.norm, start.y0)
+        assert [v.hex() for v in start.y] == [v.hex() for v in reference.x]
+        assert record.exit_mode == start.mode == reference.status
+        assert record.iterations == start.iterations == reference.nit
+    # the starts finish in different rounds, so later rounds carry fewer
+    assert len({start.steps for start in starts}) > 1
+    if case.startswith("edge"):
+        assert any(record.exit_mode != 0 for record in result.starts)
+        assert any(record.refined is None for record in result.starts)
+
+
+@pytest.fixture()
+def ray_hits(monkeypatch):
+    """Counts the rays whose root brentq finds: the solver's ray hits (no
+    scan in these cases ends exactly on g = 0)."""
+    found = []
+
+    def counted(*args, **kwargs):
+        root = brentq(*args, **kwargs)
+        found.append(root)
+        return root
+
+    monkeypatch.setattr(reliability, "brentq", counted)
+    return found
+
+
+def test_start_records_account_for_the_index(data_dir, ray_hits):
+    """On beam SCC MP-II at S = 250 the nearest min(16, hits) ray hits are
+    refined, nearest first, and η is the least of their refined norms and
+    hits, up to the 1e-9 relative tie that delta* breaks."""
+    g = cq.parse_limit_state((data_dir / "beam_limit_state.txt").read_text(encoding="utf-8"))
+    model = _beam_model(V.MP2, data_dir)
+    result = cq.reliability_index(model, g, cq.ReliabilityOptions(bindings={"S": 250.0}))
+    records = result.starts
+    assert len(records) == min(16, len(ray_hits)) > 1
+    assert len({r.start_id for r in records}) == len(records)
+    hits = [r.hit for r in records]
+    assert hits == sorted(hits) == sorted(ray_hits)[: len(records)]
+    lengths = hits + [r.refined for r in records if r.refined is not None]
+    assert result.eta in lengths
+    assert min(lengths) <= result.eta <= min(lengths) * (1.0 + 1e-9)
+    assert all(r.exit_mode == 0 and 0 < r.iterations <= 200 for r in records)
+    with pytest.raises(AttributeError):
+        records[0].hit = 0.0
+
+
+class _LoggedLimitState(_BareLimitState):
+    """Logs the size of every array call ("scalar" for a float call)."""
+
+    __slots__ = ("log",)
+
+    def __init__(self, g, log):
+        super().__init__(g)
+        self.log = log
+
+    def evaluate(self, env):
+        sizes = [np.size(v) for v in env.values() if isinstance(v, np.ndarray)]
+        self.log.append(max(sizes) if sizes else "scalar")
+        return super().evaluate(env)
+
+
+@pytest.mark.parametrize("case", ["beam-mp2-infinity", "synthetic-n10-me", "edge-infinity"])
+def test_refinement_makes_one_stencil_call_per_round(
+    case, data_dir, bulk_model, recorded_starts, ray_hits
+):
+    """From the first start built on, each round of core steps is followed
+    by at most one array call, which carries the 2n-point stencils of
+    whole starts; the first carries those of every start."""
+    model, g, bindings, norm = LOCKSTEP_CASES[case](data_dir, bulk_model)
+    log: list = []
+    proxy = _LoggedLimitState(g, log)
+    recorded_starts.log = log
+    result = cq.reliability_index(model, proxy, cq.ReliabilityOptions(bindings=bindings, norm=norm))
+    expected_starts = min(16, len(ray_hits))
+    assert len(result.starts) == len(recorded_starts.made) == expected_starts
+    assert result.evaluations == proxy.calls == len(log) - log.count("step")
+    refinement = log[log.index("step") :]
+    before = log[: log.index("step")]
+    stencil = 2 * model.n
+    # before the first step: the scan's one array call, then the first stencil call
+    arrays_before = [entry for entry in before if entry != "scalar"]
+    assert arrays_before[-1] == stencil * expected_starts
+    assert len(arrays_before) == 2
+    rounds = "".join("s" if e == "step" else ("v" if e == "scalar" else "a") for e in refinement)
+    for between in rounds.split("s"):
+        assert between.count("a") <= 1
+    arrays = [entry for entry in refinement if entry not in ("step", "scalar")]
+    assert arrays and all(size % stencil == 0 for size in arrays)
+    assert all(size <= stencil * expected_starts for size in arrays)
+
+
+def test_import_names_the_scipy_requirement():
+    """A scipy without the SLSQP core the solver drives fails at import,
+    with the requirement in the message."""
+    probe = (
+        "import sys, types, scipy.optimize\n"
+        "sys.modules['scipy.optimize._slsqplib'] = types.ModuleType('scipy.optimize._slsqplib')\n"
+        "try:\n"
+        "    import convexuq\n"
+        "except ImportError as exc:\n"
+        "    print(exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cq.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+    )
+    assert "scipy>=1.17" in done.stdout
