@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from .domain import read_only
 from .errors import (
@@ -41,7 +40,7 @@ _GRID = read_only(
     np.concatenate(([-R_CLAMP], np.arange(-_STEPS, _STEPS + 1) * _GRID_STEP, [R_CLAMP]))
 )
 _TIE_TOL = 1e-9
-# margin by which a sample must lie inside every hull edge before the MP fit
+# margin by which a sample must lie inside every polygon edge before the MP fit
 # may drop it; why this keeps the fit bit-identical is in _mp_intervals
 _HULL_TOL = 1e-9
 # most elements a blocked CCC stage holds in one temporary: (r, sample) for
@@ -50,6 +49,8 @@ _HULL_TOL = 1e-9
 _BLOCK = 1 << 14
 # grid points per cell of the witness pass; see _witness_pass
 _CELL = 25
+# directions whose extreme rows are the polygon of _hull_candidates' second stage
+_DIRECTIONS = 32
 
 
 class ModelVariant(enum.Enum):
@@ -337,17 +338,63 @@ def _me_intervals(u: np.ndarray, pairs: list[tuple[int, int]]) -> tuple[np.ndarr
     return lo, hi
 
 
-def _hull_candidates(u: np.ndarray) -> np.ndarray:
-    """The samples that can bind an MP fit: every row of u not inside
-    every edge of the samples' convex hull by at least _HULL_TOL. Returns
-    u itself when qhull cannot build a 2-D hull (fewer than 3 points, or
-    all on one line)."""
-    try:
-        equations = ConvexHull(u).equations
-    except QhullError:
-        return u
-    depth = (u @ equations[:, :2].T + equations[:, 2]).max(axis=1)
-    return u[depth > -_HULL_TOL]
+def _not_inside(x: np.ndarray, y: np.ndarray, directions: int) -> np.ndarray:
+    """Which rows may lie on their pair's hull: x and y hold one pair's
+    coordinates per line, and a row is dropped (False) only when it lies
+    at least _HULL_TOL inside every edge line of its pair's polygon, the
+    rows extreme in `directions` evenly spaced directions in order of
+    angle. A zero-length edge has a nan normal, which np.fmax skips. So a
+    polygon of one point leaves every depth nan, and one with no area
+    puts each row on both sides of its edge lines; neither drops a row."""
+    angle = 2.0 * np.pi * np.arange(directions) / directions
+    cos, sin = np.cos(angle), np.sin(angle)
+    pick = np.stack([np.argmax(c * x + s * y, axis=1) for c, s in zip(cos, sin)], axis=1)
+    vx, vy = np.take_along_axis(x, pick, 1), np.take_along_axis(y, pick, 1)
+    ex, ey = np.roll(vx, -1, axis=1) - vx, np.roll(vy, -1, axis=1) - vy
+    with np.errstate(invalid="ignore"):  # 0/0 on a zero-length edge
+        length = np.hypot(ex, ey)
+        nx, ny = ey / length, -ex / length
+    offset = nx * vx + ny * vy
+    depth = np.full(x.shape, np.nan)
+    for k in range(directions):
+        np.fmax(depth, nx[:, k, None] * x + ny[:, k, None] * y - offset[:, k, None], out=depth)
+    return ~(depth <= -_HULL_TOL)
+
+
+def _hull_candidates(u: np.ndarray, pairs: list[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
+    """The samples that can bind an MP fit of each column pair of u: a
+    (2, K) array of their u1 and u2, pair by pair in the order of pairs and
+    rows in the order of u, and each pair's count.
+
+    Pairs go in blocks of at most _BLOCK (pair, row) elements, in two
+    stages of _not_inside. The first tests every row against the octagon
+    of its pair's extremes along the axes and the diagonals (Akl and
+    Toussaint's prefilter); the second tests the rows it keeps against
+    the polygon of their extremes in _DIRECTIONS directions, each pair's
+    rows padded to the block's longest with copies of its first, which
+    are then dropped. A dropped row p has p + _HULL_TOL*B inside a polygon
+    whose vertices are kept rows: the vertices go round in order of angle,
+    p is left of every directed edge line by _HULL_TOL, so the polygon
+    winds around each point of that disc, which thus lies in the hull of
+    the kept rows (see _mp_intervals)."""
+    first, second = np.array(pairs).T
+    columns = np.ascontiguousarray(u.T)
+    step = max(1, _BLOCK // len(u))
+    kept, counts = [], []
+    for p0 in range(0, len(pairs), step):
+        x, y = columns[first[p0 : p0 + step]], columns[second[p0 : p0 + step]]
+        keep = _not_inside(x, y, 8)
+        count = keep.sum(axis=1)
+        # each pair's survivors first, in row order; the rest of the
+        # longest pair's width repeats the pair's first survivor
+        rows = np.argsort(~keep, axis=1, kind="stable")[:, : count.max()]
+        pad = np.arange(rows.shape[1]) >= count[:, None]
+        rows = np.where(pad, rows[:, :1], rows)
+        x, y = np.take_along_axis(x, rows, 1), np.take_along_axis(y, rows, 1)
+        keep = _not_inside(x, y, _DIRECTIONS) & ~pad
+        kept.append(np.stack([x[keep], y[keep]]))
+        counts.append(keep.sum(axis=1))
+    return np.concatenate(kept, axis=1), np.concatenate(counts)
 
 
 def _witness_pass(terms: tuple[np.ndarray, ...], coords: np.ndarray, starts: np.ndarray):
@@ -430,22 +477,19 @@ def _mp_intervals(
     the same bits as testing all of u. For every r, f_r(u) =
     |S(r)^-1 u|_inf is a norm, hence convex, so its maximum over the hull
     H of the kept points is attained at a kept vertex. A dropped point p
-    has p + tau*B inside H (tau = _HULL_TOL, B the unit disc), so
+    has p + tau*B (tau = _HULL_TOL, B the unit disc) inside a polygon of
+    kept extremes, and so inside H (see _hull_candidates). Hence
     p*(1 + tau/|p|) lies in H and f_r(p) <= max_H f_r / (1 + tau/sqrt(2)):
     a relative margin of about 7e-10, since |p| <= sqrt(2) in the unit
     box. Rounding in _mp_distance stays below 1e-13 relative, even at the
     clamp, where |S^-1| reaches about 1e3 (1e6 for MP-I). The test against
     1 + MEMBERSHIP_TOL therefore gives the same answer at every r the fit
     visits, and with it the same grid indices, bisection path and fitted
-    r. The hull edges are computed in floating point, so the guarantee
+    r. The polygon edges are computed in floating point, so the guarantee
     rests on the tau margin alone.
     """
-    # one pair's (N, 2) copy at a time; only its candidates are kept
-    candidates = [_hull_candidates(u[:, pair]) for pair in pairs]
-    counts = np.array([len(c) for c in candidates])
+    coords, counts = _hull_candidates(u, pairs)
     starts = np.cumsum(counts) - counts
-    coords = np.concatenate(candidates).T.copy()
-    del candidates
     ends = _grid_ends(variant, coords, starts, counts)
     feas = _GRID[ends]
     # an end at the clamp brackets itself, so it starts closed

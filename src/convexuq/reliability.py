@@ -25,6 +25,7 @@ The solver reads only `g.variables` and calls only `g.evaluate`;
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -60,6 +61,7 @@ EUCLIDEAN = "euclidean"
 INFINITY = "infinity"
 
 _SCAN_STEPS = 96
+_STARTS = 16  # ray hits refined per solve
 _AGREE_RTOL = 1e-4
 _G_TOL = 1e-8  # surface tolerance, relative to max(1, |g| at the midpoint)
 _FTOL = 1e-12  # SLSQP accuracy
@@ -166,6 +168,47 @@ def _norm_of(delta: np.ndarray, norm: str) -> float:
     return float(np.max(np.abs(delta)))
 
 
+def _nearest_hits(values: np.ndarray, ts: np.ndarray, root) -> list[tuple[float, int]]:
+    """The _STARTS nearest surface hits of a ray scan, as (t, ray id)
+    sorted by t, then id. values[i] holds g along ray i at ts. A ray's hit
+    lies in its first step whose two ends are defined and differ in sign
+    (or end on g = 0): the end's t where g is 0 there, else root(i, a, b)
+    on the step [a, b], and no hit when root raises ValueError (what
+    brentq raises on a nan).
+
+    Rays are searched in order of their step's lower end, then id, and
+    the search stops once _STARTS hits exist and the next lower end lies
+    beyond the farthest of the _STARTS nearest: every later hit lies
+    farther still. So the result, ties included, is that of searching
+    every ray; later hits cannot lower the minimum or change `converged`
+    (the _STARTS raw hits already agree)."""
+    defined = ~np.isnan(values)
+    below = values < 0.0
+    change = (defined[:, :-1] & defined[:, 1:]) & (
+        (values[:, 1:] == 0.0) | (below[:, :-1] != below[:, 1:])
+    )
+    rays = np.flatnonzero(change.any(axis=1))
+    steps = change[rays].argmax(axis=1)
+    hits: list[tuple[float, int]] = []
+    nearest: list[float] = []  # the _STARTS least t so far, negated: a max-heap
+    order = np.argsort(ts[steps], kind="stable")
+    for ray, j in zip(rays[order].tolist(), steps[order].tolist()):
+        if len(nearest) == _STARTS and ts[j] > -nearest[0]:
+            break
+        if values[ray, j + 1] == 0.0:
+            t = float(ts[j + 1])
+        else:
+            try:
+                t = root(ray, ts[j], ts[j + 1])
+            except ValueError:
+                continue
+        hits.append((t, ray))
+        heapq.heappush(nearest, -t)
+        if len(nearest) > _STARTS:
+            heapq.heappop(nearest)
+    return sorted(hits)[:_STARTS]
+
+
 def reliability_index(
     model: ConvexModel,
     g: LimitState,
@@ -236,45 +279,28 @@ def reliability_index(
             directions.append(row / length)
 
     # stage 1: bracket the surface along every ray. One evaluation covers
-    # every ray and step; the root is sought in each ray's first step whose
-    # two ends are defined and differ in sign (or end on g = 0). A ray whose
-    # bracket brentq cannot finish (g undefined inside it) has no hit.
+    # every ray and step; brentq seeks the root in the bracket of each ray
+    # that can still be among the _STARTS nearest (see _nearest_hits). A
+    # ray whose bracket brentq cannot finish (g undefined inside it) has
+    # no hit.
     ts = np.linspace(0.0, opts.eta_max, _SCAN_STEPS + 1)
     reach = np.array(directions) @ model.factor.T  # row r holds A·ray_r
     values = np.empty((len(directions), _SCAN_STEPS + 1))
     values[:, 0] = g_mid
     values[:, 1:] = g_of([mid[k] + rad[k] * np.outer(reach[:, k], ts[1:]) for k in range(n)])
-    defined = ~np.isnan(values)
-    below = values < 0.0
-    change = (defined[:, :-1] & defined[:, 1:]) & (
-        (values[:, 1:] == 0.0) | (below[:, :-1] != below[:, 1:])
-    )
-    hits: list[tuple[float, int, np.ndarray]] = []  # (norm, start id, delta)
-    for start_id, ray in enumerate(directions):
-        if not change[start_id].any():
-            continue
-        j = int(change[start_id].argmax())
-        if values[start_id, j + 1] == 0.0:
-            t_root = float(ts[j + 1])
-        else:
-            try:
-                t_root = brentq(
-                    lambda t: g_of(from_delta(model, t * ray)),
-                    ts[j],
-                    ts[j + 1],
-                    xtol=1e-13,
-                    rtol=1e-15,
-                )
-            except ValueError:  # what brentq raises on a nan
-                continue
-        hits.append((t_root, start_id, t_root * ray))
+
+    def root(start_id: int, a: float, b: float) -> float:
+        ray = directions[start_id]
+        return brentq(lambda t: g_of(from_delta(model, t * ray)), a, b, xtol=1e-13, rtol=1e-15)
+
+    # (norm, start id, delta) of each start
+    hits = [(t, i, t * directions[i]) for t, i in _nearest_hits(values, ts, root)]
     if not hits:
         raise NoSurfaceFound(
             f"g keeps the sign of g(midpoint) on all probed rays within "
             f"radius {opts.eta_max}",
             eta_max=opts.eta_max,
         )
-    hits.sort(key=lambda h: h[0])
 
     # Epigraph form over y = (delta, s): minimise s subject to g(delta) = 0
     # and delta in s·B_p. Only the ball constraint depends on the norm.
@@ -323,11 +349,8 @@ def reliability_index(
             start.C[0, :-1] = (own[:n] - own[n:]) / (2.0 * h)
             start.C[1:] = ball_jac(start.y)
 
-    # later hits lie no nearer than the 16th, so they cannot lower the
-    # minimum or change `converged` (the 16 raw hits already agree). All
-    # starts are refined together: each round steps every unfinished one,
-    # and one g call carries the gradient stencils of all that need them.
-    hits = hits[:16]
+    # All starts are refined together: each round steps every unfinished
+    # one, and one g call carries the gradient stencils of all that need them.
     m = 2 if norm == EUCLIDEAN else 1 + 2 * n  # surface, then ball rows
     starts = [_Slsqp(np.append(delta0, _norm_of(delta0, norm)), m) for *_, delta0 in hits]
     for start in starts:

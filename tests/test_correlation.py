@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.spatial import ConvexHull, QhullError
 from scipy.special import ndtr
 
 import convexuq as cq
@@ -12,6 +13,7 @@ import convexuq.correlation as correlation
 from convexuq import ModelVariant as V
 from convexuq.correlation import (
     _GRID_STEP,
+    _HULL_TOL,
     R_CLAMP,
     _REFINE_TOL,
     _hull_candidates,
@@ -446,7 +448,7 @@ def test_mp_matrix_fit_work_does_not_grow_with_pairs(variant, monkeypatch):
     _, large = _full_test_elements(variant, wider, monkeypatch)
     assert large <= small <= 1 + 64
     full, _ = _full_test_elements(variant, u, monkeypatch)
-    rows = sum(len(_hull_candidates(u[:, (i, j)])) for i in range(6) for j in range(i + 1, 6))
+    rows = _hull_candidates(u, [(i, j) for i in range(6) for j in range(i + 1, 6)])[1].sum()
     assert full <= 0.25 * len(correlation._GRID) * rows
 
 
@@ -466,7 +468,8 @@ def test_mp_fit_memory_is_bounded_without_a_2d_hull():
     rng = np.random.Generator(np.random.Philox(key=23))
     t = rng.uniform(-1.0, 1.0, size=5000)
     collinear = np.column_stack([t, 0.5 * t + 0.25])
-    assert _hull_candidates(collinear) is collinear
+    coords, counts = _hull_candidates(collinear, [(0, 1)])
+    assert counts.tolist() == [5000] and np.array_equal(coords, collinear.T)
     assert _peak_bytes(lambda: ccc_fit(V.MP2, collinear)) < 16e6
     u = np.column_stack([collinear, rng.uniform(-1.0, 1.0, size=(5000, 2))])
     assert _peak_bytes(lambda: cq.fit_correlation_matrix("ccc", V.MP2, u)) < 16e6
@@ -485,17 +488,72 @@ def test_hull_candidates_keep_vertices_and_edge_points():
     on_edges = [[0.0, -1.0], [1.0, 0.25], [-0.5, 1.0], [-1.0, 0.0]]
     inside = [[0.0, 0.0], [0.9, 0.9], [-0.999, 0.5]]
     u = np.array(corners + on_edges + inside)
-    np.testing.assert_array_equal(_hull_candidates(u), np.array(corners + on_edges))
+    coords, counts = _hull_candidates(u, [(0, 1)])
+    np.testing.assert_array_equal(coords.T, np.array(corners + on_edges))
+    assert counts.tolist() == [8]
 
 
 def test_hull_candidates_return_input_without_a_2d_hull():
+    """Fewer than 3 distinct points, or all on one line: every row is kept."""
     for u in (
         np.array([[0.3, -0.2]]),
         np.array([[0.3, -0.2], [-0.5, 0.1]]),
         np.array([[-1.0, -0.5], [0.0, 0.0], [0.5, 0.25], [1.0, 0.5]]),
         np.array([[0.2, 0.2], [0.2, 0.2], [0.2, 0.2]]),
     ):
-        assert _hull_candidates(u) is u
+        coords, counts = _hull_candidates(u, [(0, 1)])
+        np.testing.assert_array_equal(coords.T, u)
+        assert counts.tolist() == [len(u)]
+
+
+def _qhull_depth(hull_of, u):
+    """Each row's largest signed distance to the edge lines of the convex
+    hull of hull_of, by qhull; None when qhull builds no 2-D hull."""
+    try:
+        equations = ConvexHull(hull_of).equations
+    except QhullError:
+        return None
+    return (u @ equations[:, :2].T + equations[:, 2]).max(axis=1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(u=_mp_fit_samples())
+@example(u=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1e-9, 1e-9], [2e-9, 2e-9]]))
+# one row inside an edge by less than _HULL_TOL, one by more
+@example(u=np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0], [1.0 - 5e-10, 0.5],
+                     [1.0 - 2e-9, -0.5]]))
+@example(u=_copula(47, 2000, [0.9, -0.3]))
+def test_hull_candidates_keep_the_hull_and_drop_only_inner_rows(u):
+    """With qhull as the oracle: a pair keeps, in row order, every row that
+    is not at least _HULL_TOL inside its convex hull (every row when qhull
+    builds no 2-D hull), and each row it drops lies at least _HULL_TOL
+    inside the hull of the rows it keeps."""
+    coords, counts = _hull_candidates(u, [(0, 1)])
+    kept = coords.T
+    # equal rows are kept or dropped together, so a row is kept iff an
+    # equal one is among the kept
+    kept_rows = set(map(tuple, kept.tolist()))
+    keep = np.array([row in kept_rows for row in map(tuple, u.tolist())])
+    np.testing.assert_array_equal(u[keep], kept)
+    assert counts.tolist() == [len(kept)]
+    depth = _qhull_depth(u, u)
+    assert keep.all() if depth is None else keep[depth > -_HULL_TOL].all()
+    if not keep.all():
+        assert (_qhull_depth(kept, u[~keep]) <= -_HULL_TOL).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(u=_mp_fit_matrices())
+# 435 pairs of 200 rows: each block holds 81 pairs of different widths
+@example(u=_copula(53, 200, np.linspace(-0.5, 0.5, 30)))
+def test_hull_candidates_of_a_matrix_are_each_pairs_own(u):
+    """Blocks change no pair's candidates: the candidates of all pairs are
+    each pair's own, in pair order."""
+    pairs = [(i, j) for i in range(u.shape[1]) for j in range(i + 1, u.shape[1])]
+    coords, counts = _hull_candidates(u, pairs)
+    alone = [_hull_candidates(u[:, pair], [(0, 1)]) for pair in pairs]
+    np.testing.assert_array_equal(coords, np.concatenate([c for c, _ in alone], axis=1))
+    assert counts.tolist() == [int(k[0]) for _, k in alone]
 
 
 def test_me_infeasible_raises_with_gap():
@@ -536,7 +594,7 @@ def test_ccc_clamp_warns():
 @pytest.mark.parametrize("variant", [V.ME, V.MP2], ids=lambda v: v.value)
 def test_ccc_fit_refuses_nan(variant):
     """nan fails the [-1, 1] box check instead of passing it: ME would
-    return nan and MP-II would fail inside qhull."""
+    return nan, and the MP fits would test nan as a sample."""
     u = np.array([[np.nan, 0.2], [0.3, 0.1], [-0.5, 0.4]])
     with pytest.raises(ValueError, match=r"must lie in \[-1, 1\]"):
         ccc_fit(variant, u)

@@ -230,7 +230,12 @@ def test_linear_index_matches_dual_norm_oracle(variant, override, n, seed):
     (q = 2 for p = 2, q = 1 for p = inf), for every variant and norm."""
     rng = np.random.default_rng(seed)
     root = rng.uniform(-1.0, 1.0, (n, n)) + 1.5 * np.eye(n)
-    cov = root @ root.T
+    # the ridge keeps every draw positive definite: lambda_min of the
+    # correlation matrix is at least 0.01 over the largest diagonal entry
+    # (at most 11.26 at n = 6), about 9e-4. Without it some draws are near
+    # singular (n = 5, seed 245347700: lambda_min 6.2e-11), and build_model
+    # rightly refuses them
+    cov = root @ root.T + 0.01 * np.eye(n)
     scale = np.sqrt(np.diag(cov))
     entries = cov / np.outer(scale, scale)
     np.fill_diagonal(entries, 1.0)
@@ -642,3 +647,87 @@ def test_import_names_the_scipy_requirement():
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
     )
     assert "scipy>=1.17" in done.stdout
+
+
+def _all_hits(values, ts, root):
+    """The full-scan reference of _nearest_hits: every ray's hit, rays in
+    id order, then a stable sort by t and the 16 nearest."""
+    hits = []
+    for ray, row in enumerate(values):
+        defined, below = ~np.isnan(row), row < 0.0
+        change = (defined[:-1] & defined[1:]) & ((row[1:] == 0.0) | (below[:-1] != below[1:]))
+        if not change.any():
+            continue
+        j = int(change.argmax())
+        if row[j + 1] == 0.0:
+            t = float(ts[j + 1])
+        else:
+            try:
+                t = root(ray, ts[j], ts[j + 1])
+            except ValueError:
+                continue
+        hits.append((t, ray))
+    hits.sort(key=lambda hit: hit[0])
+    return hits[:16]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=st.integers(1, 40).flatmap(
+        lambda rays: st.lists(
+            st.lists(st.sampled_from([math.nan, -1.0, 0.0, 1.0]), min_size=4, max_size=4),
+            min_size=rays,
+            max_size=rays,
+        )
+    ),
+    where=st.lists(st.sampled_from([0.0, 0.5, 1.0, None]), min_size=40, max_size=40),
+)
+def test_nearest_hits_are_the_full_scans(values, where):
+    """Searching rays by their bracket's lower end and stopping early gives
+    the full scan's 16 nearest hits, ties included, by float.hex, and
+    calls root only on brackets the full scan does. Lower ends and roots
+    tie often here: four steps, and roots at a bracket's ends or middle."""
+    values = np.array(values)
+    ts = np.linspace(0.0, 3.0, 4)
+
+    def root_of(calls):
+        def root(ray, a, b):
+            calls.append((ray, float(a), float(b)))
+            if where[ray] is None:
+                raise ValueError("g is undefined inside the bracket")
+            return float(a + where[ray] * (b - a))
+
+        return root
+
+    calls, reference_calls = [], []
+    hits = reliability._nearest_hits(values, ts, root_of(calls))
+    reference = _all_hits(values, ts, root_of(reference_calls))
+    assert [(t.hex(), ray) for t, ray in hits] == [(t.hex(), ray) for t, ray in reference]
+    assert set(calls) <= set(reference_calls)
+
+
+def _start_outcome(result):
+    return (
+        result.eta.hex(),
+        [v.hex() for v in result.delta_star],
+        result.converged,
+        [
+            (r.start_id, r.hit.hex(), r.refined is None or r.refined.hex(), r.exit_mode, r.iterations)
+            for r in result.starts
+        ],
+    )
+
+
+@pytest.mark.parametrize("case", sorted(LOCKSTEP_CASES))
+def test_early_stopped_ray_search_keeps_the_result(case, data_dir, bulk_model, monkeypatch):
+    """η, δ*, `converged` and every start record equal, by float.hex, those
+    of brentq on every bracketed ray, with no more evaluations of g."""
+    model, g, bindings, norm = LOCKSTEP_CASES[case](data_dir, bulk_model)
+    options = cq.ReliabilityOptions(bindings=bindings, norm=norm)
+    result = cq.reliability_index(model, g, options)
+    monkeypatch.setattr(reliability, "_nearest_hits", _all_hits)
+    reference = cq.reliability_index(model, g, options)
+    assert _start_outcome(result) == _start_outcome(reference)
+    assert result.evaluations <= reference.evaluations
+    if case.startswith("synthetic"):  # 220 rays: most brackets lie too far
+        assert result.evaluations < reference.evaluations
