@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .correlation import (
+    ESTIMATORS,
     CorrelationMatrix,
     ModelVariant,
     ensure_positive_definite,
@@ -27,12 +28,9 @@ from .correlation import (
 from .dataio import read_intervals_csv, read_matrix_csv, read_samples_csv, write_samples_csv
 from .domain import regularize
 from .errors import ConvexUQError, InputError, NumericError
+from .expr import parse_limit_state
 from .models import build_model, fitness, load_model, project_2d, save_model
-from .reliability import (
-    ReliabilityOptions,
-    parse_limit_state,
-    reliability_index,
-)
+from .reliability import ReliabilityOptions, reliability_index
 from .sampling import ccc_recovery_report, sample_uniform, verify_unbiasedness
 from .svg import render_projection
 
@@ -228,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", required=True, help="sample CSV (header row of names)")
     p.add_argument("--intervals", required=True, help="interval CSV (name,lower,upper)")
     p.add_argument("--variant", required=True, choices=variants)
-    p.add_argument("--method", required=True, choices=["ccc", "scc"])
+    p.add_argument("--method", required=True, choices=ESTIMATORS)
     p.add_argument("--pd", default="strict", choices=["strict", "repair"])
     p.add_argument("--out", required=True, help="model JSON output path")
     p.set_defaults(func=cmd_build)
@@ -271,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--method",
         default="scc",
-        choices=["scc", "ccc"],
+        choices=ESTIMATORS,
         help="scc gives the pass/fail verdict; ccc is a report-only demo",
     )
     p.set_defaults(func=cmd_verify)

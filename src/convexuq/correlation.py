@@ -29,6 +29,8 @@ from .errors import (
     ZeroDeviation,
 )
 
+# the correlation estimators, by the name that selects each
+ESTIMATORS = ("ccc", "scc")
 EPS_PD = 1e-8
 R_CLAMP = 1.0 - 1e-6
 MEMBERSHIP_TOL = 1e-9
@@ -93,15 +95,14 @@ class CorrelationMatrix:
     """Symmetric unit-diagonal matrix of pairwise coefficients."""
 
     entries: np.ndarray
-    method: str  # "ccc" or "scc"
+    method: str  # one of ESTIMATORS
     repair: RepairReport | None = None
 
     def __post_init__(self) -> None:
         entries = read_only(self.entries)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise DimensionMismatch(f"correlation matrix must be square, got {entries.shape}")
-        if self.method not in ("ccc", "scc"):
-            raise ValueError(f"method must be 'ccc' or 'scc', got {self.method!r}")
+        _check_method(self.method)
         if not np.all(np.isfinite(entries)):
             raise ValueError("non-finite correlation entries")
         if np.max(np.abs(entries - entries.T)) > 1e-12:
@@ -508,9 +509,14 @@ def _mp_intervals(
     return feas[0], feas[1]
 
 
+def _check_method(method: str) -> None:
+    if method not in ESTIMATORS:
+        names = " or ".join(repr(name) for name in ESTIMATORS)
+        raise ValueError(f"method must be {names}, got {method!r}")
+
+
 def _check_fit_options(method: str, variant, on_infeasible: str) -> None:
-    if method not in ("ccc", "scc"):
-        raise ValueError(f"method must be 'ccc' or 'scc', got {method!r}")
+    _check_method(method)
     if method == "ccc" and not isinstance(variant, ModelVariant):
         raise ValueError(f"variant must be a ModelVariant, got {variant!r}")
     if on_infeasible not in ("error", "relax"):
@@ -564,33 +570,6 @@ def _finish_ccc(lo: float, hi: float, u: np.ndarray, on_infeasible: str) -> floa
     if abs(r) >= R_CLAMP:
         warnings.warn("fit clamped at |r| = 1 - 1e-6", DegenerateData)
     return float(r)
-
-
-def ccc_fit(
-    variant: ModelVariant,
-    u_pairs: np.ndarray,
-    *,
-    on_infeasible: str = "error",
-) -> float:
-    """Fit the convex correlation coefficient of one pair of regularized
-    sample columns.
-
-    u_pairs is an (N, 2) array with every entry in [-1, 1]. This is the
-    one-pair call of fit_correlation_matrix's CCC stage: both families
-    reduce the pair to a feasible r-interval (_me_intervals,
-    _mp_intervals), which the stage then finishes. Returns the r of
-    maximal |r| whose 2D domain encloses all pairs; ties between the
-    positive and negative extremes go to the SCC sign. Fits reaching the
-    clamp |r| = 1 - 1e-6 emit a DegenerateData warning. When no r is
-    feasible (possible only for ME, even on in-box data), on_infeasible
-    selects between raising InfeasibleFit ("error") and returning the
-    minimax-violation r with a warning ("relax").
-    """
-    _check_fit_options("ccc", variant, on_infeasible)
-    u = np.asarray(u_pairs, dtype=float)
-    if u.ndim != 2 or u.shape[1] != 2:
-        raise DimensionMismatch(f"u_pairs must be (N, 2), got {u.shape}")
-    return _ccc_fits(variant, u, [(0, 1)], on_infeasible)[0]
 
 
 def assemble_correlation_matrix(
@@ -670,19 +649,28 @@ def fit_correlation_matrix(
     """Compute all pairwise coefficients from regularized sample rows and
     assemble the matrix. method, variant (a ModelVariant for "ccc", unread
     for "scc") and on_infeasible are checked before any work, whatever the
-    number of columns.
+    number of columns; every entry of u_rows must lie in [-1, 1].
 
-    "ccc" fits every pair in one stage, the one ccc_fit calls for its one
-    pair, so each entry is that pair's ccc_fit, bit for bit and with its
-    warnings in pair order: the feasible intervals of all pairs first,
-    then each pair finished on its own. For the ellipse the intervals are
-    closed-form, all pairs as columns of one blocked pass. For the
-    parallelepipeds one grid stage serves all pairs: a witness pass rules
-    out most grid points with one candidate each, and one full test
-    settles the rest on all candidates, with the answers of testing every
-    point (see _grid_ends); then one bisection runs over all pairs
-    together (see _mp_intervals). SCC values that land exactly at ±1 are pulled to the clamp with a
-    DegenerateData warning so assembly stays valid."""
+    "ccc" gives each pair the r of maximal |r| whose 2D domain of the
+    variant's family encloses all of the pair's samples; a tie between the
+    positive and negative extremes goes to the pair's SCC sign. A fit
+    reaching the clamp |r| = 1 - 1e-6 warns with DegenerateData. When no r
+    is feasible (possible only for ME, even on in-box data), on_infeasible
+    selects between raising InfeasibleFit ("error") and taking the
+    minimax-violation r with a DegenerateData warning ("relax"). A pair's
+    entry, warnings and errors are those of the fit of its two columns
+    alone; the warnings come in pair order.
+
+    All pairs are fitted in one stage: the feasible intervals of all pairs
+    first, then each pair finished on its own. For the ellipse the
+    intervals are closed-form, all pairs as columns of one blocked pass.
+    For the parallelepipeds one grid stage serves all pairs: a witness
+    pass rules out most grid points with one candidate each, and one full
+    test settles the rest on all candidates, with the answers of testing
+    every point (see _grid_ends); then one bisection runs over all pairs
+    together (see _mp_intervals). SCC values that land exactly at ±1 are
+    pulled to the clamp with a DegenerateData warning so assembly stays
+    valid."""
     _check_fit_options(method, variant, on_infeasible)
     u = np.asarray(u_rows, dtype=float)
     if u.ndim != 2:

@@ -106,12 +106,6 @@ class MarginalSpec:
     def uppers(self) -> np.ndarray:
         return np.array([iv.upper for iv in self.intervals])
 
-    def index_of(self, name: str) -> int:
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise NameMismatch(f"variable '{name}' not in spec {self.names}") from None
-
 
 def make_marginal_spec(pairs: Iterable[tuple[str, float, float]]) -> MarginalSpec:
     """Build a MarginalSpec from (name, lower, upper) triples."""

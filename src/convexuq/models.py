@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .correlation import EPS_PD, MEMBERSHIP_TOL, CorrelationMatrix, ModelVariant
+from .correlation import EPS_PD, ESTIMATORS, MEMBERSHIP_TOL, CorrelationMatrix, ModelVariant
 from .domain import Interval, MarginalSpec, SampleSet, read_only
 from .errors import (
     DimensionMismatch,
@@ -52,7 +52,9 @@ BLOCK_ROWS = 2**14
 
 class Membership(NamedTuple):
     inside: bool
-    value: float  # quadratic form (ME) or max abs standardized coordinate (MP)
+    # quadratic form (ME) or max abs standardized coordinate (MP); inf for a
+    # point holding ±inf or nan
+    value: float
 
 
 @dataclass(frozen=True)
@@ -168,40 +170,42 @@ def _membership_block(
     # transposed product differently.
     product = model.characteristic @ np.subtract(rows, model.midpoints, order="C").T
     np.abs(product, out=product)
-    return np.max(product, axis=0, out=out)
+    return np.maximum.reduce(product, axis=0, out=out)
 
 
 def membership_values(model: ConvexModel, rows: np.ndarray) -> np.ndarray:
-    """Defining-inequality value for each row; ≤ 1 means inside. One point
-    of n coordinates gives one value. Rows are processed in blocks of
-    BLOCK_ROWS, so the temporaries stay bounded beside the returned values;
-    each value is the same bits as in one pass."""
+    """Defining-inequality value of each row of n coordinates; ≤ 1 means
+    inside, and a row holding ±inf or nan gives inf. Rows are processed in
+    blocks of BLOCK_ROWS, so the temporaries stay bounded beside the
+    returned values; each finite row's value is the same bits as in one
+    pass. One point goes through `contains`."""
     rows = np.asarray(rows, dtype=float)
-    if rows.ndim not in (1, 2) or rows.shape[-1] != model.n:
+    if rows.ndim != 2 or rows.shape[1] != model.n:
         raise DimensionMismatch(
             f"points must be rows of {model.n} coordinates, got shape {rows.shape}"
         )
-    if rows.ndim == 1:
-        return _membership_block(model, rows[None])[0]
-    # up to one block the rows go to the kernel directly, as every sample-set
-    # fitness does: through the blocked loop a 1- or 10-row call took about
-    # 3 µs (30%) longer (ME and MP-II at n = 6; one x86_64 core, numpy 2.4)
-    if len(rows) <= BLOCK_ROWS:
-        return _membership_block(model, rows)
     values = np.empty(len(rows))
-    for block in row_blocks(len(rows)):
-        _membership_block(model, rows[block], out=values[block])
+    # a non-finite coordinate makes its row's value inf or nan, through the
+    # invalid operations inf·0 and inf − inf
+    with np.errstate(invalid="ignore"):
+        for block in row_blocks(len(rows)):
+            _membership_block(model, rows[block], out=values[block])
+    values[np.isnan(values)] = np.inf
     return values
 
 
 def contains(model: ConvexModel, x: np.ndarray) -> Membership:
     """Membership of one point of n coordinates, with the
-    defining-inequality value as diagnostic slack."""
+    defining-inequality value as diagnostic slack; a point holding ±inf or
+    nan is outside, at value inf."""
     x = np.asarray(x, dtype=float)
     if x.shape != (model.n,):
         raise DimensionMismatch(
             f"expected one point of {model.n} coordinates, got shape {x.shape}"
         )
+    # checked before the kernel, whose inf·0 and inf − inf would warn
+    if not np.isfinite(x).all():
+        return Membership(inside=False, value=math.inf)
     value = float(_membership_block(model, x[None])[0])
     return Membership(inside=bool(value <= 1.0 + MEMBERSHIP_TOL), value=value)
 
@@ -360,7 +364,7 @@ def deserialize(text: str) -> ConvexModel:
     with _field("variant"):
         variant = ModelVariant(variant_tag)
     method = _require(doc, "method", str)
-    if method not in ("ccc", "scc"):
+    if method not in ESTIMATORS:
         raise ParseError(f"unknown method '{method}'", field="method")
     names = _require(doc, "names", list)
     lower = _require(doc, "lower", list)

@@ -43,17 +43,13 @@ except ImportError as exc:
 
 from .correlation import ModelVariant
 from .errors import EvaluationError, NoSurfaceFound, UnboundVariable
-from .expr import LimitState, parse_limit_state  # re-exported for callers
-from .models import ConvexModel, from_delta, to_delta  # re-exported for callers
+from .expr import LimitState
+from .models import ConvexModel, from_delta
 
 __all__ = [
-    "parse_limit_state",
-    "LimitState",
     "ReliabilityOptions",
     "ReliabilityResult",
     "StartRecord",
-    "to_delta",
-    "from_delta",
     "reliability_index",
 ]
 

@@ -20,7 +20,6 @@ from convexuq.correlation import (
     _mp_intervals,
     _mp_shape_2d,
     _pick_extreme,
-    ccc_fit,
     scc,
 )
 from convexuq.errors import (
@@ -36,6 +35,12 @@ from convexuq.factorization import core_shape_matrix, shape_matrix
 from test_acceptance import GEOTECH_CCC_REF
 
 MP_VARIANTS = [V.MP1, V.MP2, V.RECT, V.LTRI, V.UTRI]
+
+
+def _pair_ccc(variant, u, **options):
+    """The CCC of one pair of regularized columns u: its entry in the
+    matrix fit of the two columns alone."""
+    return cq.fit_correlation_matrix("ccc", variant, u, **options).entries[0, 1]
 
 
 def test_scc_hand_value():
@@ -143,7 +148,7 @@ def test_me_ccc_matches_grid_oracle():
         grid = np.linspace(-0.999, 0.999, 1999)
         feasible = [r for r in grid if _me_feasible(r, u)]
         try:
-            fitted = ccc_fit(V.ME, u)
+            fitted = _pair_ccc(V.ME, u)
         except InfeasibleFit:
             assert not feasible
             continue
@@ -160,7 +165,7 @@ def test_mp_ccc_is_feasible_extreme(variant):
     rng = np.random.Generator(np.random.Philox(key=13))
     for _ in range(6):
         u = rng.uniform(-0.92, 0.92, size=(10, 2))
-        fitted = ccc_fit(variant, u)
+        fitted = _pair_ccc(variant, u)
         assert bool(_full_set_feasible(variant, np.array([fitted]), u)[0])
         if fitted != 0.0 and abs(fitted) < R_CLAMP - 1e-3:
             stepped = fitted + np.sign(fitted) * 2e-3
@@ -174,7 +179,7 @@ def test_me_ccc_is_feasible_extreme():
         z1 = rng.standard_normal(10)
         z2 = 0.7 * z1 + 0.3 * rng.standard_normal(10)
         u = np.clip(np.column_stack([z1, z2]) / 3.0, -0.85, 0.85)
-        fitted = ccc_fit(V.ME, u)
+        fitted = _pair_ccc(V.ME, u)
         assert _me_feasible(fitted, u)
         if fitted != 0.0 and abs(fitted) < R_CLAMP - 1e-3:
             assert not _me_feasible(fitted + np.sign(fitted) * 2e-3, u)
@@ -185,8 +190,8 @@ def test_ccc_tie_breaks_with_scc_sign():
     # the sample correlation sign decides
     u = np.array([[0.6, 0.55], [-0.6, -0.55], [0.2, 0.1], [-0.2, -0.1]])
     for variant in MP_VARIANTS:
-        r_pos = ccc_fit(variant, u)
-        r_neg = ccc_fit(variant, u * np.array([1.0, -1.0]))
+        r_pos = _pair_ccc(variant, u)
+        r_neg = _pair_ccc(variant, u * np.array([1.0, -1.0]))
         assert r_pos > 0
         assert r_neg < 0
         assert r_pos == pytest.approx(-r_neg, abs=1e-9)
@@ -300,7 +305,7 @@ def test_mp_ccc_hull_reduction_is_bit_identical(variant, u):
     assert [a.tolist() for a in _mp_intervals(variant, u, [(0, 1)])] == [[r_neg], [r_pos]]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateData)
-        assert ccc_fit(variant, u) == _pick_extreme(r_neg, r_pos, u)
+        assert _pair_ccc(variant, u) == _pick_extreme(r_neg, r_pos, u)
 
 
 @st.composite
@@ -350,7 +355,7 @@ _MIXED = np.array(
 def test_matrix_fit_is_the_pairwise_fit(variant, u):
     """Every entry of the one-stage matrix fit is _pick_extreme of the
     one-end-at-a-time reference on all samples of its pair, and the
-    matrix warns as ccc_fit does pair by pair, in the same order."""
+    matrix warns as the fit of each pair alone does, in pair order."""
     R, messages = _warning_messages(lambda: cq.fit_correlation_matrix("ccc", variant, u))
     expected = []
     for i in range(u.shape[1]):
@@ -358,7 +363,7 @@ def test_matrix_fit_is_the_pairwise_fit(variant, u):
             pair = u[:, (i, j)]
             reference = _pick_extreme(*_full_set_mp_interval(variant, pair), pair)
             assert R.entries[i, j].hex() == float(reference).hex()
-            expected += _warning_messages(lambda: ccc_fit(variant, pair))[1]
+            expected += _warning_messages(lambda: _pair_ccc(variant, pair))[1]
     assert messages == expected
 
 
@@ -470,7 +475,7 @@ def test_mp_fit_memory_is_bounded_without_a_2d_hull():
     collinear = np.column_stack([t, 0.5 * t + 0.25])
     coords, counts = _hull_candidates(collinear, [(0, 1)])
     assert counts.tolist() == [5000] and np.array_equal(coords, collinear.T)
-    assert _peak_bytes(lambda: ccc_fit(V.MP2, collinear)) < 16e6
+    assert _peak_bytes(lambda: _pair_ccc(V.MP2, collinear)) < 16e6
     u = np.column_stack([collinear, rng.uniform(-1.0, 1.0, size=(5000, 2))])
     assert _peak_bytes(lambda: cq.fit_correlation_matrix("ccc", V.MP2, u)) < 16e6
 
@@ -559,7 +564,7 @@ def test_hull_candidates_of_a_matrix_are_each_pairs_own(u):
 def test_me_infeasible_raises_with_gap():
     u = np.array([[0.99, -0.99], [0.99, 0.99]])
     with pytest.raises(InfeasibleFit) as exc:
-        ccc_fit(V.ME, u)
+        _pair_ccc(V.ME, u)
     assert exc.value.gap is not None and exc.value.gap > 0
 
 
@@ -569,7 +574,7 @@ def test_geotech_pair_45_admits_no_ellipse(geotech_spec, geotech_samples):
     # coefficient for (x4, x5) no unit-diagonal R encloses all ten samples
     u = cq.regularize(geotech_spec, geotech_samples).rows[:, (3, 4)]
     with pytest.raises(InfeasibleFit) as exc:
-        ccc_fit(V.ME, u)
+        _pair_ccc(V.ME, u)
     assert exc.value.gap == pytest.approx(0.00146, abs=1e-5)
     # the published (4,5) entry repeats its (3,6) entry and misses most samples
     assert np.sum(_me_values(GEOTECH_CCC_REF[3, 4], u) <= 1.0 + 1e-9) <= 3
@@ -578,7 +583,7 @@ def test_geotech_pair_45_admits_no_ellipse(geotech_spec, geotech_samples):
 def test_me_infeasible_relax_returns_midpoint():
     u = np.array([[0.99, -0.99], [0.99, 0.99]])
     with pytest.warns(DegenerateData):
-        relaxed = ccc_fit(V.ME, u, on_infeasible="relax")
+        relaxed = _pair_ccc(V.ME, u, on_infeasible="relax")
     # symmetric violation above/below zero
     assert relaxed == pytest.approx(0.0, abs=1e-9)
 
@@ -587,7 +592,7 @@ def test_ccc_clamp_warns():
     # a single diagonal pair supports correlation arbitrarily close to 1
     u = np.array([[0.5, 0.5], [-0.5, -0.5]])
     with pytest.warns(DegenerateData):
-        fitted = ccc_fit(V.ME, u)
+        fitted = _pair_ccc(V.ME, u)
     assert fitted == pytest.approx(R_CLAMP)
 
 
@@ -597,17 +602,15 @@ def test_ccc_fit_refuses_nan(variant):
     return nan, and the MP fits would test nan as a sample."""
     u = np.array([[np.nan, 0.2], [0.3, 0.1], [-0.5, 0.4]])
     with pytest.raises(ValueError, match=r"must lie in \[-1, 1\]"):
-        ccc_fit(variant, u)
+        _pair_ccc(variant, u)
 
 
 @pytest.mark.parametrize("variant", [None, "me", "mp2"])
 def test_ccc_fit_refuses_a_variant_that_is_not_a_model_variant(variant):
     u = np.array([[0.3, 0.1], [-0.5, 0.4], [0.2, -0.6]])
-    with pytest.raises(ValueError, match=f"variant must be a ModelVariant, got {variant!r}"):
-        ccc_fit(variant, u)
     # a lone column has no pair to fit and is refused all the same
     for columns in (u, u[:, :1]):
-        with pytest.raises(ValueError, match="variant must be a ModelVariant"):
+        with pytest.raises(ValueError, match=f"variant must be a ModelVariant, got {variant!r}"):
             cq.fit_correlation_matrix("ccc", variant, columns)
 
 
@@ -648,7 +651,7 @@ def test_ccc_interval_beyond_clamp_warns_once(sign):
     """Row (1, ±1) pins the ellipse feasible interval to r = ±1, beyond the
     clamp: the fit returns ±R_CLAMP and warns exactly once."""
     u = np.array([[1.0, 1.0], [0.5, 0.5]]) * np.array([1.0, sign])
-    value, messages = _warning_messages(lambda: ccc_fit(V.ME, u))
+    value, messages = _warning_messages(lambda: _pair_ccc(V.ME, u))
     assert value == sign * R_CLAMP
     assert messages == ["fit clamped at |r| = 1 - 1e-6"]
 

@@ -38,9 +38,6 @@ def test_spec_vectors():
     assert spec.n == 2
     np.testing.assert_allclose(spec.midpoints, [2.0, -1.0])
     np.testing.assert_allclose(spec.radii, [2.0, 2.0])
-    assert spec.index_of("b") == 1
-    with pytest.raises(NameMismatch):
-        spec.index_of("c")
 
 
 def test_sampleset_aligned_to_reorders():

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -125,6 +126,8 @@ def test_membership_rejects_wrong_width(spec2, r2):
     ids=["row", "two-rows", "scalar", "three-coordinates"],
 )
 def test_contains_takes_one_point(spec2, r2, variant, point):
+    """contains takes one point of n coordinates only, and
+    membership_values takes rows only: it refuses one point too."""
     model = cq.build_model(variant, spec2, r2)
     shape = str(np.shape(point))
     with pytest.raises(DimensionMismatch, match=re.escape(shape)):
@@ -132,6 +135,8 @@ def test_contains_takes_one_point(spec2, r2, variant, point):
     if np.ndim(point) != 2:
         with pytest.raises(DimensionMismatch, match=re.escape(shape)):
             cq.membership_values(model, point)
+    with pytest.raises(DimensionMismatch, match=re.escape("(2,)")):
+        cq.membership_values(model, [1.0, 15.0])
 
 
 @pytest.mark.parametrize("variant", [V.ME, V.MP2], ids=lambda v: v.value)
@@ -513,37 +518,54 @@ def test_mp_membership_is_bit_identical_across_widths_and_layouts(
 def test_membership_of_nonfinite_rows_is_bit_identical(
     bulk_model, one_shot_membership, variant, rows
 ):
-    """nan and ±inf rows, in the first and the last block, give the
-    reference's bits. A point whose product is nan in some coordinates and
-    ±inf in others is nan, as the kernel's np.max down the point's column
-    has it; np.fmax would give inf."""
+    """Rows holding nan or ±inf, in the first and the last block, give inf
+    without a warning, also where the reference's value is nan (inf·0 and
+    inf − inf in the product), and every finite row keeps the reference's
+    bits."""
     model = bulk_model(variant)
     n = model.n
     uniform = np.random.default_rng(rows).uniform(-3.0, 5.0, size=(rows, n))
-    points = uniform.copy()
-    # ±inf where its column has no zero coefficient, so the product is
-    # free of inf·0, which would warn
-    full = int(np.flatnonzero(np.all(model.characteristic != 0.0, axis=0))[0])
+    reference = one_shot_membership(model, uniform)
+    marked = uniform.copy(), uniform.copy()
     for at in (0, rows - 4):
-        points[at, 3] = np.nan
-        points[at + 1, full] = np.inf
-        points[at + 2, full] = -np.inf
-        points[at + 3] = np.nan
-    np.testing.assert_array_equal(
-        cq.membership_values(model, points), one_shot_membership(model, points)
-    )
-    points = uniform
-    for at in (0, rows - 4):
-        points[at, 0] = np.inf
-        points[at + 1, n - 1] = -np.inf
-        points[at + 2, [0, n - 1]] = np.inf, -np.inf
-    # inf·0 and inf − inf in the product are invalid operations
+        marked[0][at, 3] = np.nan
+        marked[0][at + 1, 0] = np.inf
+        marked[0][at + 2, n - 1] = -np.inf
+        marked[0][at + 3] = np.nan
+        marked[1][at, [0, n - 1]] = np.inf, -np.inf
+        marked[1][at + 1, [0, n - 1]] = -np.inf, np.nan
+    for points in marked:
+        finite = np.isfinite(points).all(axis=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = cq.membership_values(model, points)
+        np.testing.assert_array_equal(values[finite], reference[finite])
+        assert np.all(values[~finite] == np.inf)
     with np.errstate(invalid="ignore"):
-        values = cq.membership_values(model, points)
-        np.testing.assert_array_equal(values, one_shot_membership(model, points))
-        product = np.abs((points - model.midpoints) @ model.characteristic.T)
-    if variant is not V.ME:
-        assert np.isnan(values).sum() > np.isnan(np.fmax.reduce(product, axis=1)).sum()
+        assert np.isnan(one_shot_membership(model, marked[1])[~finite]).all()
+
+
+@pytest.mark.parametrize("column", ["first", "last"])
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan], ids=["+inf", "-inf", "nan"])
+@pytest.mark.parametrize("variant", list(V), ids=lambda v: v.value)
+def test_nonfinite_coordinate_is_outside(bulk_model, variant, value, column):
+    """One ±inf or nan coordinate, in a column that LTriMP or UTriMP
+    multiplies by zero coefficients, gives inf without a warning through
+    contains and through membership_values on 2 and on BLOCK_ROWS + 1
+    rows, and leaves the other rows' bits as they are."""
+    model = bulk_model(variant)
+    k = 0 if column == "first" else model.n - 1
+    point = model.midpoints.copy()
+    point[k] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cq.contains(model, point) == cq.Membership(inside=False, value=math.inf)
+        for rows in (2, BLOCK_ROWS + 1):
+            points = np.random.default_rng(rows).uniform(-3.0, 5.0, size=(rows, model.n))
+            expected = cq.membership_values(model, points)
+            points[-1, k] = value
+            expected[-1] = np.inf
+            np.testing.assert_array_equal(cq.membership_values(model, points), expected)
 
 
 @pytest.mark.parametrize("variant", [V.ME, V.MP2], ids=lambda v: v.value)

@@ -53,9 +53,9 @@ def test_delta_norm_matches_membership():
     for _ in range(10):
         x = rng.uniform([2.0, -4.0, 10.0], [8.0, 0.0, 30.0])
         d_me = cq.to_delta(me, x)
-        assert cq.membership_values(me, x) == pytest.approx(float(d_me @ d_me))
+        assert cq.contains(me, x).value == pytest.approx(float(d_me @ d_me))
         d_box = cq.to_delta(box, x)
-        assert cq.membership_values(box, x) == pytest.approx(
+        assert cq.contains(box, x).value == pytest.approx(
             float(np.max(np.abs(d_box)))
         )
 
