@@ -37,7 +37,9 @@ def _records(path: str | Path) -> Iterator[tuple[int, list[str]]]:
 
 
 def read_samples_csv(path: str | Path) -> SampleSet:
-    """Read a header+rows sample CSV into a SampleSet."""
+    """Read a header+rows sample CSV into a SampleSet. Each row converts
+    with one float() per cell; a row with a bad cell is converted again
+    cell by cell, so the ParseError names its line and column."""
     records = _records(path)
     try:
         header_line, header = next(records)
@@ -50,7 +52,10 @@ def read_samples_csv(path: str | Path) -> SampleSet:
     for lineno, record in records:
         if len(record) != len(names):
             raise ParseError(f"expected {len(names)} values, got {len(record)}", line=lineno)
-        rows.append([_parse_number(cell, lineno, names[i]) for i, cell in enumerate(record)])
+        try:  # float() ignores the whitespace that _parse_number strips
+            rows.append([float(cell) for cell in record])
+        except ValueError:  # raises the first bad cell's ParseError
+            rows.append([_parse_number(cell, lineno, names[i]) for i, cell in enumerate(record)])
     if not rows:
         raise ParseError("sample file has a header but no data rows", line=header_line + 1)
     matrix = np.array(rows, dtype=float)

@@ -12,203 +12,199 @@ associative, then unary minus, then * and /, then + and -):
 Identifiers are [A-Za-z_][A-Za-z0-9_]*. Offsets in errors are 0-based
 byte positions into the source text.
 
-`LimitState.evaluate` takes floats and returns a float, raising
-EvaluationError at an undefined point. Given numpy arrays (of one
-broadcastable shape) it evaluates every point in one pass and returns an
-array that holds nan exactly where the scalar call would raise.
+Parsing compiles the tree once into two Python functions, which
+`LimitState.evaluate` calls: a scalar one (floats in, a float out, or
+EvaluationError at an undefined point) and an array one (every point of
+one broadcast shape in one pass, nan exactly where the scalar one raises).
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
-from typing import Mapping
+from dataclasses import dataclass, field
+from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import (
-    EvaluationError,
-    LimitStateSyntaxError,
-    UnboundVariable,
-    UnknownCharacter,
-)
+from .errors import EvaluationError, LimitStateSyntaxError, UnboundVariable, UnknownCharacter
 
 _TOKEN_RE = re.compile(
     r"\s*(?:"
     r"(?P<number>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
     r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
     r"|(?P<op>[-+*/^()])"
+    r"|(?P<end>\Z)"
     r")"
 )
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
+    tokens: list[tuple[str, str, int]] = []
     pos = 0
-    while pos < len(text):
+    while not tokens or tokens[-1][0] != "end":
         match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            # only trailing whitespace or an illegal character remains
-            rest = text[pos:]
-            stripped = rest.lstrip()
-            if not stripped:
-                break
-            offset = pos + (len(rest) - len(stripped))
-            raise UnknownCharacter(f"unexpected character {stripped[0]!r}", offset)
+        if match is None:  # an illegal character, after any whitespace
+            offset = len(text) - len(text[pos:].lstrip())
+            raise UnknownCharacter(f"unexpected character {text[offset]!r}", offset)
         kind = match.lastgroup
-        value = match.group(kind)
-        tokens.append((kind, value, match.start(kind)))
+        tokens.append((kind, match.group(kind), match.start(kind)))
         pos = match.end()
-    tokens.append(("end", "", len(text)))
     return tokens
 
 
 @dataclass(frozen=True)
 class LimitState:
-    """Parsed limit-state function g over named variables."""
+    """Parsed limit-state function g over named variables. Construction
+    compiles root once into a scalar and an array evaluator."""
 
     source: str
     root: tuple
     variables: frozenset[str]
+    _scalar: Callable = field(init=False, repr=False, compare=False)
+    _array: Callable = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_scalar", _compile(self.root, array=False))
+        object.__setattr__(self, "_array", _compile(self.root, array=True))
+
+    def __reduce__(self):
+        return LimitState, (self.source, self.root, self.variables)
 
     def evaluate(self, env: Mapping[str, float | np.ndarray]) -> float | np.ndarray:
-        missing = sorted(self.variables - set(env))
-        if missing:
+        """g at env, which binds every variable: a float from floats, or
+        EvaluationError where g is undefined; given any ndarray, an array
+        over the broadcast shape, nan where the scalar call would raise."""
+        if not env.keys() >= self.variables:
+            missing = sorted(self.variables - set(env))
             raise UnboundVariable(f"unbound variable(s): {', '.join(missing)}", names=missing)
-        if not any(isinstance(v, np.ndarray) for v in env.values()):
-            value = _eval_node(self.root, env, None)
+        for v in env.values():
+            if isinstance(v, np.ndarray):
+                break
+        else:
+            try:
+                value = self._scalar(env)
+            except ZeroDivisionError:
+                raise EvaluationError("division by zero") from None
             if not math.isfinite(value):
                 raise EvaluationError(f"non-finite value from '{self.source}'")
             return value
         arrays = {k: np.asarray(v, dtype=float) for k, v in env.items()}
         undefined = np.zeros(np.broadcast_shapes(*(v.shape for v in arrays.values())), bool)
         with np.errstate(all="ignore"):
-            value = _eval_node(self.root, arrays, undefined)
+            value = self._array(arrays, undefined)
             undefined |= ~np.isfinite(value)
         return np.where(undefined, np.nan, value)
 
 
-def _eval_node(node: tuple, env: Mapping, undefined: np.ndarray | None):
-    """Value of the subtree at env. With undefined None, env holds scalars
-    and a domain error raises EvaluationError; otherwise env holds arrays
-    and the points in error are ORed into undefined."""
+def _power(a: float, b: float) -> float:
+    if a < 0.0 and not b.is_integer():
+        raise EvaluationError("fractional power of a negative number")
+    if a == 0.0 and b < 0.0:
+        raise EvaluationError("zero raised to a negative power")
+    try:
+        return a**b
+    except OverflowError:
+        raise EvaluationError("overflow in power") from None
+
+
+# The array operations OR their undefined points into `undefined`. A float b
+# is a constant: as a non-zero divisor or natural exponent, it needs no mask.
+def _array_divide(a, b, undefined: np.ndarray):
+    if not (isinstance(b, float) and b != 0.0):
+        undefined |= b == 0.0
+    return np.divide(a, b)
+
+
+def _array_power(a, b, undefined: np.ndarray):
+    value = np.power(a, b)
+    overflow = np.isinf(value) & np.isfinite(a)
+    if not (isinstance(b, float) and b >= 0.0 and b.is_integer()):
+        overflow &= np.isfinite(b)
+        undefined |= (a < 0.0) & ((b != np.floor(b)) | np.isinf(b))
+        undefined |= (a == 0.0) & (b < 0.0)
+    undefined |= overflow
+    return value
+
+
+def _lower(node: tuple, constants: list, array: bool) -> tuple[str, int]:
+    """(Python source, binding level) of the subtree's value: operands run
+    in the tree's post-order and die once consumed. Scalar source divides
+    natively (zero raises ZeroDivisionError). Input text enters only as
+    repr() keys of e; literals are entries of k."""
     op = node[0]
     if op == "num":
-        return node[1]
+        constants.append(node[1])
+        return f"k[{len(constants) - 1}]", 4
     if op == "var":
-        return env[node[1]] if undefined is not None else float(env[node[1]])
-    if op == "neg":
-        return -_eval_node(node[1], env, undefined)
-    a = _eval_node(node[1], env, undefined)
-    b = _eval_node(node[2], env, undefined)
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        if undefined is not None:
-            undefined |= b == 0.0
-            return np.divide(a, b)
-        if b == 0.0:
-            raise EvaluationError("division by zero")
-        return a / b
+        return (f"e[{node[1]!r}]" if array else f"float(e[{node[1]!r}])"), 4
+    a, left = _lower(node[1], constants, array)
+    if op == "neg":  # Python's unary minus binds tighter than * and /
+        return "-" + (a if left >= 3 else f"({a})"), 3
+    b, right = _lower(node[2], constants, array)
     if op == "^":
-        if undefined is not None:
-            fractional = (b != np.floor(b)) | np.isinf(b)
-            value = np.power(a, b)
-            undefined |= (a < 0.0) & fractional
-            undefined |= (a == 0.0) & (b < 0.0)
-            undefined |= np.isinf(value) & np.isfinite(a) & np.isfinite(b)
-            return value
-        if a < 0.0 and not b.is_integer():
-            raise EvaluationError("fractional power of a negative number")
-        if a == 0.0 and b < 0.0:
-            raise EvaluationError("zero raised to a negative power")
-        try:
-            return float(a**b)
-        except OverflowError:
-            raise EvaluationError("overflow in power") from None
-    raise AssertionError(f"unknown node {op}")
+        return (f"W({a}, {b}, u)" if array else f"P({a}, {b})"), 4
+    if op == "/" and array:
+        return f"D({a}, {b}, u)", 4
+    level = 1 if op in "+-" else 2  # left associative: parenthesize a right operand
+    return f"{a if left >= level else f'({a})'} {op} {b if right > level else f'({b})'}", level
+
+
+def _compile(root: tuple, array: bool) -> Callable:
+    constants: list[float] = []
+    body, _ = _lower(root, constants, array)
+    source = f"def g(e{', u' if array else ''}):\n    return {body}\n"
+    namespace = {"k": tuple(constants), "P": _power, "D": _array_divide, "W": _array_power}
+    exec(compile(source, "<limit state>", "exec"), namespace)
+    return namespace["g"]
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.variables: set[str] = set()
 
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.pos]
-
-    def advance(self) -> tuple[str, str, int]:
-        token = self.tokens[self.pos]
+    def accept(self, ops: str) -> str | None:
+        """Consume and return the next token if it is one of the operators ops."""
+        kind, value, _ = self.tokens[self.pos]
+        if kind != "op" or value not in ops:
+            return None
         self.pos += 1
-        return token
+        return value
 
-    def expect_op(self, op: str) -> None:
-        kind, value, offset = self.peek()
-        if kind == "op" and value == op:
-            self.advance()
-            return
-        raise LimitStateSyntaxError(f"expected '{op}'", offset)
-
-    def parse(self) -> tuple:
-        node = self.expr()
-        kind, value, offset = self.peek()
-        if kind != "end":
-            raise LimitStateSyntaxError(f"unexpected '{value}'", offset)
+    def chain(self, ops: str, operand) -> tuple:
+        """A left-associative run of operands joined by the operators ops:
+        expr with "+-" and term, term with "*/" and unary."""
+        node = operand()
+        while op := self.accept(ops):
+            node = (op, node, operand())
         return node
 
-    def expr(self) -> tuple:
-        node = self.term()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "+-":
-                self.advance()
-                node = (value, node, self.term())
-            else:
-                return node
-
     def term(self) -> tuple:
-        node = self.unary()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "*/":
-                self.advance()
-                node = (value, node, self.unary())
-            else:
-                return node
+        return self.chain("*/", self.unary)
 
     def unary(self) -> tuple:
-        kind, value, _ = self.peek()
-        if kind == "op" and value == "-":
-            self.advance()
+        if self.accept("-"):
             return ("neg", self.unary())
-        return self.power()
-
-    def power(self) -> tuple:
         node = self.atom()
-        kind, value, _ = self.peek()
-        if kind == "op" and value == "^":
-            self.advance()
+        if self.accept("^"):
             # right associative; unary minus allowed in the exponent
             return ("^", node, self.unary())
         return node
 
     def atom(self) -> tuple:
-        kind, value, offset = self.advance()
+        kind, value, offset = self.tokens[self.pos]
+        self.pos += 1
         if kind == "number":
             return ("num", float(value))
         if kind == "ident":
             self.variables.add(value)
             return ("var", value)
         if kind == "op" and value == "(":
-            node = self.expr()
-            self.expect_op(")")
+            node = self.chain("+-", self.term)
+            if not self.accept(")"):
+                raise LimitStateSyntaxError("expected ')'", self.tokens[self.pos][2])
             return node
         what = f"'{value}'" if value else "end of input"
         raise LimitStateSyntaxError(f"expected number, name, or '(', got {what}", offset)
@@ -220,5 +216,8 @@ def parse_limit_state(text: str) -> LimitState:
     if not text.strip():
         raise LimitStateSyntaxError("empty expression", 0)
     parser = _Parser(text)
-    root = parser.parse()
+    root = parser.chain("+-", parser.term)
+    kind, value, offset = parser.tokens[parser.pos]
+    if kind != "end":
+        raise LimitStateSyntaxError(f"unexpected '{value}'", offset)
     return LimitState(source=text, root=root, variables=frozenset(parser.variables))

@@ -15,9 +15,11 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
 
@@ -53,7 +55,7 @@ BLOCK_ROWS = 2**14
 class Membership(NamedTuple):
     inside: bool
     # quadratic form (ME) or max abs standardized coordinate (MP); inf for a
-    # point holding ±inf or nan
+    # point holding ±inf or nan, or whose value overflows
     value: float
 
 
@@ -89,15 +91,16 @@ class ConvexModel:
         for field in ("factor", "characteristic"):
             object.__setattr__(self, field, read_only(getattr(self, field)))
 
-    @property
+    # cached: read on every contains and from_delta call
+    @cached_property
     def n(self) -> int:
         return self.spec.n
 
-    @property
+    @cached_property
     def midpoints(self) -> np.ndarray:
         return self.spec.midpoints
 
-    @property
+    @cached_property
     def radii(self) -> np.ndarray:
         return self.spec.radii
 
@@ -107,6 +110,18 @@ class ConvexModel:
         if not self.variant.is_parallelepiped:
             raise ValueError("the ellipsoid model has no shape matrix")
         return ShapeMatrix(entries=self.factor)
+
+    @cached_property
+    def _one_point_bound(self) -> float:
+        """Largest Σ|x_k| at which `contains`' one-point kernel cannot
+        overflow. With T = Σ|x_k| + Σ|X^m_k| and c = max|characteristic|,
+        every partial sum of the kernel is at most about c·T (MP) or c·T²
+        (ME), so T ≤ L with c·L^degree ≤ max float/4 leaves room for the
+        rounding of n terms; L ≤ max float/4 keeps Σ|x_k| = inf out."""
+        degree = 2.0 if self.variant is ModelVariant.ME else 1.0
+        peak = max(1.0, float(np.max(np.abs(self.characteristic))))
+        limit = (sys.float_info.max / 4.0 / peak) ** (1.0 / degree)
+        return limit - float(np.sum(np.abs(self.midpoints)))
 
 
 def _warn_if_ill_conditioned(matrix: np.ndarray, what: str) -> None:
@@ -175,19 +190,21 @@ def _membership_block(
 
 def membership_values(model: ConvexModel, rows: np.ndarray) -> np.ndarray:
     """Defining-inequality value of each row of n coordinates; ≤ 1 means
-    inside, and a row holding ±inf or nan gives inf. Rows are processed in
-    blocks of BLOCK_ROWS, so the temporaries stay bounded beside the
-    returned values; each finite row's value is the same bits as in one
-    pass. One point goes through `contains`."""
+    inside, and a row holding ±inf or nan, or whose value overflows, gives
+    inf, without a warning. Rows are processed in blocks of BLOCK_ROWS, so
+    the temporaries stay bounded beside the returned values; each finite
+    row's value is the same bits as in one pass. One point goes through
+    `contains`."""
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2 or rows.shape[1] != model.n:
         raise DimensionMismatch(
             f"points must be rows of {model.n} coordinates, got shape {rows.shape}"
         )
     values = np.empty(len(rows))
-    # a non-finite coordinate makes its row's value inf or nan, through the
-    # invalid operations inf·0 and inf − inf
-    with np.errstate(invalid="ignore"):
+    # a non-finite coordinate, or a finite one near the float limit, makes
+    # its row's value inf or nan, through overflow and the invalid
+    # operations inf·0 and inf − inf
+    with np.errstate(over="ignore", invalid="ignore"):
         for block in row_blocks(len(rows)):
             _membership_block(model, rows[block], out=values[block])
     values[np.isnan(values)] = np.inf
@@ -196,18 +213,23 @@ def membership_values(model: ConvexModel, rows: np.ndarray) -> np.ndarray:
 
 def contains(model: ConvexModel, x: np.ndarray) -> Membership:
     """Membership of one point of n coordinates, with the
-    defining-inequality value as diagnostic slack; a point holding ±inf or
-    nan is outside, at value inf."""
+    defining-inequality value as diagnostic slack: the bits of
+    `membership_values` on the one row, so inf for a point holding ±inf or
+    nan or whose value overflows. A point with Σ|x_k| within the model's
+    `_one_point_bound` takes a one-point kernel, which cannot overflow
+    there; every other point goes through `membership_values`."""
     x = np.asarray(x, dtype=float)
     if x.shape != (model.n,):
         raise DimensionMismatch(
             f"expected one point of {model.n} coordinates, got shape {x.shape}"
         )
-    # checked before the kernel, whose inf·0 and inf − inf would warn
-    if not np.isfinite(x).all():
-        return Membership(inside=False, value=math.inf)
-    value = float(_membership_block(model, x[None])[0])
-    return Membership(inside=bool(value <= 1.0 + MEMBERSHIP_TOL), value=value)
+    if not sum(map(abs, x.tolist())) <= model._one_point_bound:  # nan fails too
+        value = float(membership_values(model, x[None])[0])
+    elif model.variant is ModelVariant.ME:
+        value = float(_membership_block(model, x[None])[0])
+    else:  # dot runs the gemv of _membership_block's one-column product
+        value = max(map(abs, model.characteristic.dot(x - model.midpoints).tolist()))
+    return Membership(value <= 1.0 + MEMBERSHIP_TOL, value)
 
 
 def to_delta(model: ConvexModel, x: np.ndarray) -> np.ndarray:

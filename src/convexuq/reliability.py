@@ -158,9 +158,15 @@ class _Slsqp:
         )
 
 
+def _length(v: np.ndarray) -> float:
+    """The Euclidean norm of a 1-D float vector: np.linalg.norm's own
+    sqrt(v·v), without its dispatch."""
+    return math.sqrt(v.dot(v))
+
+
 def _norm_of(delta: np.ndarray, norm: str) -> float:
     if norm == EUCLIDEAN:
-        return float(np.linalg.norm(delta))
+        return _length(delta)
     return float(np.max(np.abs(delta)))
 
 
@@ -303,10 +309,10 @@ def reliability_index(
     if norm == EUCLIDEAN:
 
         def ball(y: np.ndarray) -> float:
-            return y[-1] - np.linalg.norm(y[:-1])
+            return y[-1] - _length(y[:-1])
 
         def ball_jac(y: np.ndarray) -> np.ndarray:
-            return np.append(-y[:-1] / np.linalg.norm(y[:-1]), 1.0)
+            return np.append(-y[:-1] / _length(y[:-1]), 1.0)
 
     else:
         box_jac = np.block([[-np.eye(n), np.ones((n, 1))], [np.eye(n), np.ones((n, 1))]])

@@ -30,6 +30,18 @@ def test_read_samples_bad_number_has_location(tmp_path):
     assert exc.value.field == "b"
 
 
+def test_read_samples_cells_convert_as_stripped_text(tmp_path):
+    """Whitespace around a cell, ASCII or not, is ignored as str.strip
+    ignores it, and a row's first bad cell is the one named, stripped."""
+    path = tmp_path / "s.csv"
+    path.write_text("a,b,c\n 1.5 ,\t-2e3\u2003,\xa07\n", encoding="utf-8")
+    np.testing.assert_array_equal(cq.read_samples_csv(path).rows, [[1.5, -2000.0, 7.0]])
+    path.write_text("a,b,c\n1,2,3\n1, x ,y\n", encoding="utf-8")
+    with pytest.raises(ParseError, match="cannot parse number 'x'") as exc:
+        cq.read_samples_csv(path)
+    assert (exc.value.line, exc.value.field) == (3, "b")
+
+
 def test_read_samples_ragged_row(tmp_path):
     path = tmp_path / "s.csv"
     path.write_text("a,b\n1,2,3\n")

@@ -568,6 +568,77 @@ def test_nonfinite_coordinate_is_outside(bulk_model, variant, value, column):
             np.testing.assert_array_equal(cq.membership_values(model, points), expected)
 
 
+def _unit_model(variant):
+    """R = [[1, .5], [.5, 1]] on [-1, 1]²: midpoints at 0."""
+    spec = cq.make_marginal_spec([("x1", -1.0, 1.0), ("x2", -1.0, 1.0)])
+    return cq.build_model(variant, spec, plain_r([[1.0, 0.5], [0.5, 1.0]]))
+
+
+@pytest.mark.parametrize("point", [(1e308, -1e308), (1.7e308, 1.7e308)], ids=["opposite", "same"])
+@pytest.mark.parametrize("midpoints", ["zero", "away"])
+@pytest.mark.parametrize("variant", list(V), ids=lambda v: v.value)
+def test_finite_point_whose_value_overflows_is_outside(bulk_model, variant, midpoints, point):
+    """A finite point near the float limit gives no warning and a value
+    that is never nan, through contains and through membership_values on
+    2 and on BLOCK_ROWS + 1 rows, and leaves the other rows' bits as they
+    are."""
+    model = _unit_model(variant) if midpoints == "zero" else bulk_model(variant, n=2)
+    point = np.array(point)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        member = cq.contains(model, point)
+        assert not member.inside and not math.isnan(member.value)
+        assert member.value == cq.membership_values(model, point[None])[0]
+        for rows in (2, BLOCK_ROWS + 1):
+            points = np.random.default_rng(rows).uniform(-3.0, 5.0, size=(rows, 2))
+            expected = cq.membership_values(model, points)
+            points[-1] = point
+            values = cq.membership_values(model, points)
+            np.testing.assert_array_equal(values[:-1], expected[:-1])
+            assert values[-1] > 1.0 + cq.correlation.MEMBERSHIP_TOL
+
+
+def _one_point_cases(model, gen):
+    """Interior, exterior and vertex points, points with ±0.0 coordinates,
+    and points just either side of the one-point kernel's overflow bound."""
+    n = model.n
+    ball = gen.uniform(-1.0, 1.0, size=(8, n))
+    if model.variant is V.ME:
+        ball /= np.maximum(1.0, np.abs(ball).sum(axis=1))[:, None]
+    signs = gen.choice([-1.0, 1.0], size=(4, n))
+    points = [*cq.from_delta(model, ball), *cq.from_delta(model, 3.0 * ball)]
+    points += [*cq.from_delta(model, signs), *cq.from_delta(model, -signs)]
+    for k in range(2):
+        zeros = cq.from_delta(model, ball[k])
+        zeros[:: 2 - k] = [0.0, -0.0][k]
+        points.append(zeros)
+    bound, mid = model._one_point_bound, np.abs(model.midpoints).sum()
+    for factor in (1.0 - 1e-12, 1.0, 1.0 + 1e-12):
+        direction = signs[0] / n
+        points.append(direction * (bound * factor))
+        points.append(direction * (bound + mid) * factor)
+    return points
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 10])
+@pytest.mark.parametrize("variant", list(V), ids=lambda v: v.value)
+def test_contains_has_the_bits_of_membership_values(bulk_model, variant, n):
+    """contains' one-point kernel gives the bits of membership_values on
+    the one row, on both sides of its overflow bound, without a warning."""
+    model = bulk_model(variant, n=n)
+    sides = set()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in _one_point_cases(model, np.random.default_rng(n)):
+            member = cq.contains(model, x)
+            expected = cq.membership_values(model, x[None])[0]
+            assert type(member.value) is float
+            assert member.value.hex() == float(expected).hex()
+            assert member.inside == (expected <= 1.0 + cq.correlation.MEMBERSHIP_TOL)
+            sides.add(sum(map(abs, x.tolist())) <= model._one_point_bound)
+    assert sides == {True, False}
+
+
 @pytest.mark.parametrize("variant", [V.ME, V.MP2], ids=lambda v: v.value)
 def test_membership_memory_is_bounded(bulk_model, traced_peak, variant):
     """Beside the returned values, the temporaries of a 4e5-row call stay

@@ -17,6 +17,7 @@ def load_script(name: str):
 
 
 SMALLEST_ARGS = {
+    "per_call_timings": ["--calls", "100", "--repeats", "1"],
     "run_assessment_tables": [],
     "run_case_studies": ["--strengths", "220"],
     "run_unbiasedness_sweep": ["--n", "10000", "--sweep-seeds", "1"],
