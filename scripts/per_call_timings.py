@@ -1,10 +1,13 @@
-"""Per-call timings of the one-point paths.
+"""Per-call timings of the one-point paths, and of the bulk calls.
 
 Prints microseconds per call of `contains` (six variants at n = 3 and
 n = 10), of scalar and array `LimitState.evaluate` (the beam limit state
 and an n = 10 linear one of the benchmark's synthetic form) and of
 `from_delta`. Every case runs `--calls` calls per repeat, array calls a
-hundredth of that, and the repeats of all cases are interleaved in one
+hundredth of that. `--bulk N` adds milliseconds per call of
+`sample_uniform`, `membership_values`, `mc_volume` and
+`verify_unbiasedness` at N rows (ME and MP-II at n = 3 and 10), one call
+of each per repeat. The repeats of all cases are interleaved in one
 process, so a change of host load touches every case alike. The figure
 kept is the minimum over the repeats. Per-call changes of a few
 microseconds are below the run-to-run spread of the benchmark; compare
@@ -14,6 +17,7 @@ two commits by running this script on each, alternately.
 import argparse
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -98,6 +102,26 @@ def cases(calls: int, data_dir: Path) -> dict:
     return out
 
 
+def bulk_cases(rows: int) -> dict:
+    """name -> (1, function making one call at `rows` rows)."""
+    out = {}
+    for n in (3, 10):
+        spec = cq.make_marginal_spec((f"x{k + 1}", 10.0 - k, 14.0 + 0.5 * k) for k in range(n))
+        R = correlation(n)
+        for variant in (cq.ModelVariant.ME, cq.ModelVariant.MP2):
+            model = cq.build_model(variant, spec, R)
+            points = cq.sample_uniform(model, rows, seed=1)
+            calls = {
+                "sample_uniform": partial(cq.sample_uniform, model, rows, 0),
+                "membership_values": partial(cq.membership_values, model, points),
+                "mc_volume": partial(cq.mc_volume, model, rows, 0),
+                "verify_unbiasedness": partial(cq.verify_unbiasedness, variant, R, rows, 0),
+            }
+            for name, run in calls.items():
+                out[f"{name} {variant.label} n={n}"] = (1, run)
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--calls", type=int, default=2000, help="one-point calls per repeat")
@@ -107,19 +131,33 @@ def main(argv=None) -> int:
         type=Path,
         default=Path(__file__).resolve().parents[1] / "tests" / "data",
     )
+    parser.add_argument(
+        "--bulk",
+        type=int,
+        default=0,
+        metavar="N",
+        help="also time the bulk calls at N rows (at least 10000)",
+    )
     args = parser.parse_args(argv)
     if args.calls < 1 or args.repeats < 1:
         parser.error("--calls and --repeats must be at least 1")
+    if args.bulk and args.bulk < 10_000:
+        parser.error("--bulk must be at least 10000, verify_unbiasedness' least draw count")
     table = cases(args.calls, args.data_dir)
-    best = dict.fromkeys(table, float("inf"))
+    bulk = bulk_cases(args.bulk) if args.bulk else {}
+    best = dict.fromkeys([*table, *bulk], float("inf"))
     for _ in range(args.repeats):
-        for name, (count, run) in table.items():
+        for name, (count, run) in [*table.items(), *bulk.items()]:
             start = time.perf_counter()
             run()
             best[name] = min(best[name], (time.perf_counter() - start) / count)
     print(f"us per call, min of {args.repeats} interleaved repeats")
-    for name, seconds in best.items():
-        print(f"  {name:44s} {1e6 * seconds:10.2f}")
+    for name in table:
+        print(f"  {name:44s} {1e6 * best[name]:10.2f}")
+    if bulk:
+        print(f"ms per call at {args.bulk} rows, min of {args.repeats} interleaved repeats")
+        for name in bulk:
+            print(f"  {name:44s} {1e3 * best[name]:10.2f}")
     return 0
 
 

@@ -32,7 +32,7 @@ def _records(path: str | Path) -> Iterator[tuple[int, list[str]]]:
     """(1-based line number, cells) of every non-blank CSV record."""
     with Path(path).open(newline="", encoding="utf-8") as fh:
         for lineno, record in enumerate(csv.reader(fh), start=1):
-            if any(cell.strip() for cell in record):
+            if any(map(str.strip, record)):
                 yield lineno, record
 
 

@@ -15,13 +15,16 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import sys
+import threading
 import warnings
+from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, TypeVar
 
 import numpy as np
 
@@ -47,9 +50,11 @@ FORMAT_VERSION = 1
 # print-rounded to about three decimals
 _COVARIANCE_RTOL = 1e-9
 _SHAPE_ATOL = 5e-4
-# rows per block of the bulk kernels (membership_values, mc_volume and the
-# ellipsoid draw's norms), whose temporaries stay a few blocks in size
+# rows per block of the bulk kernels (membership_values, mc_volume and
+# sample_uniform), whose temporaries stay a few blocks per group of blocks
 BLOCK_ROWS = 2**14
+
+_T = TypeVar("_T")
 
 
 class Membership(NamedTuple):
@@ -173,9 +178,54 @@ def row_blocks(count: int) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
-def _membership_block(
+def _core_count() -> int:
+    """Cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
+def map_block_groups(count: int, work: Callable[[list[slice]], _T]) -> list[_T]:
+    """`work(group)` for each of W = min(cores, blocks) contiguous groups
+    of `row_blocks(count)`, results in group order. The caller's thread
+    runs group 0 and a thread of its own each other group, all joined
+    before the return; the exception of the first group that raised one
+    is raised here. The block boundaries do not depend on W, so
+    block-wise work gives the same bits on any number of cores. `work`
+    must not call this again, and enters its own `np.errstate`, which
+    holds per thread."""
+    blocks = row_blocks(count)
+    width = min(_core_count(), len(blocks)) if len(blocks) > 1 else 1
+    cuts = [len(blocks) * g // width for g in range(width + 1)]
+    groups = [blocks[lo:hi] for lo, hi in zip(cuts[:-1], cuts[1:])]
+    results: list = [None] * width
+    errors: list[BaseException | None] = [None] * width
+
+    def run(g: int) -> None:
+        try:
+            results[g] = work(groups[g])
+        except BaseException as exc:  # raised again in the caller
+            errors[g] = exc
+
+    threads = [threading.Thread(target=run, args=(g,)) for g in range(1, width)]
+    for thread in threads:
+        thread.start()
+    run(0)
+    for thread in threads:
+        thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return results
+
+
+def membership_block(
     model: ConvexModel, rows: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
+    """The membership kernel on one block of rows, in the calling thread:
+    a row holding ±inf or nan, or whose value overflows, may give inf or
+    nan, and the caller sets `np.errstate` for it."""
     if model.variant is ModelVariant.ME:
         centered = rows - model.midpoints
         return np.einsum("ij,jk,ik->i", centered, model.characteristic, centered, out=out)
@@ -191,9 +241,11 @@ def _membership_block(
 def membership_values(model: ConvexModel, rows: np.ndarray) -> np.ndarray:
     """Defining-inequality value of each row of n coordinates; ≤ 1 means
     inside, and a row holding ±inf or nan, or whose value overflows, gives
-    inf, without a warning. Rows are processed in blocks of BLOCK_ROWS, so
-    the temporaries stay bounded beside the returned values; each finite
-    row's value is the same bits as in one pass. One point goes through
+    inf, without a warning. Rows are processed in blocks of BLOCK_ROWS,
+    in contiguous groups of blocks on up to one thread per core
+    (`map_block_groups`), so the temporaries stay a few blocks per group
+    beside the returned values; each finite row's value is the same bits
+    as in one pass, on any number of cores. One point goes through
     `contains`."""
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2 or rows.shape[1] != model.n:
@@ -201,12 +253,16 @@ def membership_values(model: ConvexModel, rows: np.ndarray) -> np.ndarray:
             f"points must be rows of {model.n} coordinates, got shape {rows.shape}"
         )
     values = np.empty(len(rows))
-    # a non-finite coordinate, or a finite one near the float limit, makes
-    # its row's value inf or nan, through overflow and the invalid
-    # operations inf·0 and inf − inf
-    with np.errstate(over="ignore", invalid="ignore"):
-        for block in row_blocks(len(rows)):
-            _membership_block(model, rows[block], out=values[block])
+
+    def fill(group: list[slice]) -> None:
+        # a non-finite coordinate, or a finite one near the float limit,
+        # makes its row's value inf or nan, through overflow and the
+        # invalid operations inf·0 and inf − inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            for block in group:
+                membership_block(model, rows[block], out=values[block])
+
+    map_block_groups(len(rows), fill)
     values[np.isnan(values)] = np.inf
     return values
 
@@ -226,8 +282,8 @@ def contains(model: ConvexModel, x: np.ndarray) -> Membership:
     if not sum(map(abs, x.tolist())) <= model._one_point_bound:  # nan fails too
         value = float(membership_values(model, x[None])[0])
     elif model.variant is ModelVariant.ME:
-        value = float(_membership_block(model, x[None])[0])
-    else:  # dot runs the gemv of _membership_block's one-column product
+        value = float(membership_block(model, x[None])[0])
+    else:  # dot runs the gemv of membership_block's one-column product
         value = max(map(abs, model.characteristic.dot(x - model.midpoints).tolist()))
     return Membership(value <= 1.0 + MEMBERSHIP_TOL, value)
 

@@ -5,7 +5,10 @@ All randomness flows from a Philox counter-based generator keyed by the
 caller's seed, so identical (model, count, seed) triples produce
 bit-identical output on every platform. Gaussian deviates for ball
 sampling come from an explicit Box-Muller transform of the uniform
-stream.
+stream. The bulk calls run contiguous groups of row blocks on up to one
+thread per core (`models.map_block_groups`); each group draws from its
+own counter offset of the one stream, so the draws have the same bits
+whatever the number of cores.
 """
 
 from __future__ import annotations
@@ -20,54 +23,26 @@ from .models import (
     MEMBERSHIP_TOL,
     ConvexModel,
     build_model,
-    from_delta,
-    membership_values,
-    row_blocks,
+    map_block_groups,
+    membership_block,
 )
 
 VERDICT_UNBIASED = "unbiased-consistent"
 VERDICT_BIASED = "biased-detected"
 
 
-def _generator(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=int(seed)))
+def _stream(seed: int, offset: int) -> np.random.Generator:
+    """The seed's Philox stream from its `offset`-th double on: a counter
+    step is four doubles, the rest are drawn and dropped."""
+    bits = np.random.Philox(key=int(seed))
+    bits.advance(offset // 4)
+    gen = np.random.Generator(bits)
+    gen.random(offset % 4)
+    return gen
 
 
-def _box_muller(gen: np.random.Generator, count: int) -> np.ndarray:
-    """Standard normal deviates from the uniform stream: the first half of
-    one array holds radius·cos(angle), the second radius·sin(angle), each
-    computed in place from the half's uniforms."""
-    half = (count + 1) // 2
-    z = np.empty(2 * half)
-    radius, angle = z[:half], z[half:]
-    gen.random(out=radius)
-    gen.random(out=angle)
-    np.negative(radius, out=radius)
-    np.log1p(radius, out=radius)  # 1-u1 in (0, 1] keeps the log finite
-    radius *= -2.0
-    np.sqrt(radius, out=radius)
-    angle *= 2.0 * np.pi
-    cos = np.cos(angle)
-    np.sin(angle, out=angle)
-    angle *= radius
-    radius *= cos
-    return z[:count]
-
-
-def _unit_ball(gen: np.random.Generator, count: int, n: int) -> np.ndarray:
-    """`count` points uniform in the unit n-ball: normalized Box-Muller
-    directions times U^(1/n) radii, the radius block drawn after the
-    direction block. One count-long buffer holds the norms, then the radii."""
-    z = _box_muller(gen, count * n).reshape(count, n)
-    scale = np.empty(count)
-    for block in row_blocks(count):  # np.linalg.norm(z, axis=1)
-        np.sqrt(np.add.reduce(z[block] * z[block], axis=1), out=scale[block])
-    scale[scale == 0.0] = 1.0
-    z /= scale[:, None]
-    gen.random(out=scale)
-    scale **= 1.0 / n
-    z *= scale[:, None]
-    return z
+def _longest(group: list[slice]) -> int:
+    return max(block.stop - block.start for block in group)
 
 
 def verdict_tolerance(draws: int) -> float:
@@ -107,41 +82,104 @@ def sample_uniform(model: ConvexModel, count: int, seed: int) -> np.ndarray:
     """Draw `count` points uniformly from the model's domain.
 
     X = X^m + D·A·delta with A the model's factor. MP: delta uniform in
-    [-1,1]^n (uniformity is exact by linearity). ME: delta uniform in the
-    unit ball (`_unit_ball`). ME maps delta with from_delta, D·(delta·Aᵀ);
-    MP groups the product as delta·(D·A)ᵀ. Each grouping fixes the drawn
-    bits. Besides the result, a draw holds the count×n deviates and, for
-    ME, half as much again while it turns them into normals.
+    [-1,1]^n (uniformity is exact by linearity), the stream's first
+    count·n values in row order. ME: delta uniform in the unit ball,
+    Box-Muller normals scaled to unit norm times U^(1/n) radii; of the
+    stream's first 2·half values (half = ⌈count·n/2⌉), the flat position
+    k < half is radius(u_k)·cos(angle(u_{half+k})) and k ≥ half is
+    radius(u_{k−half})·sin(angle(u_k)), and row i's radius is
+    u_{2·half+i}. ME maps delta as D·(delta·Aᵀ), MP as delta·(D·A)ᵀ; each
+    grouping fixes the drawn bits. Besides the result, a draw holds a few
+    blocks of deviates per group.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    gen = _generator(seed)
     n = model.n
+    x = np.empty((count, n))
     if model.variant is ModelVariant.ME:
-        return from_delta(model, _unit_ball(gen, count, n))
-    delta = gen.random((count, n))
-    delta *= 2.0
-    delta -= 1.0
-    x = delta @ (model.radii[:, None] * model.factor).T
-    x += model.midpoints
+        half = (count * n + 1) // 2
+
+        def draw(group: list[slice]) -> None:
+            first, last = group[0].start * n, group[-1].stop * n  # flat positions
+            cut = min(max(half, first), last)  # the group's first sin position
+            cos_radius, cos_angle = _stream(seed, first), _stream(seed, half + first)
+            sin_radius, sin_angle = _stream(seed, max(cut - half, 0)), _stream(seed, cut)
+            radial = _stream(seed, 2 * half + group[0].start)
+            radius_buf, angle_buf = np.empty((2, _longest(group) * n))
+            for block in group:
+                rows = block.stop - block.start
+                z, angle = radius_buf[: rows * n], angle_buf[: rows * n]
+                split = min(max(half - block.start * n, 0), rows * n)
+                cos_radius.random(out=z[:split])
+                cos_angle.random(out=angle[:split])
+                sin_radius.random(out=z[split:])
+                sin_angle.random(out=angle[split:])
+                np.negative(z, out=z)
+                np.log1p(z, out=z)  # 1-u1 in (0, 1] keeps the log finite
+                z *= -2.0
+                np.sqrt(z, out=z)
+                angle *= 2.0 * np.pi
+                np.cos(angle[:split], out=angle[:split])
+                np.sin(angle[split:], out=angle[split:])
+                z *= angle
+                z = z.reshape(rows, n)
+                scale = np.sqrt(np.add.reduce(z * z, axis=1))  # np.linalg.norm(z, axis=1)
+                scale[scale == 0.0] = 1.0
+                z /= scale[:, None]
+                radial.random(out=scale)
+                scale **= 1.0 / n
+                z *= scale[:, None]
+                out = x[block]  # from_delta, into place
+                np.matmul(z, model.factor.T, out=out)
+                out *= model.radii
+                out += model.midpoints
+
+    else:
+        linear = (model.radii[:, None] * model.factor).T
+
+        def draw(group: list[slice]) -> None:
+            gen = _stream(seed, group[0].start * n)
+            delta_buf = np.empty((_longest(group), n))
+            for block in group:
+                delta = delta_buf[: block.stop - block.start]
+                gen.random(out=delta)
+                delta *= 2.0
+                delta -= 1.0
+                out = x[block]
+                np.matmul(delta, linear, out=out)
+                out += model.midpoints
+
+    map_block_groups(count, draw)
     return x
 
 
 def mc_volume(model: ConvexModel, count: int, seed: int) -> tuple[float, float]:
     """Hit-ratio estimate of the volume ratio nu over the marginal box,
-    with its binomial standard error."""
+    with its binomial standard error. The draws are the stream's first
+    count·n values in row order, scaled to the box, streamed block by
+    block."""
     if count < 1000:
         raise ValueError("count must be at least 1e3")
-    gen = _generator(seed)
-    hits = 0
-    for block in row_blocks(count):  # the draws of one count×n array, streamed
-        draws = gen.random((block.stop - block.start, model.n))
-        draws *= 2.0
-        draws -= 1.0
-        draws *= model.radii
-        draws += model.midpoints
-        hits += int(np.count_nonzero(membership_values(model, draws) <= 1.0 + MEMBERSHIP_TOL))
-    p = hits / count
+    n = model.n
+
+    def count_hits(group: list[slice]) -> int:
+        gen = _stream(seed, group[0].start * n)
+        draws_buf, values_buf = np.empty((_longest(group), n)), np.empty(_longest(group))
+        hits = 0
+        with np.errstate(over="ignore", invalid="ignore"):  # nan is no hit
+            for block in group:
+                rows = block.stop - block.start
+                draws = draws_buf[:rows]
+                gen.random(out=draws)
+                draws *= 2.0
+                draws -= 1.0
+                draws *= model.radii
+                draws += model.midpoints
+                values = membership_block(model, draws, out=values_buf[:rows])
+                hits += int(np.count_nonzero(values <= 1.0 + MEMBERSHIP_TOL))
+        return hits
+
+    p = sum(map_block_groups(count, count_hits)) / count
     return p, float(np.sqrt(p * (1.0 - p) / count))
 
 

@@ -1,7 +1,9 @@
 import dataclasses
+import itertools
 import json
 import math
 import re
+import threading
 import warnings
 
 import numpy as np
@@ -17,7 +19,7 @@ from convexuq.errors import (
     NotPositiveDefinite,
     ParseError,
 )
-from convexuq.models import BLOCK_ROWS, row_blocks
+from convexuq.models import BLOCK_ROWS, map_block_groups, row_blocks
 
 ALL_VARIANTS = tuple(V)
 MP_VARIANTS = tuple(v for v in V if v is not V.ME)
@@ -467,6 +469,8 @@ def test_glasses_fixture_loads(data_dir):
 
 
 BULK_ROWS = (BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 17)
+# core counts a bulk call is run on: W = min(cores, blocks) groups of blocks
+CORE_COUNTS = (1, 2, 3, 7)
 
 
 def test_row_blocks_cover_in_order_without_single_rows():
@@ -513,15 +517,15 @@ def test_mp_membership_is_bit_identical_across_widths_and_layouts(
             )
 
 
-@pytest.mark.parametrize("rows", (8, BLOCK_ROWS + 1))
+@pytest.mark.parametrize("rows", (8, BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 17))
 @pytest.mark.parametrize("variant", list(V), ids=lambda v: v.value)
 def test_membership_of_nonfinite_rows_is_bit_identical(
-    bulk_model, one_shot_membership, variant, rows
+    bulk_model, one_shot_membership, monkeypatch, variant, rows
 ):
     """Rows holding nan or ±inf, in the first and the last block, give inf
-    without a warning, also where the reference's value is nan (inf·0 and
-    inf − inf in the product), and every finite row keeps the reference's
-    bits."""
+    without a warning in any thread, also where the reference's value is
+    nan (inf·0 and inf − inf in the product), and every finite row keeps
+    the reference's bits, on 1, 2, 3 and 7 cores."""
     model = bulk_model(variant)
     n = model.n
     uniform = np.random.default_rng(rows).uniform(-3.0, 5.0, size=(rows, n))
@@ -534,12 +538,13 @@ def test_membership_of_nonfinite_rows_is_bit_identical(
         marked[0][at + 3] = np.nan
         marked[1][at, [0, n - 1]] = np.inf, -np.inf
         marked[1][at + 1, [0, n - 1]] = -np.inf, np.nan
-    for points in marked:
+    for cores, points in itertools.product(CORE_COUNTS, marked):
+        monkeypatch.setattr(cq.models, "_core_count", lambda: cores)
         finite = np.isfinite(points).all(axis=1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             values = cq.membership_values(model, points)
-        np.testing.assert_array_equal(values[finite], reference[finite])
+        np.testing.assert_array_equal(values[finite], reference[finite], err_msg=f"{cores}")
         assert np.all(values[~finite] == np.inf)
     with np.errstate(invalid="ignore"):
         assert np.isnan(one_shot_membership(model, marked[1])[~finite]).all()
@@ -642,9 +647,54 @@ def test_contains_has_the_bits_of_membership_values(bulk_model, variant, n):
 @pytest.mark.parametrize("variant", [V.ME, V.MP2], ids=lambda v: v.value)
 def test_membership_memory_is_bounded(bulk_model, traced_peak, variant):
     """Beside the returned values, the temporaries of a 4e5-row call stay
-    below three blocks (a one-pass kernel holds at least the 32 MB of
-    centred rows)."""
+    below three blocks per group of blocks, one group per core (a
+    one-pass kernel holds at least the 32 MB of centred rows)."""
+    model = bulk_model(variant)
+    points = np.random.default_rng(0).uniform(-3.0, 5.0, size=(400_000, model.n))
+    values, peak = traced_peak(lambda: cq.membership_values(model, points))
+    groups = min(cq.models._core_count(), len(row_blocks(len(points))))
+    assert peak < values.nbytes + 3 * groups * BLOCK_ROWS * model.n * 8
+
+
+@pytest.mark.parametrize("variant", [V.ME, V.MP2], ids=lambda v: v.value)
+def test_membership_memory_on_one_core_is_three_blocks(
+    bulk_model, traced_peak, monkeypatch, variant
+):
+    """On one core the call runs its blocks in one group, in the caller's
+    thread, and its temporaries stay below three blocks."""
+    monkeypatch.setattr(cq.models, "_core_count", lambda: 1)
     model = bulk_model(variant)
     points = np.random.default_rng(0).uniform(-3.0, 5.0, size=(400_000, model.n))
     values, peak = traced_peak(lambda: cq.membership_values(model, points))
     assert peak < values.nbytes + 3 * BLOCK_ROWS * model.n * 8
+
+
+def test_block_groups_split_the_blocks_in_order(monkeypatch):
+    """W = min(cores, blocks) contiguous groups of row_blocks, results in
+    group order, group 0 in the caller's thread and no thread left over."""
+    caller, before = threading.get_ident(), threading.active_count()
+    for cores in CORE_COUNTS:
+        monkeypatch.setattr(cq.models, "_core_count", lambda: cores)
+        for count in (0, 1, BLOCK_ROWS, BLOCK_ROWS + 1, 5 * BLOCK_ROWS - 1):
+            groups = map_block_groups(count, lambda group: (group, threading.get_ident()))
+            blocks = row_blocks(count)
+            assert len(groups) == min(cores, len(blocks))
+            assert [block for group, _ in groups for block in group] == blocks
+            assert [ident == caller for _, ident in groups] == [True] + [False] * (len(groups) - 1)
+    assert threading.active_count() == before
+
+
+def test_block_groups_raise_a_worker_error(monkeypatch):
+    """An exception in any group reaches the caller, after every thread is
+    joined; of two, the first group's is raised."""
+    monkeypatch.setattr(cq.models, "_core_count", lambda: 3)
+    count, before = 5 * BLOCK_ROWS, threading.active_count()
+
+    def fail_after_first(group):
+        if group[0].start > 0:
+            raise KeyError(group[0].start)
+
+    with pytest.raises(KeyError) as exc:
+        map_block_groups(count, fail_after_first)
+    assert exc.value.args == (row_blocks(count)[1].start,)
+    assert threading.active_count() == before

@@ -1,9 +1,13 @@
+import multiprocessing
+import threading
+
 import numpy as np
 import pytest
 
 import convexuq as cq
 from convexuq import ModelVariant as V
 from convexuq.models import BLOCK_ROWS
+from convexuq.sampling import _stream
 
 R6 = np.array([[1.0, 0.6], [0.6, 1.0]])
 
@@ -106,6 +110,8 @@ def test_ccc_recovery_is_report_only():
 
 
 BULK_COUNTS = (BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 17)
+# core counts a bulk call is run on: W = min(cores, blocks) groups of blocks
+CORE_COUNTS = (1, 2, 3, 7)
 
 
 def one_shot_draw(model, count, seed):
@@ -146,7 +152,8 @@ def test_streamed_mc_volume_counts_one_shot_hits(
 ):
     """The hits at the real threshold, and at the draws' median membership
     value, which every variant hits with about half its draws: RectMP's
-    ν is 4.7e-5 here, about one real hit per count."""
+    ν is 4.7e-5 here, about one real hit per count. Each on 1, 2, 3 and 7
+    cores."""
     model = bulk_model(variant)
     gen = np.random.Generator(np.random.Philox(key=count))
     draws = model.midpoints + model.radii * (2.0 * gen.random((count, model.n)) - 1.0)
@@ -154,7 +161,9 @@ def test_streamed_mc_volume_counts_one_shot_hits(
     for tol in (cq.MEMBERSHIP_TOL, float(np.median(values)) - 1.0):
         hits = int(np.sum(values <= 1.0 + tol))
         monkeypatch.setattr(cq.sampling, "MEMBERSHIP_TOL", tol)
-        assert cq.mc_volume(model, count, seed=count)[0] == hits / count
+        for cores in CORE_COUNTS:
+            monkeypatch.setattr(cq.models, "_core_count", lambda: cores)
+            assert cq.mc_volume(model, count, seed=count)[0] == hits / count
     assert hits > count // 4
 
 
@@ -166,3 +175,67 @@ def test_mc_volume_memory_is_bounded(bulk_model, traced_peak, variant):
     count = 400_000
     _, peak = traced_peak(lambda: cq.mc_volume(model, count, seed=0))
     assert peak < count * model.n * 8 / 4
+
+
+def test_stream_offsets_match_one_long_stream():
+    """A stream opened at an offset gives the values from that offset on
+    of the one stream read from its start, within a counter step and
+    past 1e7 values."""
+    gen = np.random.Generator(np.random.Philox(key=9))
+    head = gen.random(16)
+    for offset in range(10):
+        np.testing.assert_array_equal(_stream(9, offset).random(6), head[offset : offset + 6])
+    far = 10**7 + 3
+    for step in (10**6,) * 9 + (far - 16 - 9 * 10**6,):  # read on to `far`
+        gen.random(step)
+    np.testing.assert_array_equal(_stream(9, far).random(6), gen.random(6))
+
+
+@pytest.mark.parametrize("n", [1, 3, 10])
+@pytest.mark.parametrize("variant", [V.ME, V.MP2], ids=lambda v: v.value)
+def test_draws_have_the_same_bits_on_any_core_count(bulk_model, monkeypatch, variant, n):
+    """1, 2, 3 and 7 cores draw the one-shot bits at one and two rows and
+    at two, three and four blocks. The odd counts make count·n odd at
+    n = 1 and 3 and put the Box-Muller half inside a row at n = 3 and 10,
+    inside a block and inside a group."""
+    model = bulk_model(variant, n=n)
+    for count in (1, 2, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 3, 3 * BLOCK_ROWS + 17):
+        expected = one_shot_draw(model, count, count)
+        for cores in CORE_COUNTS:
+            monkeypatch.setattr(cq.models, "_core_count", lambda: cores)
+            np.testing.assert_array_equal(
+                cq.sample_uniform(model, count, seed=count),
+                expected,
+                err_msg=f"{count} draws on {cores} cores",
+            )
+
+
+def _draw_in_child(model, count, conn):
+    conn.send(cq.sample_uniform(model, count, seed=4))
+    conn.close()
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method"
+)
+def test_draws_in_a_forked_child_after_the_parent_drew(bulk_model):
+    """The parent draws on all its cores first and leaves no thread
+    behind; a forked child then draws the same bits."""
+    model, count = bulk_model(V.ME), 2 * BLOCK_ROWS + 3
+    before = threading.active_count()
+    expected = cq.sample_uniform(model, count, seed=4)
+    assert threading.active_count() == before
+    ctx = multiprocessing.get_context("fork")
+    receiver, sender = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_draw_in_child, args=(model, count, sender))
+    child.start()
+    try:
+        sender.close()
+        assert receiver.poll(60), "the forked child did not finish its draw"
+        np.testing.assert_array_equal(receiver.recv(), expected)
+        child.join(60)
+        assert child.exitcode == 0
+    finally:
+        if child.is_alive():
+            child.kill()
+            child.join()
