@@ -7,7 +7,9 @@ and an n = 10 linear one of the benchmark's synthetic form) and of
 hundredth of that. `--bulk N` adds milliseconds per call of
 `sample_uniform`, `membership_values`, `mc_volume` and
 `verify_unbiasedness` at N rows (ME and MP-II at n = 3 and 10), one call
-of each per repeat. The repeats of all cases are interleaved in one
+of each per repeat; the bulk calls run on two threads only beside a
+one-thread BLAS, so set `OPENBLAS_NUM_THREADS=1` to time them as the
+benchmark runs them. The repeats of all cases are interleaved in one
 process, so a change of host load touches every case alike. The figure
 kept is the minimum over the repeats. Per-call changes of a few
 microseconds are below the run-to-run spread of the benchmark; compare

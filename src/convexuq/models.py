@@ -13,6 +13,7 @@ takes A = S, the variant's shape matrix, and p = ∞, which is the domain
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
 import os
@@ -22,7 +23,7 @@ import warnings
 from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 from typing import NamedTuple, TypeVar
 
@@ -51,8 +52,11 @@ FORMAT_VERSION = 1
 _COVARIANCE_RTOL = 1e-9
 _SHAPE_ATOL = 5e-4
 # rows per block of the bulk kernels (membership_values, mc_volume and
-# sample_uniform), whose temporaries stay a few blocks per group of blocks
+# sample_uniform), whose temporaries stay a few blocks per thread
 BLOCK_ROWS = 2**14
+# most threads one bulk call runs on: each holds a few blocks of
+# temporaries, so theirs stay a few blocks whatever the number of cores
+BULK_THREADS = 2
 
 _T = TypeVar("_T")
 
@@ -186,17 +190,55 @@ def _core_count() -> int:
         return os.cpu_count() or 1
 
 
+@cache
+def _blas_thread_getter() -> Callable[[], int] | None:
+    """OpenBLAS's thread-count getter in the library that numpy's wheels
+    bundle, or None where numpy has no such library."""
+    root = Path(np.__file__).parent  # Linux and Windows wheels, then macOS
+    for path in [*root.parent.glob("numpy.libs/*openblas*"), *root.glob(".dylibs/*openblas*")]:
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for name in (
+            "scipy_openblas_get_num_threads64_",
+            "scipy_openblas_get_num_threads",
+            "openblas_get_num_threads64_",
+            "openblas_get_num_threads",
+        ):
+            getter = getattr(lib, name, None)
+            if getter is not None:
+                return getter
+    return None
+
+
+def _blas_threads() -> int | None:
+    """Threads numpy's BLAS runs one product on now; None where that
+    cannot be read."""
+    getter = _blas_thread_getter()
+    return None if getter is None else int(getter())
+
+
+def _thread_count() -> int:
+    """Threads a bulk call runs on: one per core, at most BULK_THREADS,
+    where numpy's BLAS runs one thread. Where it runs threads of its own,
+    or may, the call keeps to the caller's thread: the products of two
+    threads would each start the BLAS's threads and compete for the
+    cores."""
+    return min(_core_count(), BULK_THREADS) if _blas_threads() == 1 else 1
+
+
 def map_block_groups(count: int, work: Callable[[list[slice]], _T]) -> list[_T]:
-    """`work(group)` for each of W = min(cores, blocks) contiguous groups
-    of `row_blocks(count)`, results in group order. The caller's thread
-    runs group 0 and a thread of its own each other group, all joined
-    before the return; the exception of the first group that raised one
-    is raised here. The block boundaries do not depend on W, so
-    block-wise work gives the same bits on any number of cores. `work`
+    """`work(group)` for each of W = min(`_thread_count()`, blocks)
+    contiguous groups of `row_blocks(count)`, results in group order. The
+    caller's thread runs group 0 and a thread of its own each other group,
+    all joined before the return; the exception of the first group that
+    raised one is raised here. The block boundaries do not depend on W, so
+    block-wise work gives the same bits on any number of threads. `work`
     must not call this again, and enters its own `np.errstate`, which
     holds per thread."""
     blocks = row_blocks(count)
-    width = min(_core_count(), len(blocks)) if len(blocks) > 1 else 1
+    width = min(_thread_count(), len(blocks)) if len(blocks) > 1 else 1
     cuts = [len(blocks) * g // width for g in range(width + 1)]
     groups = [blocks[lo:hi] for lo, hi in zip(cuts[:-1], cuts[1:])]
     results: list = [None] * width
@@ -227,13 +269,25 @@ def membership_block(
     a row holding ±inf or nan, or whose value overflows, may give inf or
     nan, and the caller sets `np.errstate` for it."""
     if model.variant is ModelVariant.ME:
-        centered = rows - model.midpoints
-        return np.einsum("ij,jk,ik->i", centered, model.characteristic, centered, out=out)
+        return centred_membership(model, rows - model.midpoints, out)
+    # the centring is C-ordered because a Fortran-ordered one can round
+    # the transposed product differently
+    return centred_membership(model, np.subtract(rows, model.midpoints, order="C"), out)
+
+
+def centred_membership(
+    model: ConvexModel,
+    centred: np.ndarray,
+    out: np.ndarray | None = None,
+    product: np.ndarray | None = None,
+) -> np.ndarray:
+    """`membership_block` on rows less the midpoints; MP computes its n×rows
+    product into `product` where one is given."""
+    if model.variant is ModelVariant.ME:
+        return np.einsum("ij,jk,ik->i", centred, model.characteristic, centred, out=out)
     # one column per point, each reduced by its largest magnitude: the same
-    # bits, nan included, as np.max(|centered @ characteristicᵀ|, axis=1).
-    # The centring is C-ordered because a Fortran-ordered one can round the
-    # transposed product differently.
-    product = model.characteristic @ np.subtract(rows, model.midpoints, order="C").T
+    # bits, nan included, as np.max(|centred @ characteristicᵀ|, axis=1)
+    product = np.matmul(model.characteristic, centred.T, out=product)
     np.abs(product, out=product)
     return np.maximum.reduce(product, axis=0, out=out)
 
@@ -242,10 +296,10 @@ def membership_values(model: ConvexModel, rows: np.ndarray) -> np.ndarray:
     """Defining-inequality value of each row of n coordinates; ≤ 1 means
     inside, and a row holding ±inf or nan, or whose value overflows, gives
     inf, without a warning. Rows are processed in blocks of BLOCK_ROWS,
-    in contiguous groups of blocks on up to one thread per core
-    (`map_block_groups`), so the temporaries stay a few blocks per group
+    in contiguous groups of blocks on up to BULK_THREADS threads
+    (`map_block_groups`), so the temporaries stay a few blocks per thread
     beside the returned values; each finite row's value is the same bits
-    as in one pass, on any number of cores. One point goes through
+    as in one pass, on any number of threads. One point goes through
     `contains`."""
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2 or rows.shape[1] != model.n:

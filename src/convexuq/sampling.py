@@ -5,10 +5,10 @@ All randomness flows from a Philox counter-based generator keyed by the
 caller's seed, so identical (model, count, seed) triples produce
 bit-identical output on every platform. Gaussian deviates for ball
 sampling come from an explicit Box-Muller transform of the uniform
-stream. The bulk calls run contiguous groups of row blocks on up to one
-thread per core (`models.map_block_groups`); each group draws from its
-own counter offset of the one stream, so the draws have the same bits
-whatever the number of cores.
+stream. The bulk calls run contiguous groups of row blocks on up to
+`models.BULK_THREADS` threads (`models.map_block_groups`); each group
+draws from its own counter offset of the one stream, so the draws have
+the same bits whatever the number of threads.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from .models import (
     MEMBERSHIP_TOL,
     ConvexModel,
     build_model,
+    centred_membership,
     map_block_groups,
-    membership_block,
 )
 
 VERDICT_UNBIASED = "unbiased-consistent"
@@ -90,49 +90,59 @@ def sample_uniform(model: ConvexModel, count: int, seed: int) -> np.ndarray:
     radius(u_{k−half})·sin(angle(u_k)), and row i's radius is
     u_{2·half+i}. ME maps delta as D·(delta·Aᵀ), MP as delta·(D·A)ᵀ; each
     grouping fixes the drawn bits. Besides the result, a draw holds a few
-    blocks of deviates per group.
+    blocks of deviates per thread.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
     n = model.n
     x = np.empty((count, n))
     if model.variant is ModelVariant.ME:
-        half = (count * n + 1) // 2
+        flat, size = x.reshape(-1), count * n
+        half = (size + 1) // 2
+
+        def normals(group: list[slice]) -> None:
+            # a row block takes the half positions [⌈start·n/2⌉, ⌈stop·n/2⌉):
+            # the radius and angle at k give the cos value at k and the
+            # sin value at half + k, which may fall in another block
+            lo = (group[0].start * n + 1) // 2
+            radius_gen, angle_gen = _stream(seed, lo), _stream(seed, half + lo)
+            radius_buf, angle_buf = np.empty((2, _longest(group) * n // 2 + 1))
+            for block in group:
+                a, b = (block.start * n + 1) // 2, (block.stop * n + 1) // 2
+                radius, angle = radius_buf[: b - a], angle_buf[: b - a]
+                radius_gen.random(out=radius)
+                angle_gen.random(out=angle)
+                np.negative(radius, out=radius)
+                np.log1p(radius, out=radius)  # 1-u1 in (0, 1] keeps the log finite
+                radius *= -2.0
+                np.sqrt(radius, out=radius)
+                angle *= 2.0 * np.pi
+                np.multiply(radius, np.cos(angle), out=flat[a:b])
+                np.sin(angle, out=angle)
+                end = min(b, size - half)  # an odd size drops the last sin value
+                np.multiply(angle[: end - a], radius[: end - a], out=flat[half + a : half + end])
 
         def draw(group: list[slice]) -> None:
-            first, last = group[0].start * n, group[-1].stop * n  # flat positions
-            cut = min(max(half, first), last)  # the group's first sin position
-            cos_radius, cos_angle = _stream(seed, first), _stream(seed, half + first)
-            sin_radius, sin_angle = _stream(seed, max(cut - half, 0)), _stream(seed, cut)
             radial = _stream(seed, 2 * half + group[0].start)
-            radius_buf, angle_buf = np.empty((2, _longest(group) * n))
+            scale_buf, product_buf = np.empty(_longest(group)), np.empty((_longest(group), n))
             for block in group:
-                rows = block.stop - block.start
-                z, angle = radius_buf[: rows * n], angle_buf[: rows * n]
-                split = min(max(half - block.start * n, 0), rows * n)
-                cos_radius.random(out=z[:split])
-                cos_angle.random(out=angle[:split])
-                sin_radius.random(out=z[split:])
-                sin_angle.random(out=angle[split:])
-                np.negative(z, out=z)
-                np.log1p(z, out=z)  # 1-u1 in (0, 1] keeps the log finite
-                z *= -2.0
-                np.sqrt(z, out=z)
-                angle *= 2.0 * np.pi
-                np.cos(angle[:split], out=angle[:split])
-                np.sin(angle[split:], out=angle[split:])
-                z *= angle
-                z = z.reshape(rows, n)
-                scale = np.sqrt(np.add.reduce(z * z, axis=1))  # np.linalg.norm(z, axis=1)
+                z, scale = x[block], scale_buf[: block.stop - block.start]
+                np.sqrt(np.add.reduce(z * z, axis=1), out=scale)  # np.linalg.norm(z, axis=1)
                 scale[scale == 0.0] = 1.0
                 z /= scale[:, None]
                 radial.random(out=scale)
                 scale **= 1.0 / n
                 z *= scale[:, None]
-                out = x[block]  # from_delta, into place
-                np.matmul(z, model.factor.T, out=out)
-                out *= model.radii
-                out += model.midpoints
+            # from_delta block by block, into place, its products back to
+            # back: a BLAS that runs threads of its own keeps them spinning
+            # between its calls, which the work above would stretch
+            for block in group:
+                product = product_buf[: block.stop - block.start]
+                np.matmul(x[block], model.factor.T, out=product)
+                np.multiply(product, model.radii, out=x[block])
+                x[block] += model.midpoints
+
+        map_block_groups(count, normals)
 
     else:
         linear = (model.radii[:, None] * model.factor).T
@@ -164,7 +174,9 @@ def mc_volume(model: ConvexModel, count: int, seed: int) -> tuple[float, float]:
 
     def count_hits(group: list[slice]) -> int:
         gen = _stream(seed, group[0].start * n)
-        draws_buf, values_buf = np.empty((_longest(group), n)), np.empty(_longest(group))
+        longest = _longest(group)
+        draws_buf, values_buf = np.empty((longest, n)), np.empty(longest)
+        product_buf = None if model.variant is ModelVariant.ME else np.empty(n * longest)
         hits = 0
         with np.errstate(over="ignore", invalid="ignore"):  # nan is no hit
             for block in group:
@@ -175,7 +187,11 @@ def mc_volume(model: ConvexModel, count: int, seed: int) -> tuple[float, float]:
                 draws -= 1.0
                 draws *= model.radii
                 draws += model.midpoints
-                values = membership_block(model, draws, out=values_buf[:rows])
+                # centred in place: the draw less its midpoints is not the
+                # unshifted deviate in floating point
+                draws -= model.midpoints
+                product = None if product_buf is None else product_buf[: n * rows].reshape(n, rows)
+                values = centred_membership(model, draws, values_buf[:rows], product)
                 hits += int(np.count_nonzero(values <= 1.0 + MEMBERSHIP_TOL))
         return hits
 

@@ -2,7 +2,10 @@ import dataclasses
 import itertools
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import threading
 import warnings
 
@@ -469,8 +472,9 @@ def test_glasses_fixture_loads(data_dir):
 
 
 BULK_ROWS = (BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 17)
-# core counts a bulk call is run on: W = min(cores, blocks) groups of blocks
-CORE_COUNTS = (1, 2, 3, 7)
+# thread counts a bulk call is run on: W = min(threads, blocks) groups of
+# blocks
+THREAD_COUNTS = (1, 2, 3, 7)
 
 
 def test_row_blocks_cover_in_order_without_single_rows():
@@ -525,7 +529,7 @@ def test_membership_of_nonfinite_rows_is_bit_identical(
     """Rows holding nan or ±inf, in the first and the last block, give inf
     without a warning in any thread, also where the reference's value is
     nan (inf·0 and inf − inf in the product), and every finite row keeps
-    the reference's bits, on 1, 2, 3 and 7 cores."""
+    the reference's bits, on 1, 2, 3 and 7 threads."""
     model = bulk_model(variant)
     n = model.n
     uniform = np.random.default_rng(rows).uniform(-3.0, 5.0, size=(rows, n))
@@ -538,13 +542,13 @@ def test_membership_of_nonfinite_rows_is_bit_identical(
         marked[0][at + 3] = np.nan
         marked[1][at, [0, n - 1]] = np.inf, -np.inf
         marked[1][at + 1, [0, n - 1]] = -np.inf, np.nan
-    for cores, points in itertools.product(CORE_COUNTS, marked):
-        monkeypatch.setattr(cq.models, "_core_count", lambda: cores)
+    for threads, points in itertools.product(THREAD_COUNTS, marked):
+        monkeypatch.setattr(cq.models, "_thread_count", lambda: threads)
         finite = np.isfinite(points).all(axis=1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             values = cq.membership_values(model, points)
-        np.testing.assert_array_equal(values[finite], reference[finite], err_msg=f"{cores}")
+        np.testing.assert_array_equal(values[finite], reference[finite], err_msg=f"{threads}")
         assert np.all(values[~finite] == np.inf)
     with np.errstate(invalid="ignore"):
         assert np.isnan(one_shot_membership(model, marked[1])[~finite]).all()
@@ -645,40 +649,53 @@ def test_contains_has_the_bits_of_membership_values(bulk_model, variant, n):
 
 
 @pytest.mark.parametrize("variant", [V.ME, V.MP2], ids=lambda v: v.value)
-def test_membership_memory_is_bounded(bulk_model, traced_peak, variant):
+def test_membership_memory_is_bounded(bulk_model, traced_peak, monkeypatch, variant):
     """Beside the returned values, the temporaries of a 4e5-row call stay
-    below three blocks per group of blocks, one group per core (a
+    below three blocks per thread, on 1, 2 and 7 cores: below three
+    blocks on one core, and at most BULK_THREADS threads on any (a
     one-pass kernel holds at least the 32 MB of centred rows)."""
     model = bulk_model(variant)
     points = np.random.default_rng(0).uniform(-3.0, 5.0, size=(400_000, model.n))
-    values, peak = traced_peak(lambda: cq.membership_values(model, points))
-    groups = min(cq.models._core_count(), len(row_blocks(len(points))))
-    assert peak < values.nbytes + 3 * groups * BLOCK_ROWS * model.n * 8
+    monkeypatch.setattr(cq.models, "_blas_threads", lambda: 1)
+    for cores in (1, 2, 7):
+        monkeypatch.setattr(cq.models, "_core_count", lambda: cores)
+        values, peak = traced_peak(lambda: cq.membership_values(model, points))
+        bound = 3 * min(cores, cq.models.BULK_THREADS) * BLOCK_ROWS * model.n * 8
+        assert bound < points.nbytes  # rules out the one-pass kernel
+        assert peak < values.nbytes + bound, cores
 
 
-@pytest.mark.parametrize("variant", [V.ME, V.MP2], ids=lambda v: v.value)
-def test_membership_memory_on_one_core_is_three_blocks(
-    bulk_model, traced_peak, monkeypatch, variant
-):
-    """On one core the call runs its blocks in one group, in the caller's
-    thread, and its temporaries stay below three blocks."""
-    monkeypatch.setattr(cq.models, "_core_count", lambda: 1)
-    model = bulk_model(variant)
-    points = np.random.default_rng(0).uniform(-3.0, 5.0, size=(400_000, model.n))
-    values, peak = traced_peak(lambda: cq.membership_values(model, points))
-    assert peak < values.nbytes + 3 * BLOCK_ROWS * model.n * 8
+def test_bulk_calls_use_one_thread_beside_a_threaded_blas(monkeypatch):
+    """One thread per core up to BULK_THREADS where the BLAS runs one; one
+    where it runs more, or its count cannot be read."""
+    for cores, blas, threads in ((1, 1, 1), (2, 1, 2), (7, 1, 2), (7, 2, 1), (7, None, 1)):
+        monkeypatch.setattr(cq.models, "_core_count", lambda: cores)
+        monkeypatch.setattr(cq.models, "_blas_threads", lambda: blas)
+        assert cq.models._thread_count() == threads, (cores, blas)
+
+
+@pytest.mark.parametrize("setting", ["1", "2"])
+def test_blas_thread_count_is_read_from_the_library(setting):
+    """Where numpy bundles OpenBLAS, the count read is the one its
+    environment variable sets, capped at the cores."""
+    code = "import convexuq.models as m; print(m._blas_threads(), m._core_count())"
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": setting}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    blas, cores = out.stdout.split()
+    assert blas in ("None", str(min(int(setting), int(cores))))
 
 
 def test_block_groups_split_the_blocks_in_order(monkeypatch):
-    """W = min(cores, blocks) contiguous groups of row_blocks, results in
+    """W = min(threads, blocks) contiguous groups of row_blocks, results in
     group order, group 0 in the caller's thread and no thread left over."""
     caller, before = threading.get_ident(), threading.active_count()
-    for cores in CORE_COUNTS:
-        monkeypatch.setattr(cq.models, "_core_count", lambda: cores)
+    for threads in THREAD_COUNTS:
+        monkeypatch.setattr(cq.models, "_thread_count", lambda: threads)
         for count in (0, 1, BLOCK_ROWS, BLOCK_ROWS + 1, 5 * BLOCK_ROWS - 1):
             groups = map_block_groups(count, lambda group: (group, threading.get_ident()))
             blocks = row_blocks(count)
-            assert len(groups) == min(cores, len(blocks))
+            assert len(groups) == min(threads, len(blocks))
             assert [block for group, _ in groups for block in group] == blocks
             assert [ident == caller for _, ident in groups] == [True] + [False] * (len(groups) - 1)
     assert threading.active_count() == before
@@ -687,7 +704,7 @@ def test_block_groups_split_the_blocks_in_order(monkeypatch):
 def test_block_groups_raise_a_worker_error(monkeypatch):
     """An exception in any group reaches the caller, after every thread is
     joined; of two, the first group's is raised."""
-    monkeypatch.setattr(cq.models, "_core_count", lambda: 3)
+    monkeypatch.setattr(cq.models, "_thread_count", lambda: 3)
     count, before = 5 * BLOCK_ROWS, threading.active_count()
 
     def fail_after_first(group):

@@ -110,8 +110,9 @@ def test_ccc_recovery_is_report_only():
 
 
 BULK_COUNTS = (BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 17)
-# core counts a bulk call is run on: W = min(cores, blocks) groups of blocks
-CORE_COUNTS = (1, 2, 3, 7)
+# thread counts a bulk call is run on: W = min(threads, blocks) groups of
+# blocks
+THREAD_COUNTS = (1, 2, 3, 7)
 
 
 def one_shot_draw(model, count, seed):
@@ -153,7 +154,7 @@ def test_streamed_mc_volume_counts_one_shot_hits(
     """The hits at the real threshold, and at the draws' median membership
     value, which every variant hits with about half its draws: RectMP's
     ν is 4.7e-5 here, about one real hit per count. Each on 1, 2, 3 and 7
-    cores."""
+    threads."""
     model = bulk_model(variant)
     gen = np.random.Generator(np.random.Philox(key=count))
     draws = model.midpoints + model.radii * (2.0 * gen.random((count, model.n)) - 1.0)
@@ -161,8 +162,8 @@ def test_streamed_mc_volume_counts_one_shot_hits(
     for tol in (cq.MEMBERSHIP_TOL, float(np.median(values)) - 1.0):
         hits = int(np.sum(values <= 1.0 + tol))
         monkeypatch.setattr(cq.sampling, "MEMBERSHIP_TOL", tol)
-        for cores in CORE_COUNTS:
-            monkeypatch.setattr(cq.models, "_core_count", lambda: cores)
+        for threads in THREAD_COUNTS:
+            monkeypatch.setattr(cq.models, "_thread_count", lambda: threads)
             assert cq.mc_volume(model, count, seed=count)[0] == hits / count
     assert hits > count // 4
 
@@ -175,6 +176,29 @@ def test_mc_volume_memory_is_bounded(bulk_model, traced_peak, variant):
     count = 400_000
     _, peak = traced_peak(lambda: cq.mc_volume(model, count, seed=0))
     assert peak < count * model.n * 8 / 4
+
+
+@pytest.mark.parametrize("variant", [V.ME, V.MP2], ids=lambda v: v.value)
+def test_mc_volume_memory_is_bounded_on_many_cores(bulk_model, traced_peak, monkeypatch, variant):
+    """The same bound on 7 cores beside a one-thread BLAS, where the call
+    runs BULK_THREADS groups at once."""
+    monkeypatch.setattr(cq.models, "_core_count", lambda: 7)
+    monkeypatch.setattr(cq.models, "_blas_threads", lambda: 1)
+    model = bulk_model(variant)
+    count = 400_000
+    _, peak = traced_peak(lambda: cq.mc_volume(model, count, seed=0))
+    assert peak < count * model.n * 8 / 4
+
+
+@pytest.mark.parametrize("variant", [V.ME, V.MP2], ids=lambda v: v.value)
+def test_draw_memory_is_bounded(bulk_model, traced_peak, monkeypatch, variant):
+    """Beside its 32 MB result, a 4e5-point draw at n = 10 holds below
+    three blocks per thread, on 7 cores beside a one-thread BLAS."""
+    monkeypatch.setattr(cq.models, "_core_count", lambda: 7)
+    monkeypatch.setattr(cq.models, "_blas_threads", lambda: 1)
+    model = bulk_model(variant)
+    x, peak = traced_peak(lambda: cq.sample_uniform(model, 400_000, seed=0))
+    assert peak < x.nbytes + 3 * cq.models.BULK_THREADS * BLOCK_ROWS * model.n * 8
 
 
 def test_stream_offsets_match_one_long_stream():
@@ -193,20 +217,20 @@ def test_stream_offsets_match_one_long_stream():
 
 @pytest.mark.parametrize("n", [1, 3, 10])
 @pytest.mark.parametrize("variant", [V.ME, V.MP2], ids=lambda v: v.value)
-def test_draws_have_the_same_bits_on_any_core_count(bulk_model, monkeypatch, variant, n):
-    """1, 2, 3 and 7 cores draw the one-shot bits at one and two rows and
+def test_draws_have_the_same_bits_on_any_thread_count(bulk_model, monkeypatch, variant, n):
+    """1, 2, 3 and 7 threads draw the one-shot bits at one and two rows and
     at two, three and four blocks. The odd counts make count·n odd at
     n = 1 and 3 and put the Box-Muller half inside a row at n = 3 and 10,
     inside a block and inside a group."""
     model = bulk_model(variant, n=n)
     for count in (1, 2, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 3, 3 * BLOCK_ROWS + 17):
         expected = one_shot_draw(model, count, count)
-        for cores in CORE_COUNTS:
-            monkeypatch.setattr(cq.models, "_core_count", lambda: cores)
+        for threads in THREAD_COUNTS:
+            monkeypatch.setattr(cq.models, "_thread_count", lambda: threads)
             np.testing.assert_array_equal(
                 cq.sample_uniform(model, count, seed=count),
                 expected,
-                err_msg=f"{count} draws on {cores} cores",
+                err_msg=f"{count} draws on {threads} threads",
             )
 
 
@@ -218,9 +242,10 @@ def _draw_in_child(model, count, conn):
 @pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method"
 )
-def test_draws_in_a_forked_child_after_the_parent_drew(bulk_model):
-    """The parent draws on all its cores first and leaves no thread
-    behind; a forked child then draws the same bits."""
+def test_draws_in_a_forked_child_after_the_parent_drew(bulk_model, monkeypatch):
+    """The parent draws on two threads first and leaves no thread behind;
+    a forked child then draws the same bits, on two threads as well."""
+    monkeypatch.setattr(cq.models, "_thread_count", lambda: 2)
     model, count = bulk_model(V.ME), 2 * BLOCK_ROWS + 3
     before = threading.active_count()
     expected = cq.sample_uniform(model, count, seed=4)
