@@ -6,12 +6,14 @@ and an n = 10 linear one of the benchmark's synthetic form) and of
 `from_delta`. Every case runs `--calls` calls per repeat, array calls a
 hundredth of that. `--bulk N` adds milliseconds per call of
 `sample_uniform`, `membership_values`, `mc_volume` and
-`verify_unbiasedness` at N rows (ME and MP-II at n = 3 and 10), one call
-of each per repeat; the bulk calls run on two threads only beside a
-one-thread BLAS, so set `OPENBLAS_NUM_THREADS=1` to time them as the
-benchmark runs them. The repeats of all cases are interleaved in one
+`verify_unbiasedness` at N rows (ME and MP-II at n = 3 and 10), and of
+`fit_correlation_matrix("scc")` on N rows (n = 3 and 10), one call of
+each per repeat, with the process's CPU time (`time.process_time`, all
+threads) next to the wall time; the bulk calls run on two threads only
+beside a one-thread BLAS, so set `OPENBLAS_NUM_THREADS=1` to time them as
+the benchmark runs them. The repeats of all cases are interleaved in one
 process, so a change of host load touches every case alike. The figure
-kept is the minimum over the repeats. Per-call changes of a few
+kept is the minimum over the repeats, of wall and of CPU time apart. Per-call changes of a few
 microseconds are below the run-to-run spread of the benchmark; compare
 two commits by running this script on each, alternately.
 """
@@ -121,6 +123,11 @@ def bulk_cases(rows: int) -> dict:
             }
             for name, run in calls.items():
                 out[f"{name} {variant.label} n={n}"] = (1, run)
+        u = (points - spec.midpoints) / spec.radii  # MP-II's draws, regularized
+        out[f"fit_correlation_matrix scc n={n}"] = (
+            1,
+            partial(cq.fit_correlation_matrix, "scc", None, u),
+        )
     return out
 
 
@@ -148,18 +155,22 @@ def main(argv=None) -> int:
     table = cases(args.calls, args.data_dir)
     bulk = bulk_cases(args.bulk) if args.bulk else {}
     best = dict.fromkeys([*table, *bulk], float("inf"))
+    best_cpu = dict.fromkeys(bulk, float("inf"))
     for _ in range(args.repeats):
         for name, (count, run) in [*table.items(), *bulk.items()]:
-            start = time.perf_counter()
+            start, start_cpu = time.perf_counter(), time.process_time()
             run()
             best[name] = min(best[name], (time.perf_counter() - start) / count)
+            if name in bulk:
+                best_cpu[name] = min(best_cpu[name], time.process_time() - start_cpu)
     print(f"us per call, min of {args.repeats} interleaved repeats")
     for name in table:
         print(f"  {name:44s} {1e6 * best[name]:10.2f}")
     if bulk:
         print(f"ms per call at {args.bulk} rows, min of {args.repeats} interleaved repeats")
+        print(f"  {'':44s} {'wall':>10s} {'CPU':>10s}")
         for name in bulk:
-            print(f"  {name:44s} {1e3 * best[name]:10.2f}")
+            print(f"  {name:44s} {1e3 * best[name]:10.2f} {1e3 * best_cpu[name]:10.2f}")
     return 0
 
 

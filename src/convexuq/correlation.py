@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .domain import read_only
+from .domain import map_groups, read_only, row_blocks
 from .errors import (
     DegenerateData,
     DimensionMismatch,
@@ -125,45 +125,83 @@ class CorrelationMatrix:
         return float(np.linalg.eigvalsh(self.entries)[0])
 
 
-def _scaled(column: np.ndarray) -> np.ndarray:
-    """The column over its largest magnitude when that lies outside [1e-50,
-    1e50], where scc's dot products could overflow or underflow; else itself."""
-    peak = max(float(column.max()), -float(column.min()))
-    return column / peak if peak > 0.0 and not 1e-50 <= peak <= 1e50 else column
-
-
-def _scc_column(x: np.ndarray) -> tuple[np.ndarray, float]:
-    """A column ready for scc's dot products, (a, a·a): contiguous, copied
-    only when strided since a dot product over a strided column can round
-    differently, and `_scaled`."""
-    a = np.ascontiguousarray(x, dtype=float)
-    if a.size < 2:
+def _scc_columns(u: np.ndarray) -> np.ndarray:
+    """The columns of the sample rows u, ready for scc's dot products, as
+    the rows of one C-ordered copy: a dot product over a strided column can
+    round differently. The copy runs block by block of `row_blocks`, on the
+    block groups (`map_groups`): a block fits in cache, where a pass that
+    transposes all of u at once reads each row once per column. A column
+    whose largest magnitude lies outside [1e-50, 1e50], where the dot
+    products could overflow or underflow, is divided by it in the caller's
+    thread. Raises DimensionMismatch below 2 rows, and ValueError naming
+    the first non-finite entry where there is one."""
+    count, n = u.shape
+    if count < 2:
         raise DimensionMismatch("need at least 2 samples")
-    a = _scaled(a)
-    return a, float(a @ a)
+    columns = np.empty((n, count))
+
+    def copy(group: list[slice]) -> np.ndarray:
+        peaks = np.zeros(n)
+        for block in group:
+            part = columns[:, block]
+            np.copyto(part, u[block].T)
+            # max and min keep nan and ±inf, so a non-finite entry makes its
+            # column's block peak non-finite
+            peak = np.maximum(part.max(axis=1), -part.min(axis=1))
+            if not np.isfinite(peak).all():
+                row, column = np.argwhere(~np.isfinite(u[block]))[0]
+                row += block.start
+                raise ValueError(
+                    f"entry ({row}, {column}) is {u[row, column]}; scc needs finite entries"
+                )
+            np.maximum(peaks, peak, out=peaks)
+        return peaks
+
+    peaks = np.max(map_groups(row_blocks(count), copy, count), axis=0)
+    for column, peak in zip(columns, peaks):
+        if peak > 0.0 and not 1e-50 <= peak <= 1e50:
+            column /= peak
+    return columns
 
 
-def _scc_pair(column_i: tuple[np.ndarray, float], column_j: tuple[np.ndarray, float]) -> float:
-    """The SCC of two `_scc_column` results: one dot product a·b over the
-    square root of the two self dots, clipped to [-1, 1]."""
-    (a, denom_a), (b, denom_b) = column_i, column_j
-    if denom_a == 0.0 or denom_b == 0.0:
+def _scc_dots(columns: np.ndarray, pairs: list[tuple[int, int]]) -> list[float]:
+    """The dot product of each pair of rows of `_scc_columns`, in order, on
+    the block groups (`map_groups`): `np.dot` calls the BLAS dot product of
+    `@` and gives its bits, but releases the GIL while it runs."""
+
+    def dots(group: list[tuple[int, int]]) -> list[float]:
+        # finite rows within 1e50 cannot overflow; an underflow is ignored
+        # on every thread alike
+        with np.errstate(under="ignore"):
+            return [float(np.dot(columns[i], columns[j])) for i, j in group]
+
+    return [dot for group in map_groups(pairs, dots, columns.shape[1]) for dot in group]
+
+
+def _scc_value(dot: float, norm_i: float, norm_j: float) -> float:
+    """The SCC of two `_scc_columns` rows from their dot product and their
+    self dots: the dot over the square root of the self dots' product,
+    clipped to [-1, 1]."""
+    if norm_i == 0.0 or norm_j == 0.0:
         raise ZeroDeviation("a column sits identically at its midpoint")
-    value = float(a @ b) / np.sqrt(denom_a * denom_b)
+    value = dot / np.sqrt(norm_i * norm_j)
     return float(np.clip(value, -1.0, 1.0))
 
 
 def scc(x_i: np.ndarray, x_j: np.ndarray) -> float:
     """Sample correlation coefficient of two regularized columns, about
-    their interval midpoint 0. fit_correlation_matrix("scc") goes through
-    the same two helpers, taking each column once, so its entries are
-    this function's bits."""
-    x_i, x_j = np.asarray(x_i), np.asarray(x_j)
+    their interval midpoint 0. The columns may hold any finite values; a
+    non-finite one raises ValueError. fit_correlation_matrix("scc") goes
+    through the same three helpers, so its entries are this function's
+    bits."""
+    x_i, x_j = np.asarray(x_i, dtype=float), np.asarray(x_j, dtype=float)
     if x_i.shape != x_j.shape or x_i.ndim != 1:
         raise DimensionMismatch(
             f"columns must be 1-D and equal length, got {x_i.shape} and {x_j.shape}"
         )
-    return _scc_pair(_scc_column(x_i), _scc_column(x_j))
+    columns = _scc_columns(np.stack((x_i, x_j)).T)
+    norm_i, norm_j, dot = _scc_dots(columns, [(0, 0), (1, 1), (0, 1)])
+    return _scc_value(dot, norm_i, norm_j)
 
 
 def _mp_shape_2d(variant: ModelVariant, r: np.ndarray) -> np.ndarray:
@@ -649,7 +687,9 @@ def fit_correlation_matrix(
     """Compute all pairwise coefficients from regularized sample rows and
     assemble the matrix. method, variant (a ModelVariant for "ccc", unread
     for "scc") and on_infeasible are checked before any work, whatever the
-    number of columns; every entry of u_rows must lie in [-1, 1].
+    number of columns. Only "ccc" needs every entry of u_rows in [-1, 1];
+    "scc" takes any finite entries, and raises ValueError at a non-finite
+    one before any pair.
 
     "ccc" gives each pair the r of maximal |r| whose 2D domain of the
     variant's family encloses all of the pair's samples; a tie between the
@@ -668,9 +708,17 @@ def fit_correlation_matrix(
     pass rules out most grid points with one candidate each, and one full
     test settles the rest on all candidates, with the answers of testing
     every point (see _grid_ends); then one bisection runs over all pairs
-    together (see _mp_intervals). SCC values that land exactly at ±1 are
-    pulled to the clamp with a DegenerateData warning so assembly stays
-    valid."""
+    together (see _mp_intervals).
+
+    "scc" runs three stages. One blocked copy transposes the rows into
+    one C-ordered row per column (`_scc_columns`); one `np.dot` per
+    column and per pair follows (`_scc_dots`); each pair is then finished
+    in pair order (`_scc_value`). Over more than BLOCK_ROWS rows the copy
+    and the dots run on the block groups (`map_groups`); every warning
+    and error comes from the caller's thread, in pair order. SCC values
+    that land exactly at ±1 are pulled to the clamp with a DegenerateData
+    warning so assembly stays valid, and a column sitting at its midpoint
+    raises ZeroDeviation at its first pair."""
     _check_fit_options(method, variant, on_infeasible)
     u = np.asarray(u_rows, dtype=float)
     if u.ndim != 2:
@@ -683,12 +731,12 @@ def fit_correlation_matrix(
     elif method == "ccc":
         values = _ccc_fits(variant, u, pairs, on_infeasible)
     else:
-        # one contiguous copy of every column, scaled and self-dotted once,
-        # not once per pair
-        columns = [_scc_column(column) for column in np.ascontiguousarray(u.T)]
+        # every column copied, scaled and self-dotted once, not once per pair
+        columns = _scc_columns(u)
+        dots = _scc_dots(columns, [(k, k) for k in range(n)] + pairs)
         values = []
-        for i, j in pairs:
-            r = _scc_pair(columns[i], columns[j])
+        for (i, j), dot in zip(pairs, dots[n:]):
+            r = _scc_value(dot, dots[i], dots[j])
             if abs(r) >= 1.0:
                 warnings.warn(f"SCC of pair ({i}, {j}) is exactly ±1; clamped", DegenerateData)
                 r = float(np.sign(r)) * R_CLAMP

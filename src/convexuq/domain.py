@@ -1,4 +1,5 @@
-"""Interval primitives, sample containers, and the regularization map.
+"""Interval primitives, sample containers, the regularization map, and
+the row blocks and thread groups that the bulk calls run on.
 
 Regularization sends each interval variable onto the standard interval
 [-1, 1] via u = (x - midpoint)/radius; deregularization is the exact
@@ -9,10 +10,15 @@ rounding.
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
+import threading
+from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from functools import cache, cached_property
+from pathlib import Path
+from typing import Iterable, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
@@ -26,6 +32,16 @@ from .errors import (
 
 # absolute slack on interval-bound comparisons (I/O rounding absorption)
 BOUND_SLACK = 1e-12
+# rows per block of the bulk kernels (membership_values, mc_volume,
+# sample_uniform and the SCC fit), whose temporaries stay a few blocks per
+# thread
+BLOCK_ROWS = 2**14
+# most threads one bulk call runs on: each holds a few blocks of
+# temporaries, so theirs stay a few blocks whatever the number of cores
+BULK_THREADS = 2
+
+_I = TypeVar("_I")
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True, slots=True)
@@ -55,6 +71,97 @@ def read_only(values) -> np.ndarray:
     arr = np.array(values, dtype=float)
     arr.flags.writeable = False
     return arr
+
+
+def row_blocks(count: int) -> list[slice]:
+    """Consecutive slices covering range(count), each of at most BLOCK_ROWS
+    rows and of near-equal size. No block of a longer range has a single
+    row: numpy hands a one-row matrix product to gemv, which rounds
+    differently from the gemm of the other rows."""
+    k = max(1, -(-count // BLOCK_ROWS))
+    bounds = [count * b // k for b in range(k + 1)]
+    return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+def _core_count() -> int:
+    """Cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
+@cache
+def _blas_thread_getter() -> Callable[[], int] | None:
+    """OpenBLAS's thread-count getter in the library that numpy's wheels
+    bundle, or None where numpy has no such library."""
+    root = Path(np.__file__).parent  # Linux and Windows wheels, then macOS
+    for path in [*root.parent.glob("numpy.libs/*openblas*"), *root.glob(".dylibs/*openblas*")]:
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for name in (
+            "scipy_openblas_get_num_threads64_",
+            "scipy_openblas_get_num_threads",
+            "openblas_get_num_threads64_",
+            "openblas_get_num_threads",
+        ):
+            getter = getattr(lib, name, None)
+            if getter is not None:
+                return getter
+    return None
+
+
+def _blas_threads() -> int | None:
+    """Threads numpy's BLAS runs one product on now; None where that
+    cannot be read."""
+    getter = _blas_thread_getter()
+    return None if getter is None else int(getter())
+
+
+def _thread_count() -> int:
+    """Threads a bulk call runs on: one per core, at most BULK_THREADS,
+    where numpy's BLAS runs one thread. Where it runs threads of its own,
+    or may, the call keeps to the caller's thread: the products of two
+    threads would each start the BLAS's threads and compete for the
+    cores."""
+    return min(_core_count(), BULK_THREADS) if _blas_threads() == 1 else 1
+
+
+def map_groups(items: Sequence[_I], work: Callable[[Sequence[_I]], _T], rows: int) -> list[_T]:
+    """`work(group)` for each of W contiguous groups of `items`, results in
+    group order: W = min(`_thread_count()`, len(items)) for work over more
+    than BLOCK_ROWS `rows`, else one. The items are the row blocks of
+    `row_blocks(rows)` or any other list of equal pieces of work. The
+    caller's thread runs group 0 and a thread of its own each other group,
+    all joined before the return; the exception of the first group that
+    raised one is raised here. Block boundaries do not depend on W, so
+    item-wise work gives the same bits on any number of threads. `work`
+    must not call this again, and enters its own `np.errstate`, which
+    holds per thread."""
+    width = min(_thread_count(), len(items)) if rows > BLOCK_ROWS else 1
+    cuts = [len(items) * g // width for g in range(width + 1)]
+    groups = [items[lo:hi] for lo, hi in zip(cuts[:-1], cuts[1:])]
+    results: list = [None] * width
+    errors: list[BaseException | None] = [None] * width
+
+    def run(g: int) -> None:
+        try:
+            results[g] = work(groups[g])
+        except BaseException as exc:  # raised again in the caller
+            errors[g] = exc
+
+    threads = [threading.Thread(target=run, args=(g,)) for g in range(1, width)]
+    for thread in threads:
+        thread.start()
+    run(0)
+    for thread in threads:
+        thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return results
 
 
 def _check_names(names: Sequence[str], what: str) -> None:

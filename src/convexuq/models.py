@@ -13,24 +13,20 @@ takes A = S, the variant's shape matrix, and p = ∞, which is the domain
 
 from __future__ import annotations
 
-import ctypes
 import json
 import math
-import os
 import sys
-import threading
 import warnings
-from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from pathlib import Path
-from typing import NamedTuple, TypeVar
+from typing import NamedTuple
 
 import numpy as np
 
 from .correlation import EPS_PD, ESTIMATORS, MEMBERSHIP_TOL, CorrelationMatrix, ModelVariant
-from .domain import Interval, MarginalSpec, SampleSet, read_only
+from .domain import Interval, MarginalSpec, SampleSet, map_groups, read_only, row_blocks
 from .errors import (
     DimensionMismatch,
     IllConditioned,
@@ -51,14 +47,6 @@ FORMAT_VERSION = 1
 # print-rounded to about three decimals
 _COVARIANCE_RTOL = 1e-9
 _SHAPE_ATOL = 5e-4
-# rows per block of the bulk kernels (membership_values, mc_volume and
-# sample_uniform), whose temporaries stay a few blocks per thread
-BLOCK_ROWS = 2**14
-# most threads one bulk call runs on: each holds a few blocks of
-# temporaries, so theirs stay a few blocks whatever the number of cores
-BULK_THREADS = 2
-
-_T = TypeVar("_T")
 
 
 class Membership(NamedTuple):
@@ -172,96 +160,6 @@ def build_model(variant: ModelVariant, spec: MarginalSpec, R: CorrelationMatrix)
     )
 
 
-def row_blocks(count: int) -> list[slice]:
-    """Consecutive slices covering range(count), each of at most BLOCK_ROWS
-    rows and of near-equal size. No block of a longer range has a single
-    row: numpy hands a one-row matrix product to gemv, which rounds
-    differently from the gemm of the other rows."""
-    k = max(1, -(-count // BLOCK_ROWS))
-    bounds = [count * b // k for b in range(k + 1)]
-    return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
-
-
-def _core_count() -> int:
-    """Cores this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # a platform without CPU affinity
-        return os.cpu_count() or 1
-
-
-@cache
-def _blas_thread_getter() -> Callable[[], int] | None:
-    """OpenBLAS's thread-count getter in the library that numpy's wheels
-    bundle, or None where numpy has no such library."""
-    root = Path(np.__file__).parent  # Linux and Windows wheels, then macOS
-    for path in [*root.parent.glob("numpy.libs/*openblas*"), *root.glob(".dylibs/*openblas*")]:
-        try:
-            lib = ctypes.CDLL(str(path))
-        except OSError:
-            continue
-        for name in (
-            "scipy_openblas_get_num_threads64_",
-            "scipy_openblas_get_num_threads",
-            "openblas_get_num_threads64_",
-            "openblas_get_num_threads",
-        ):
-            getter = getattr(lib, name, None)
-            if getter is not None:
-                return getter
-    return None
-
-
-def _blas_threads() -> int | None:
-    """Threads numpy's BLAS runs one product on now; None where that
-    cannot be read."""
-    getter = _blas_thread_getter()
-    return None if getter is None else int(getter())
-
-
-def _thread_count() -> int:
-    """Threads a bulk call runs on: one per core, at most BULK_THREADS,
-    where numpy's BLAS runs one thread. Where it runs threads of its own,
-    or may, the call keeps to the caller's thread: the products of two
-    threads would each start the BLAS's threads and compete for the
-    cores."""
-    return min(_core_count(), BULK_THREADS) if _blas_threads() == 1 else 1
-
-
-def map_block_groups(count: int, work: Callable[[list[slice]], _T]) -> list[_T]:
-    """`work(group)` for each of W = min(`_thread_count()`, blocks)
-    contiguous groups of `row_blocks(count)`, results in group order. The
-    caller's thread runs group 0 and a thread of its own each other group,
-    all joined before the return; the exception of the first group that
-    raised one is raised here. The block boundaries do not depend on W, so
-    block-wise work gives the same bits on any number of threads. `work`
-    must not call this again, and enters its own `np.errstate`, which
-    holds per thread."""
-    blocks = row_blocks(count)
-    width = min(_thread_count(), len(blocks)) if len(blocks) > 1 else 1
-    cuts = [len(blocks) * g // width for g in range(width + 1)]
-    groups = [blocks[lo:hi] for lo, hi in zip(cuts[:-1], cuts[1:])]
-    results: list = [None] * width
-    errors: list[BaseException | None] = [None] * width
-
-    def run(g: int) -> None:
-        try:
-            results[g] = work(groups[g])
-        except BaseException as exc:  # raised again in the caller
-            errors[g] = exc
-
-    threads = [threading.Thread(target=run, args=(g,)) for g in range(1, width)]
-    for thread in threads:
-        thread.start()
-    run(0)
-    for thread in threads:
-        thread.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
-    return results
-
-
 def membership_block(
     model: ConvexModel, rows: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
@@ -297,7 +195,7 @@ def membership_values(model: ConvexModel, rows: np.ndarray) -> np.ndarray:
     inside, and a row holding ±inf or nan, or whose value overflows, gives
     inf, without a warning. Rows are processed in blocks of BLOCK_ROWS,
     in contiguous groups of blocks on up to BULK_THREADS threads
-    (`map_block_groups`), so the temporaries stay a few blocks per thread
+    (`map_groups`), so the temporaries stay a few blocks per thread
     beside the returned values; each finite row's value is the same bits
     as in one pass, on any number of threads. One point goes through
     `contains`."""
@@ -314,10 +212,11 @@ def membership_values(model: ConvexModel, rows: np.ndarray) -> np.ndarray:
         # invalid operations inf·0 and inf − inf
         with np.errstate(over="ignore", invalid="ignore"):
             for block in group:
-                membership_block(model, rows[block], out=values[block])
+                out = values[block]
+                membership_block(model, rows[block], out=out)
+                out[np.isnan(out)] = np.inf
 
-    map_block_groups(len(rows), fill)
-    values[np.isnan(values)] = np.inf
+    map_groups(row_blocks(len(rows)), fill, len(rows))
     return values
 
 

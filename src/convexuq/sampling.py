@@ -6,35 +6,40 @@ caller's seed, so identical (model, count, seed) triples produce
 bit-identical output on every platform. Gaussian deviates for ball
 sampling come from an explicit Box-Muller transform of the uniform
 stream. The bulk calls run contiguous groups of row blocks on up to
-`models.BULK_THREADS` threads (`models.map_block_groups`); each group
-draws from its own counter offset of the one stream, so the draws have
-the same bits whatever the number of threads.
+`domain.BULK_THREADS` threads (`domain.map_groups`); each group draws
+from its own counter offset of the one stream, so the draws have the
+same bits whatever the number of threads. Counts and seeds are integers
+(`operator.index`): a float or other non-integer raises TypeError.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .correlation import CorrelationMatrix, ModelVariant, fit_correlation_matrix
-from .domain import make_marginal_spec
-from .models import (
-    MEMBERSHIP_TOL,
-    ConvexModel,
-    build_model,
-    centred_membership,
-    map_block_groups,
-)
+from .domain import make_marginal_spec, map_groups, row_blocks
+from .models import MEMBERSHIP_TOL, ConvexModel, build_model, centred_membership
 
 VERDICT_UNBIASED = "unbiased-consistent"
 VERDICT_BIASED = "biased-detected"
 
 
+def _integer(value, name: str) -> int:
+    """`value` as a Python int, through `operator.index`; a TypeError that
+    names the argument otherwise."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _stream(seed: int, offset: int) -> np.random.Generator:
     """The seed's Philox stream from its `offset`-th double on: a counter
     step is four doubles, the rest are drawn and dropped."""
-    bits = np.random.Philox(key=int(seed))
+    bits = np.random.Philox(key=seed)
     bits.advance(offset // 4)
     gen = np.random.Generator(bits)
     gen.random(offset % 4)
@@ -92,6 +97,7 @@ def sample_uniform(model: ConvexModel, count: int, seed: int) -> np.ndarray:
     grouping fixes the drawn bits. Besides the result, a draw holds a few
     blocks of deviates per thread.
     """
+    count, seed = _integer(count, "count"), _integer(seed, "seed")
     if count < 1:
         raise ValueError("count must be at least 1")
     n = model.n
@@ -142,7 +148,7 @@ def sample_uniform(model: ConvexModel, count: int, seed: int) -> np.ndarray:
                 np.multiply(product, model.radii, out=x[block])
                 x[block] += model.midpoints
 
-        map_block_groups(count, normals)
+        map_groups(row_blocks(count), normals, count)
 
     else:
         linear = (model.radii[:, None] * model.factor).T
@@ -159,7 +165,7 @@ def sample_uniform(model: ConvexModel, count: int, seed: int) -> np.ndarray:
                 np.matmul(delta, linear, out=out)
                 out += model.midpoints
 
-    map_block_groups(count, draw)
+    map_groups(row_blocks(count), draw, count)
     return x
 
 
@@ -168,6 +174,7 @@ def mc_volume(model: ConvexModel, count: int, seed: int) -> tuple[float, float]:
     with its binomial standard error. The draws are the stream's first
     count·n values in row order, scaled to the box, streamed block by
     block."""
+    count, seed = _integer(count, "count"), _integer(seed, "seed")
     if count < 1000:
         raise ValueError("count must be at least 1e3")
     n = model.n
@@ -195,7 +202,7 @@ def mc_volume(model: ConvexModel, count: int, seed: int) -> tuple[float, float]:
                 hits += int(np.count_nonzero(values <= 1.0 + MEMBERSHIP_TOL))
         return hits
 
-    p = sum(map_block_groups(count, count_hits)) / count
+    p = sum(map_groups(row_blocks(count), count_hits, count)) / count
     return p, float(np.sqrt(p * (1.0 - p) / count))
 
 
@@ -233,6 +240,7 @@ def verify_unbiasedness(
     The verdict is unbiased-consistent when the largest entry error stays
     within 4/sqrt(draws) + 0.005.
     """
+    draws, seed = _integer(draws, "draws"), _integer(seed, "seed")
     true_entries, recovered, max_err = _refit_on_draws("scc", variant, R, draws, seed)
     tol = verdict_tolerance(draws)
     verdict = VERDICT_UNBIASED if max_err <= tol else VERDICT_BIASED
@@ -257,6 +265,7 @@ def ccc_recovery_report(
     """Demonstration counterpart of verify_unbiasedness for the CCC
     measure: fit pairwise CCCs on uniform draws from the true domain and
     report the gaps."""
+    draws, seed = _integer(draws, "draws"), _integer(seed, "seed")
     true_entries, fitted, max_err = _refit_on_draws("ccc", variant, R, draws, seed)
     return CCCRecoveryReport(
         variant=variant,

@@ -58,6 +58,17 @@ def quiet_degenerate():
         yield
 
 
+@pytest.fixture()
+def thread_count(monkeypatch):
+    """Setter of the number of threads that every bulk call runs on
+    (`domain._thread_count`), for the rest of the test."""
+
+    def patch(threads):
+        monkeypatch.setattr(cq.domain, "_thread_count", lambda: threads)
+
+    return patch
+
+
 @pytest.fixture(scope="session")
 def bulk_model():
     """Factory of models over unequal intervals on a seeded correlation

@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 import warnings
 
@@ -22,6 +23,7 @@ from convexuq.correlation import (
     _pick_extreme,
     scc,
 )
+from convexuq.domain import BLOCK_ROWS
 from convexuq.errors import (
     DegenerateData,
     DimensionMismatch,
@@ -763,6 +765,120 @@ def test_fit_matrix_scc_edges():
     u = np.array([[0.5, 0.0, 0.1], [-0.2, 0.0, 0.3], [0.4, 0.0, -0.6]])
     with pytest.raises(ZeroDeviation):
         cq.fit_correlation_matrix("scc", None, u)
+
+
+# row counts around the SCC fit's blocks, and the thread counts it runs on
+SCC_ROWS = (BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 17)
+THREAD_COUNTS = (1, 2, 3, 7)
+
+
+def _scc_oracle(u):
+    """fit_correlation_matrix("scc") as one transposing copy of u, each
+    column scaled where its largest magnitude lies outside [1e-50, 1e50],
+    and `@` for every self dot and pair dot: the reference that the
+    blocked, threaded fit must reproduce bit for bit."""
+    columns = []
+    for x in np.ascontiguousarray(u.T):
+        peak = max(float(x.max()), -float(x.min()))
+        a = x / peak if peak > 0.0 and not 1e-50 <= peak <= 1e50 else x
+        columns.append((a, float(a @ a)))
+    n = u.shape[1]
+    R = np.eye(n)
+    for i in range(n):
+        for j in range(i + 1, n):
+            (a, norm_a), (b, norm_b) = columns[i], columns[j]
+            R[i, j] = R[j, i] = np.clip(float(a @ b) / np.sqrt(norm_a * norm_b), -1.0, 1.0)
+    return R
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+@pytest.mark.parametrize("rows", SCC_ROWS)
+def test_scc_fit_has_the_bits_of_one_pass_on_any_thread_count(thread_count, rows, layout):
+    """C, F and strided rows give the oracle's bits on 1, 2, 3 and 7
+    threads, with two columns on the scaled path, and every entry is scc's
+    bits on its two columns."""
+    wide = np.random.default_rng(rows).uniform(-1.0, 1.0, size=(rows, 14))
+    wide[:, 2] *= 1e-60
+    wide[:, 8] *= 1e70
+    u = {
+        "C": np.ascontiguousarray(wide[:, :7]),
+        "F": np.asfortranarray(wide[:, :7]),
+        "strided": wide[:, ::2],
+    }[layout]
+    expected = _scc_oracle(u)
+    for threads in THREAD_COUNTS:
+        thread_count(threads)
+        R = cq.fit_correlation_matrix("scc", None, u).entries
+        np.testing.assert_array_equal(R, expected, err_msg=f"{threads} threads")
+        assert R[2, 4] == scc(u[:, 2], u[:, 4])
+
+
+def test_scc_fit_warns_then_raises_in_pair_order(thread_count):
+    """Over more than one block, on 1, 2, 3 and 7 threads: the ±1 clamp
+    warning of pair (0, 1) comes first, then ZeroDeviation at pair (0, 2),
+    the zero column's first pair, and no warning of a later pair."""
+    x = np.random.default_rng(3).uniform(-1.0, 1.0, 3 * BLOCK_ROWS + 17)
+    u = np.column_stack([x, -2.0 * x, np.zeros_like(x), np.ones_like(x)])
+    for threads in THREAD_COUNTS:
+        thread_count(threads)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ZeroDeviation):
+                cq.fit_correlation_matrix("scc", None, u)
+        assert [str(w.message) for w in caught] == [
+            "SCC of pair (0, 1) is exactly ±1; clamped"
+        ], threads
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("rows", (5, 3 * BLOCK_ROWS + 17))
+def test_scc_fit_refuses_nonfinite_entries(thread_count, rows, value):
+    """A non-finite entry raises ValueError naming the first one, also
+    where a later group holds another, before any pair and without a
+    warning, on 1, 2, 3 and 7 threads; scc refuses one as well."""
+    u = np.random.default_rng(rows).uniform(-1.0, 1.0, size=(rows, 4))
+    u[rows // 3, 3] = value
+    u[rows - 1, 0] = np.nan
+    for threads in THREAD_COUNTS:
+        thread_count(threads)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"entry \({rows // 3}, 3\) is {value}"):
+                cq.fit_correlation_matrix("scc", None, u)
+            with pytest.raises(ValueError, match="scc needs finite entries"):
+                scc(u[:, 0], u[:, 1])
+
+
+def test_scc_fit_starts_no_thread_within_one_block(thread_count, monkeypatch):
+    """At most BLOCK_ROWS rows run the copy and every dot product in the
+    caller's thread; one more row starts threads."""
+    started = []
+
+    class Thread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(cq.domain.threading, "Thread", Thread)
+    thread_count(7)
+    for rows in (2, BLOCK_ROWS):
+        u = np.random.default_rng(rows).uniform(-1.0, 1.0, size=(rows, 10))
+        cq.fit_correlation_matrix("scc", None, u)
+        scc(u[:, 0], u[:, 1])
+    assert started == []
+    u = np.random.default_rng(0).uniform(-1.0, 1.0, size=(BLOCK_ROWS + 1, 10))
+    cq.fit_correlation_matrix("scc", None, u)
+    assert started
+
+
+def test_scc_fit_memory_is_one_copy(thread_count, traced_peak):
+    """A 4e5-row fit at n = 10 holds one copy of the rows, transposed, and
+    below three blocks beside it, on 1, 2 and 7 threads."""
+    u = np.random.default_rng(0).uniform(-1.0, 1.0, size=(400_000, 10))
+    for threads in (1, 2, 7):
+        thread_count(threads)
+        _, peak = traced_peak(lambda: cq.fit_correlation_matrix("scc", None, u))
+        assert peak < u.nbytes + 3 * BLOCK_ROWS * u.shape[1] * 8, threads
 
 
 def test_fit_matrix_ccc_uses_variant_geometry(standard_u):

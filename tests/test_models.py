@@ -22,7 +22,7 @@ from convexuq.errors import (
     NotPositiveDefinite,
     ParseError,
 )
-from convexuq.models import BLOCK_ROWS, map_block_groups, row_blocks
+from convexuq.domain import BLOCK_ROWS, map_groups, row_blocks
 
 ALL_VARIANTS = tuple(V)
 MP_VARIANTS = tuple(v for v in V if v is not V.ME)
@@ -524,7 +524,7 @@ def test_mp_membership_is_bit_identical_across_widths_and_layouts(
 @pytest.mark.parametrize("rows", (8, BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 17))
 @pytest.mark.parametrize("variant", list(V), ids=lambda v: v.value)
 def test_membership_of_nonfinite_rows_is_bit_identical(
-    bulk_model, one_shot_membership, monkeypatch, variant, rows
+    bulk_model, one_shot_membership, thread_count, variant, rows
 ):
     """Rows holding nan or ±inf, in the first and the last block, give inf
     without a warning in any thread, also where the reference's value is
@@ -543,7 +543,7 @@ def test_membership_of_nonfinite_rows_is_bit_identical(
         marked[1][at, [0, n - 1]] = np.inf, -np.inf
         marked[1][at + 1, [0, n - 1]] = -np.inf, np.nan
     for threads, points in itertools.product(THREAD_COUNTS, marked):
-        monkeypatch.setattr(cq.models, "_thread_count", lambda: threads)
+        thread_count(threads)
         finite = np.isfinite(points).all(axis=1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -656,11 +656,11 @@ def test_membership_memory_is_bounded(bulk_model, traced_peak, monkeypatch, vari
     one-pass kernel holds at least the 32 MB of centred rows)."""
     model = bulk_model(variant)
     points = np.random.default_rng(0).uniform(-3.0, 5.0, size=(400_000, model.n))
-    monkeypatch.setattr(cq.models, "_blas_threads", lambda: 1)
+    monkeypatch.setattr(cq.domain, "_blas_threads", lambda: 1)
     for cores in (1, 2, 7):
-        monkeypatch.setattr(cq.models, "_core_count", lambda: cores)
+        monkeypatch.setattr(cq.domain, "_core_count", lambda: cores)
         values, peak = traced_peak(lambda: cq.membership_values(model, points))
-        bound = 3 * min(cores, cq.models.BULK_THREADS) * BLOCK_ROWS * model.n * 8
+        bound = 3 * min(cores, cq.domain.BULK_THREADS) * BLOCK_ROWS * model.n * 8
         assert bound < points.nbytes  # rules out the one-pass kernel
         assert peak < values.nbytes + bound, cores
 
@@ -669,16 +669,16 @@ def test_bulk_calls_use_one_thread_beside_a_threaded_blas(monkeypatch):
     """One thread per core up to BULK_THREADS where the BLAS runs one; one
     where it runs more, or its count cannot be read."""
     for cores, blas, threads in ((1, 1, 1), (2, 1, 2), (7, 1, 2), (7, 2, 1), (7, None, 1)):
-        monkeypatch.setattr(cq.models, "_core_count", lambda: cores)
-        monkeypatch.setattr(cq.models, "_blas_threads", lambda: blas)
-        assert cq.models._thread_count() == threads, (cores, blas)
+        monkeypatch.setattr(cq.domain, "_core_count", lambda: cores)
+        monkeypatch.setattr(cq.domain, "_blas_threads", lambda: blas)
+        assert cq.domain._thread_count() == threads, (cores, blas)
 
 
 @pytest.mark.parametrize("setting", ["1", "2"])
 def test_blas_thread_count_is_read_from_the_library(setting):
     """Where numpy bundles OpenBLAS, the count read is the one its
     environment variable sets, capped at the cores."""
-    code = "import convexuq.models as m; print(m._blas_threads(), m._core_count())"
+    code = "import convexuq.domain as d; print(d._blas_threads(), d._core_count())"
     env = {**os.environ, "OPENBLAS_NUM_THREADS": setting}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
@@ -686,25 +686,33 @@ def test_blas_thread_count_is_read_from_the_library(setting):
     assert blas in ("None", str(min(int(setting), int(cores))))
 
 
-def test_block_groups_split_the_blocks_in_order(monkeypatch):
-    """W = min(threads, blocks) contiguous groups of row_blocks, results in
-    group order, group 0 in the caller's thread and no thread left over."""
+def test_block_groups_split_the_blocks_in_order(thread_count):
+    """W = min(threads, items) contiguous groups of row_blocks, or of any
+    other items over more than BLOCK_ROWS rows and one group over fewer,
+    results in group order, group 0 in the caller's thread and no thread
+    left over."""
     caller, before = threading.get_ident(), threading.active_count()
+
+    def tagged(group):
+        return group, threading.get_ident()
+
     for threads in THREAD_COUNTS:
-        monkeypatch.setattr(cq.models, "_thread_count", lambda: threads)
-        for count in (0, 1, BLOCK_ROWS, BLOCK_ROWS + 1, 5 * BLOCK_ROWS - 1):
-            groups = map_block_groups(count, lambda group: (group, threading.get_ident()))
-            blocks = row_blocks(count)
-            assert len(groups) == min(threads, len(blocks))
-            assert [block for group, _ in groups for block in group] == blocks
+        thread_count(threads)
+        cases = [(row_blocks(count), count) for count in (0, 1, BLOCK_ROWS, BLOCK_ROWS + 1)]
+        cases += [(row_blocks(5 * BLOCK_ROWS - 1), 5 * BLOCK_ROWS - 1)]
+        cases += [(list(range(55)), BLOCK_ROWS), (list(range(55)), BLOCK_ROWS + 1)]
+        for items, rows in cases:
+            groups = map_groups(items, tagged, rows)
+            assert len(groups) == (min(threads, len(items)) if rows > BLOCK_ROWS else 1)
+            assert [item for group, _ in groups for item in group] == items
             assert [ident == caller for _, ident in groups] == [True] + [False] * (len(groups) - 1)
     assert threading.active_count() == before
 
 
-def test_block_groups_raise_a_worker_error(monkeypatch):
+def test_block_groups_raise_a_worker_error(thread_count):
     """An exception in any group reaches the caller, after every thread is
     joined; of two, the first group's is raised."""
-    monkeypatch.setattr(cq.models, "_thread_count", lambda: 3)
+    thread_count(3)
     count, before = 5 * BLOCK_ROWS, threading.active_count()
 
     def fail_after_first(group):
@@ -712,6 +720,6 @@ def test_block_groups_raise_a_worker_error(monkeypatch):
             raise KeyError(group[0].start)
 
     with pytest.raises(KeyError) as exc:
-        map_block_groups(count, fail_after_first)
+        map_groups(row_blocks(count), fail_after_first, count)
     assert exc.value.args == (row_blocks(count)[1].start,)
     assert threading.active_count() == before

@@ -6,7 +6,7 @@ import pytest
 
 import convexuq as cq
 from convexuq import ModelVariant as V
-from convexuq.models import BLOCK_ROWS
+from convexuq.domain import BLOCK_ROWS
 from convexuq.sampling import _stream
 
 R6 = np.array([[1.0, 0.6], [0.6, 1.0]])
@@ -109,6 +109,37 @@ def test_ccc_recovery_is_report_only():
     assert report.recovered_R[0, 1] == pytest.approx(0.6, abs=0.05)
 
 
+@pytest.mark.parametrize("kind", [np.int64, np.int32], ids=["int64", "int32"])
+def test_numpy_integer_counts_and_seeds_give_the_bits_of_ints(thread_count, kind):
+    """numpy integers are taken as the Python ints they equal, on two
+    threads, and the reports carry Python ints."""
+    thread_count(2)
+    model, count = unit_model(V.ME), 2 * BLOCK_ROWS + 3
+    np.testing.assert_array_equal(
+        cq.sample_uniform(model, kind(count), kind(3)), cq.sample_uniform(model, count, 3)
+    )
+    assert cq.mc_volume(model, kind(count), kind(3)) == cq.mc_volume(model, count, 3)
+    for report in (cq.verify_unbiasedness, cq.ccc_recovery_report):
+        got, expected = report(V.MP2, R6, kind(10_000), kind(2)), report(V.MP2, R6, 10_000, 2)
+        np.testing.assert_array_equal(got.recovered_R, expected.recovered_R)
+        assert (type(got.draws), type(got.seed)) == (int, int)
+
+
+def test_non_integer_counts_and_seeds_raise_type_error():
+    """A float count, draw count or seed raises a TypeError naming it,
+    rather than being truncated or failing inside the draw."""
+    model = unit_model(V.MP2)
+    calls = [
+        ("count", lambda: cq.mc_volume(model, 1000.5, 0)),
+        ("seed", lambda: cq.sample_uniform(model, 10, 1.5)),
+        ("draws", lambda: cq.verify_unbiasedness(V.ME, R6, 1e4, 0)),
+        ("seed", lambda: cq.ccc_recovery_report(V.ME, R6, 10_000, 1.0)),
+    ]
+    for name, call in calls:
+        with pytest.raises(TypeError, match=f"{name} must be an integer"):
+            call()
+
+
 BULK_COUNTS = (BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 17)
 # thread counts a bulk call is run on: W = min(threads, blocks) groups of
 # blocks
@@ -149,7 +180,7 @@ def test_draws_are_bit_identical_to_one_shot(bulk_model, variant, count):
 @pytest.mark.parametrize("count", BULK_COUNTS)
 @pytest.mark.parametrize("variant", list(V), ids=lambda v: v.value)
 def test_streamed_mc_volume_counts_one_shot_hits(
-    bulk_model, one_shot_membership, monkeypatch, variant, count
+    bulk_model, one_shot_membership, monkeypatch, thread_count, variant, count
 ):
     """The hits at the real threshold, and at the draws' median membership
     value, which every variant hits with about half its draws: RectMP's
@@ -163,7 +194,7 @@ def test_streamed_mc_volume_counts_one_shot_hits(
         hits = int(np.sum(values <= 1.0 + tol))
         monkeypatch.setattr(cq.sampling, "MEMBERSHIP_TOL", tol)
         for threads in THREAD_COUNTS:
-            monkeypatch.setattr(cq.models, "_thread_count", lambda: threads)
+            thread_count(threads)
             assert cq.mc_volume(model, count, seed=count)[0] == hits / count
     assert hits > count // 4
 
@@ -182,8 +213,8 @@ def test_mc_volume_memory_is_bounded(bulk_model, traced_peak, variant):
 def test_mc_volume_memory_is_bounded_on_many_cores(bulk_model, traced_peak, monkeypatch, variant):
     """The same bound on 7 cores beside a one-thread BLAS, where the call
     runs BULK_THREADS groups at once."""
-    monkeypatch.setattr(cq.models, "_core_count", lambda: 7)
-    monkeypatch.setattr(cq.models, "_blas_threads", lambda: 1)
+    monkeypatch.setattr(cq.domain, "_core_count", lambda: 7)
+    monkeypatch.setattr(cq.domain, "_blas_threads", lambda: 1)
     model = bulk_model(variant)
     count = 400_000
     _, peak = traced_peak(lambda: cq.mc_volume(model, count, seed=0))
@@ -194,11 +225,11 @@ def test_mc_volume_memory_is_bounded_on_many_cores(bulk_model, traced_peak, monk
 def test_draw_memory_is_bounded(bulk_model, traced_peak, monkeypatch, variant):
     """Beside its 32 MB result, a 4e5-point draw at n = 10 holds below
     three blocks per thread, on 7 cores beside a one-thread BLAS."""
-    monkeypatch.setattr(cq.models, "_core_count", lambda: 7)
-    monkeypatch.setattr(cq.models, "_blas_threads", lambda: 1)
+    monkeypatch.setattr(cq.domain, "_core_count", lambda: 7)
+    monkeypatch.setattr(cq.domain, "_blas_threads", lambda: 1)
     model = bulk_model(variant)
     x, peak = traced_peak(lambda: cq.sample_uniform(model, 400_000, seed=0))
-    assert peak < x.nbytes + 3 * cq.models.BULK_THREADS * BLOCK_ROWS * model.n * 8
+    assert peak < x.nbytes + 3 * cq.domain.BULK_THREADS * BLOCK_ROWS * model.n * 8
 
 
 def test_stream_offsets_match_one_long_stream():
@@ -217,7 +248,7 @@ def test_stream_offsets_match_one_long_stream():
 
 @pytest.mark.parametrize("n", [1, 3, 10])
 @pytest.mark.parametrize("variant", [V.ME, V.MP2], ids=lambda v: v.value)
-def test_draws_have_the_same_bits_on_any_thread_count(bulk_model, monkeypatch, variant, n):
+def test_draws_have_the_same_bits_on_any_thread_count(bulk_model, thread_count, variant, n):
     """1, 2, 3 and 7 threads draw the one-shot bits at one and two rows and
     at two, three and four blocks. The odd counts make count·n odd at
     n = 1 and 3 and put the Box-Muller half inside a row at n = 3 and 10,
@@ -226,7 +257,7 @@ def test_draws_have_the_same_bits_on_any_thread_count(bulk_model, monkeypatch, v
     for count in (1, 2, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 3, 3 * BLOCK_ROWS + 17):
         expected = one_shot_draw(model, count, count)
         for threads in THREAD_COUNTS:
-            monkeypatch.setattr(cq.models, "_thread_count", lambda: threads)
+            thread_count(threads)
             np.testing.assert_array_equal(
                 cq.sample_uniform(model, count, seed=count),
                 expected,
@@ -242,10 +273,10 @@ def _draw_in_child(model, count, conn):
 @pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method"
 )
-def test_draws_in_a_forked_child_after_the_parent_drew(bulk_model, monkeypatch):
+def test_draws_in_a_forked_child_after_the_parent_drew(bulk_model, thread_count):
     """The parent draws on two threads first and leaves no thread behind;
     a forked child then draws the same bits, on two threads as well."""
-    monkeypatch.setattr(cq.models, "_thread_count", lambda: 2)
+    thread_count(2)
     model, count = bulk_model(V.ME), 2 * BLOCK_ROWS + 3
     before = threading.active_count()
     expected = cq.sample_uniform(model, count, seed=4)
