@@ -2,18 +2,21 @@
 
 Prints microseconds per call of `contains` (six variants at n = 3 and
 n = 10), of scalar and array `LimitState.evaluate` (the beam limit state
-and an n = 10 linear one of the benchmark's synthetic form) and of
-`from_delta`. Every case runs `--calls` calls per repeat, array calls a
-hundredth of that. `--bulk N` adds milliseconds per call of
-`sample_uniform`, `membership_values`, `mc_volume` and
-`verify_unbiasedness` at N rows (ME and MP-II at n = 3 and 10), and of
-`fit_correlation_matrix("scc")` on N rows (n = 3 and 10), one call of
-each per repeat, with the process's CPU time (`time.process_time`, all
-threads) next to the wall time; the bulk calls run on two threads only
-beside a one-thread BLAS, so set `OPENBLAS_NUM_THREADS=1` to time them as
-the benchmark runs them. The repeats of all cases are interleaved in one
-process, so a change of host load touches every case alike. The figure
-kept is the minimum over the repeats, of wall and of CPU time apart. Per-call changes of a few
+and an n = 10 linear one of the benchmark's synthetic form), of
+`from_delta` and of `reliability_index` (the beam's SCC ME and MP-II
+models at S = 250, and an n = 10 MP-II model with the synthetic form's
+limit state). Every case runs `--calls` calls per repeat, array calls a
+hundredth of that and solves a two-hundredth (at least one). `--bulk N`
+adds milliseconds per call of `sample_uniform`, `membership_values`,
+`mc_volume` and `verify_unbiasedness` at N rows (ME and MP-II at
+n = 3 and 10), and of `fit_correlation_matrix("scc")` on N rows
+(n = 3 and 10), one call of each per repeat, with the process's CPU time
+(`time.process_time`, all threads) next to the wall time; the bulk calls
+run on two threads only beside a one-thread BLAS, so set
+`OPENBLAS_NUM_THREADS=1` to time them as the benchmark runs them. The
+repeats of all cases are interleaved in one process, so a change of host
+load touches every case alike. The figure kept is the minimum over the
+repeats, of wall and of CPU time apart. Per-call changes of a few
 microseconds are below the run-to-run spread of the benchmark; compare
 two commits by running this script on each, alternately.
 """
@@ -103,6 +106,24 @@ def cases(calls: int, data_dir: Path) -> dict:
 
         out[f"evaluate {name} scalar"] = (calls, run_scalar)
         out[f"evaluate {name} array ({rays * SCAN_STEPS} points)"] = (array_calls, run_array)
+
+    beam_spec = cq.read_intervals_csv(data_dir / "beam_intervals.csv")
+    u = cq.regularize(beam_spec, cq.read_samples_csv(data_dir / "beam_samples.csv")).rows
+    beam_R = cq.ensure_positive_definite(cq.fit_correlation_matrix("scc", None, u), policy="repair")
+    spec = cq.make_marginal_spec((f"x{k + 1}", 10.0 - k, 14.0 + 0.5 * k) for k in range(10))
+    solves = max(1, calls // 200)
+    for name, model, g, bindings in (
+        ("beam ME S=250", cq.build_model(cq.ModelVariant.ME, beam_spec, beam_R), beam, {"S": 250.0}),
+        ("beam MP-II S=250", cq.build_model(cq.ModelVariant.MP2, beam_spec, beam_R), beam, {"S": 250.0}),
+        ("linear n=10 MP-II", cq.build_model(cq.ModelVariant.MP2, spec, correlation(10)), linear, {}),
+    ):
+        options = cq.ReliabilityOptions(bindings=bindings)
+
+        def run(model=model, g=g, options=options):
+            for _ in range(solves):
+                cq.reliability_index(model, g, options)
+
+        out[f"reliability_index {name}"] = (solves, run)
     return out
 
 

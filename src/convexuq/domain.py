@@ -73,12 +73,12 @@ def read_only(values) -> np.ndarray:
     return arr
 
 
-def row_blocks(count: int) -> list[slice]:
-    """Consecutive slices covering range(count), each of at most BLOCK_ROWS
+def row_blocks(count: int, size: int = BLOCK_ROWS) -> list[slice]:
+    """Consecutive slices covering range(count), each of at most `size`
     rows and of near-equal size. No block of a longer range has a single
     row: numpy hands a one-row matrix product to gemv, which rounds
     differently from the gemm of the other rows."""
-    k = max(1, -(-count // BLOCK_ROWS))
+    k = max(1, -(-count // size))
     bounds = [count * b // k for b in range(k + 1)]
     return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
 

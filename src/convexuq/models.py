@@ -47,6 +47,9 @@ FORMAT_VERSION = 1
 # print-rounded to about three decimals
 _COVARIANCE_RTOL = 1e-9
 _SHAPE_ATOL = 5e-4
+# rows per pass of the ellipsoid's quadratic form, whose buffers of n + 1
+# rows of this many values stay in cache
+_FORM_ROWS = 2**12
 
 
 class Membership(NamedTuple):
@@ -167,10 +170,51 @@ def membership_block(
     a row holding ±inf or nan, or whose value overflows, may give inf or
     nan, and the caller sets `np.errstate` for it."""
     if model.variant is ModelVariant.ME:
-        return centred_membership(model, rows - model.midpoints, out)
+        return _quadratic_form(rows, model.midpoints, model.characteristic, out)
     # the centring is C-ordered because a Fortran-ordered one can round
-    # the transposed product differently
+    # the product differently
     return centred_membership(model, np.subtract(rows, model.midpoints, order="C"), out)
+
+
+def _quadratic_form(
+    points: np.ndarray, shift: np.ndarray | None, matrix: np.ndarray, out: np.ndarray | None
+) -> np.ndarray:
+    """c·M·c of each row c = point - shift (the point itself where shift
+    is None), with the bits of np.einsum("ij,jk,ik->i", c, M, c). On three
+    or more rows einsum adds the terms (c_j·M_jk)·c_k to one sum per row,
+    from 0, j-major and k-minor; so does this, in passes over at most
+    _FORM_ROWS rows. A pass centres its rows into a transposed copy, then
+    for each j writes the n terms of j below the running sums and adds
+    them in with one reduction over axis 0, which numpy makes row by row
+    where there are two or more columns (with one it sums pairwise); every
+    pass has at least two. On one or two rows einsum rounds otherwise, and
+    runs itself."""
+    rows, n = points.shape
+    if rows < 3:
+        centred = points if shift is None else points - shift
+        return np.einsum("ij,jk,ik->i", centred, matrix, centred, out=out)
+    if out is None:
+        out = np.empty(rows)
+    passes = row_blocks(rows, _FORM_ROWS)
+    longest = max(part.stop - part.start for part in passes)
+    columns = np.empty((n, longest))
+    # each reduction reads one buffer and writes the other's running sums
+    buffers = np.empty((2, n + 1, longest))
+    for part in passes:
+        width = part.stop - part.start
+        c = columns[:, :width]
+        if shift is None:
+            np.copyto(c, points[part].T)
+        else:
+            np.subtract(points[part].T, shift[:, None], out=c)
+        buffers[0, 0, :width] = 0.0
+        for j in range(n):
+            terms = buffers[j % 2, :, :width]
+            np.multiply(matrix[j][:, None], c[j], out=terms[1:])
+            terms[1:] *= c
+            sums = out[part] if j == n - 1 else buffers[(j + 1) % 2, 0, :width]
+            np.add.reduce(terms, axis=0, out=sums)
+    return out
 
 
 def centred_membership(
@@ -179,15 +223,22 @@ def centred_membership(
     out: np.ndarray | None = None,
     product: np.ndarray | None = None,
 ) -> np.ndarray:
-    """`membership_block` on rows less the midpoints; MP computes its n×rows
-    product into `product` where one is given."""
+    """`membership_block` on rows less the midpoints; MP computes its
+    rows×n product into `product` where one is given."""
     if model.variant is ModelVariant.ME:
-        return np.einsum("ij,jk,ik->i", centred, model.characteristic, centred, out=out)
-    # one column per point, each reduced by its largest magnitude: the same
-    # bits, nan included, as np.max(|centred @ characteristicᵀ|, axis=1)
-    product = np.matmul(model.characteristic, centred.T, out=product)
+        return _quadratic_form(centred, None, model.characteristic, out)
+    # the reference's row-wise product, whose bits, unlike those of the
+    # transposed product, do not depend on the BLAS's thread count; each
+    # row's largest magnitude taken column by column gives the bits, nan
+    # included, of np.max(|centred @ characteristicᵀ|, axis=1)
+    product = np.matmul(centred, model.characteristic.T, out=product)
     np.abs(product, out=product)
-    return np.maximum.reduce(product, axis=0, out=out)
+    if out is None:
+        out = np.empty(len(product))
+    np.copyto(out, product[:, 0])
+    for k in range(1, model.n):
+        np.maximum(out, product[:, k], out=out)
+    return out
 
 
 def membership_values(model: ConvexModel, rows: np.ndarray) -> np.ndarray:

@@ -12,9 +12,10 @@ problem for either norm, minimise s subject to g(delta) = 0 and delta in
 s·B_p, refines each of the 16 nearest hits. The starts are refined in
 lockstep: each keeps its own state in scipy's reverse-communication
 SLSQP core (the loop of minimize(method="SLSQP"), bit for bit), every
-round steps each unfinished start once, and one array evaluation carries
-the 2n-point central-difference stencils of every start that needs a
-gradient; constraint values are taken point by point. A refined point
+round steps each unfinished start once, and the 2n-point central-difference
+stencils of every start that needs a gradient are built as one array,
+mapped by one matrix product and evaluated in one array call; constraint
+values are still taken point by point, one scalar call each. A refined point
 off the surface is dropped, and the start's ray hit stands in for it.
 The reported index is the best surface point found; `starts` records
 each refined start.
@@ -28,6 +29,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
@@ -42,6 +44,7 @@ except ImportError as exc:
     ) from exc
 
 from .correlation import ModelVariant
+from .domain import read_only
 from .errors import EvaluationError, NoSurfaceFound, UnboundVariable
 from .expr import LimitState
 from .models import ConvexModel, from_delta
@@ -170,6 +173,24 @@ def _norm_of(delta: np.ndarray, norm: str) -> float:
     return float(np.max(np.abs(delta)))
 
 
+@lru_cache(maxsize=32)
+def _directions(n: int, norm: str, seed: int) -> np.ndarray:
+    """The scan's rays, unit in the norm, one per row of a read-only
+    array: the 2n axis directions (+e_k, then -e_k), then 2n² standard
+    normals of the Philox stream keyed by seed, each divided by its norm
+    (a zero row dropped). Built once per (n, norm, seed)."""
+    k = np.arange(2 * n)
+    axes = np.zeros((2 * n, n))
+    axes[k, k // 2] = np.where(k % 2 == 0, 1.0, -1.0)
+    rays = [axes]
+    gen = np.random.Generator(np.random.Philox(key=seed))
+    for row in gen.standard_normal((2 * n * n, n)):
+        length = _norm_of(row, norm)
+        if length > 0:
+            rays.append(row[None] / length)
+    return read_only(np.concatenate(rays))
+
+
 def _nearest_hits(values: np.ndarray, ts: np.ndarray, root) -> list[tuple[float, int]]:
     """The _STARTS nearest surface hits of a ray scan, as (t, ray id)
     sorted by t, then id. values[i] holds g along ray i at ts. A ray's hit
@@ -243,6 +264,7 @@ def reliability_index(
 
     n = model.n
     mid, rad = model.midpoints, model.radii
+    factor_t = model.factor.T
     evaluations = 0
 
     def g_of(x) -> float | np.ndarray:
@@ -258,7 +280,15 @@ def reliability_index(
         except EvaluationError:
             return math.nan
 
-    g_mid = g_of(from_delta(model, np.zeros(n)))
+    def g_at(delta: np.ndarray) -> float:
+        """g at one standardized point, mapped by from_delta's own
+        operations without its checks."""
+        x = delta @ factor_t
+        x *= rad
+        x += mid
+        return g_of(x.tolist())
+
+    g_mid = g_at(np.zeros(n))
     if math.isnan(g_mid):
         raise EvaluationError("limit state is undefined at the domain midpoint")
     if g_mid == 0.0:
@@ -266,19 +296,7 @@ def reliability_index(
     scale = max(1.0, abs(g_mid))
     tol_abs = _G_TOL * scale
 
-    # 2n axis directions plus 2n^2 seeded random directions, unit in the norm
-    directions = []
-    for k in range(n):
-        for sign in (1.0, -1.0):
-            e = np.zeros(n)
-            e[k] = sign
-            directions.append(e)
-    gen = np.random.Generator(np.random.Philox(key=int(opts.seed)))
-    raw = gen.standard_normal((2 * n * n, n))
-    for row in raw:
-        length = _norm_of(row, norm)
-        if length > 0:
-            directions.append(row / length)
+    directions = _directions(n, norm, int(opts.seed))
 
     # stage 1: bracket the surface along every ray. One evaluation covers
     # every ray and step; brentq seeks the root in the bracket of each ray
@@ -286,14 +304,14 @@ def reliability_index(
     # ray whose bracket brentq cannot finish (g undefined inside it) has
     # no hit.
     ts = np.linspace(0.0, opts.eta_max, _SCAN_STEPS + 1)
-    reach = np.array(directions) @ model.factor.T  # row r holds A·ray_r
+    reach = directions @ factor_t  # row r holds A·ray_r
     values = np.empty((len(directions), _SCAN_STEPS + 1))
     values[:, 0] = g_mid
     values[:, 1:] = g_of([mid[k] + rad[k] * np.outer(reach[:, k], ts[1:]) for k in range(n)])
 
     def root(start_id: int, a: float, b: float) -> float:
         ray = directions[start_id]
-        return brentq(lambda t: g_of(from_delta(model, t * ray)), a, b, xtol=1e-13, rtol=1e-15)
+        return brentq(lambda t: g_at(t * ray), a, b, xtol=1e-13, rtol=1e-15)
 
     # (norm, start id, delta) of each start
     hits = [(t, i, t * directions[i]) for t, i in _nearest_hits(values, ts, root)]
@@ -308,8 +326,8 @@ def reliability_index(
     # and delta in s·B_p. Only the ball constraint depends on the norm.
     if norm == EUCLIDEAN:
 
-        def ball(y: np.ndarray) -> float:
-            return y[-1] - _length(y[:-1])
+        def ball(y: np.ndarray, out: np.ndarray) -> None:
+            out[0] = y[-1] - _length(y[:-1])
 
         def ball_jac(y: np.ndarray) -> np.ndarray:
             return np.append(-y[:-1] / _length(y[:-1]), 1.0)
@@ -317,8 +335,9 @@ def reliability_index(
     else:
         box_jac = np.block([[-np.eye(n), np.ones((n, 1))], [np.eye(n), np.ones((n, 1))]])
 
-        def ball(y: np.ndarray) -> np.ndarray:
-            return np.concatenate([y[-1] - y[:-1], y[-1] + y[:-1]])
+        def ball(y: np.ndarray, out: np.ndarray) -> None:
+            np.subtract(y[-1], y[:-1], out=out[:n])
+            np.add(y[-1], y[:-1], out=out[n:])
 
         def ball_jac(y: np.ndarray) -> np.ndarray:
             return box_jac
@@ -326,29 +345,33 @@ def reliability_index(
     def put_values(start: _Slsqp) -> None:
         """Objective and constraint values at the start's y; the surface
         value is g / max(1, |g_mid|), with 1e9 where g is undefined."""
-        start.fx = float(start.y[-1])
-        value = g_of(from_delta(model, start.y[:-1]))
+        y = start.y
+        start.fx = float(y[-1])
+        value = g_at(y[:-1])
         start.d[0] = 1e9 if math.isnan(value) else value / scale
-        start.d[1:] = ball(start.y)
+        ball(y, start.d[1:])
 
     def put_gradients(batch: list[_Slsqp]) -> None:
         """Constraint gradients at the y of every start in batch. The
         surface row takes central differences of the surface value with
-        steps 1e-6·max(1, |delta_k|); the 2n stencil points of all starts
-        go to g in one evaluation. Each start's are mapped by their own
-        from_delta call: one product over all of them might take another
-        BLAS kernel and round differently."""
+        steps h = 1e-6·max(1, |delta_k|) at the 2n stencil points
+        delta ± diag(h). The stencils of all starts are built as one
+        (2n·starts, n) array, mapped by one from_delta call (each row of
+        that product has the bits of the start's own product) and sent to
+        g in one evaluation."""
         if not batch:
             return
-        deltas = [start.y[:-1] for start in batch]
-        steps = [1e-6 * np.maximum(1.0, np.abs(delta)) for delta in deltas]
-        stencils = [np.concatenate([d + np.diag(h), d - np.diag(h)]) for d, h in zip(deltas, steps)]
-        points = np.concatenate([from_delta(model, stencil) for stencil in stencils])
-        values = g_of(points.T)
-        values = np.where(np.isnan(values), 1e9, values / scale)
-        for k, (start, h) in enumerate(zip(batch, steps)):
-            own = values[2 * n * k : 2 * n * (k + 1)]
-            start.C[0, :-1] = (own[:n] - own[n:]) / (2.0 * h)
+        k = len(batch)
+        deltas = np.array([start.y[:-1] for start in batch])
+        steps = 1e-6 * np.maximum(1.0, np.abs(deltas))
+        shifts = np.zeros((k, n, n))  # np.diag(h) of each start
+        shifts.reshape(k, n * n)[:, :: n + 1] = steps
+        stencils = np.concatenate([deltas[:, None] + shifts, deltas[:, None] - shifts], axis=1)
+        values = g_of(from_delta(model, stencils.reshape(2 * n * k, n)).T)
+        values = np.where(np.isnan(values), 1e9, values / scale).reshape(k, 2, n)
+        slopes = (values[:, 0] - values[:, 1]) / (2.0 * steps)
+        for start, slope in zip(batch, slopes):
+            start.C[0, :-1] = slope
             start.C[1:] = ball_jac(start.y)
 
     # All starts are refined together: each round steps every unfinished
@@ -371,7 +394,7 @@ def reliability_index(
     records = []
     for (t_root, start_id, delta0), start in zip(hits, starts):
         refined = start.y[:-1]
-        value = g_of(from_delta(model, refined))
+        value = g_at(refined)
         length = None
         if not math.isnan(value) and abs(value) <= 10.0 * tol_abs:
             length = _norm_of(refined, norm)

@@ -197,7 +197,7 @@ def mc_volume(model: ConvexModel, count: int, seed: int) -> tuple[float, float]:
                 # centred in place: the draw less its midpoints is not the
                 # unshifted deviate in floating point
                 draws -= model.midpoints
-                product = None if product_buf is None else product_buf[: n * rows].reshape(n, rows)
+                product = None if product_buf is None else product_buf[: n * rows].reshape(rows, n)
                 values = centred_membership(model, draws, values_buf[:rows], product)
                 hits += int(np.count_nonzero(values <= 1.0 + MEMBERSHIP_TOL))
         return hits

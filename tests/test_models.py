@@ -521,6 +521,49 @@ def test_mp_membership_is_bit_identical_across_widths_and_layouts(
             )
 
 
+def test_mp_membership_bits_do_not_depend_on_the_blas_thread_count():
+    """The check above, in a process whose OpenBLAS multiplies on one
+    thread (the benchmark's setting): a product laid out n×rows rounds its
+    last rows differently there at n = 16 and 30, the reference's
+    rows×n product does not."""
+    test = f"{__file__}::test_mp_membership_is_bit_identical_across_widths_and_layouts"
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", test],
+        cwd=os.path.dirname(os.path.dirname(__file__)),
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stdout[-3000:]
+    assert re.search(r"^15 passed", done.stdout, re.MULTILINE), done.stdout
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 10, 16, 30])
+def test_me_membership_is_bit_identical_across_widths_and_layouts(
+    bulk_model, one_shot_membership, n, layout
+):
+    """The ellipsoid's quadratic form, summed in passes of _FORM_ROWS rows
+    without einsum, gives the bits of the einsum reference at any row
+    count, across pass and block boundaries, whatever the layout; on one
+    and two rows, where einsum rounds otherwise at n = 2, too."""
+    model = bulk_model(V.ME, n)
+    form = cq.models._FORM_ROWS
+    for rows in (0, 1, 2, 3, 4, 17, form - 1, form + 1, 2 * form + 3, BLOCK_ROWS + 1):
+        wide = np.random.default_rng(rows).uniform(-3.0, 5.0, size=(rows, 2 * n))
+        points = {
+            "C": np.ascontiguousarray(wide[:, :n]),
+            "F": np.asfortranarray(wide[:, :n]),
+            "strided": wide[:, ::2],
+        }[layout]
+        np.testing.assert_array_equal(
+            cq.membership_values(model, points),
+            one_shot_membership(model, points),
+            err_msg=f"{rows} rows",
+        )
+
+
 @pytest.mark.parametrize("rows", (8, BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 17))
 @pytest.mark.parametrize("variant", list(V), ids=lambda v: v.value)
 def test_membership_of_nonfinite_rows_is_bit_identical(

@@ -631,6 +631,65 @@ def test_refinement_makes_one_stencil_call_per_round(
     assert all(size <= stencil * expected_starts for size in arrays)
 
 
+@pytest.mark.parametrize("variant", [V.ME, V.MP2], ids=["lower-triangular", "full"])
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 10, 16])
+def test_stacked_stencils_map_as_each_start_alone(bulk_model, variant, n):
+    """from_delta of the stencils of many starts in one (2n·starts, n)
+    stack gives, by float.hex, the rows of one from_delta call per start:
+    the solver maps every round's stencils with one product."""
+    model = bulk_model(variant, n=n)
+    assert n == 1 or np.all(np.triu(model.factor, 1) == 0) == (variant is V.ME)
+    rng = np.random.default_rng(n)
+    for count in (1, 2, 3, 7, 16):
+        deltas = rng.normal(size=(count, n)) * rng.choice([1e-3, 1.0, 30.0], size=(count, n))
+        stencils = []
+        for delta in deltas:
+            h = 1e-6 * np.maximum(1.0, np.abs(delta))
+            stencils.append(np.concatenate([delta + np.diag(h), delta - np.diag(h)]))
+        stacked = cq.from_delta(model, np.concatenate(stencils))
+        alone = np.concatenate([cq.from_delta(model, stencil) for stencil in stencils])
+        assert [v.hex() for v in stacked.ravel()] == [v.hex() for v in alone.ravel()], count
+
+
+def _rays_one_by_one(n, norm, seed):
+    """The reference of the scan's rays, built one at a time: the axis
+    directions, then each seeded normal divided by its norm."""
+    directions = []
+    for k in range(n):
+        for sign in (1.0, -1.0):
+            e = np.zeros(n)
+            e[k] = sign
+            directions.append(e)
+    gen = np.random.Generator(np.random.Philox(key=seed))
+    for row in gen.standard_normal((2 * n * n, n)):
+        length = math.sqrt(row.dot(row)) if norm == "euclidean" else float(np.max(np.abs(row)))
+        if length > 0:
+            directions.append(row / length)
+    return np.array(directions)
+
+
+@pytest.mark.parametrize("norm", ["euclidean", "infinity"])
+def test_directions_are_built_once_read_only_and_unchanged(norm):
+    """The rays of each (n, norm, seed) are built once, as one read-only
+    array with the bits of the one-at-a-time build, and a solve leaves
+    them as they were."""
+    for n, seed in ((1, 0), (3, 0), (3, 7), (10, 2)):
+        rays = reliability._directions(n, norm, seed)
+        expected = _rays_one_by_one(n, norm, seed)
+        assert rays.shape == expected.shape == (2 * n + 2 * n * n, n)
+        assert [v.hex() for v in rays.ravel()] == [v.hex() for v in expected.ravel()]
+        assert not rays.flags.writeable
+        with pytest.raises(ValueError):
+            rays[0, 0] = 2.0
+    model = make_model(V.MP2)
+    rays = reliability._directions(3, norm, 0)
+    before = rays.copy()
+    g = cq.parse_limit_state("9 - x1 - x2 + 0.01*x3")
+    cq.reliability_index(model, g, cq.ReliabilityOptions(norm=norm))
+    assert reliability._directions(3, norm, 0) is rays
+    np.testing.assert_array_equal(rays, before)
+
+
 def test_import_names_the_scipy_requirement():
     """A scipy without the SLSQP core the solver drives fails at import,
     with the requirement in the message."""

@@ -37,3 +37,18 @@ def test_projection_gallery_writes_svgs(tmp_path, capsys):
     svgs = sorted(out_dir.glob("*.svg"))
     assert len(svgs) == 18
     assert all(path.read_text(encoding="utf-8").rstrip().endswith("</svg>") for path in svgs)
+
+
+def test_per_call_timings_times_the_solver(capsys):
+    """The one-point table also times reliability_index on the beam's ME
+    and MP-II models and on an n = 10 model, one solve each at the
+    smallest call count."""
+    assert load_script("per_call_timings").main(["--calls", "1", "--repeats", "1"]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    solves = [row for row in rows if row[0] == "reliability_index"]
+    assert [" ".join(row[1:-1]) for row in solves] == [
+        "beam ME S=250",
+        "beam MP-II S=250",
+        "linear n=10 MP-II",
+    ]
+    assert all(float(row[-1]) > 0.0 for row in solves)
