@@ -287,7 +287,7 @@ def contains(model: ConvexModel, x: np.ndarray) -> Membership:
         value = float(membership_values(model, x[None])[0])
     elif model.variant is ModelVariant.ME:
         value = float(membership_block(model, x[None])[0])
-    else:  # dot runs the gemv of membership_block's one-column product
+    else:  # dot gives the bits of membership_block's one-row centred @ characteristicᵀ
         value = max(map(abs, model.characteristic.dot(x - model.midpoints).tolist()))
     return Membership(value <= 1.0 + MEMBERSHIP_TOL, value)
 

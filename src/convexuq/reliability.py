@@ -29,7 +29,6 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
@@ -173,22 +172,21 @@ def _norm_of(delta: np.ndarray, norm: str) -> float:
     return float(np.max(np.abs(delta)))
 
 
-@lru_cache(maxsize=32)
 def _directions(n: int, norm: str, seed: int) -> np.ndarray:
     """The scan's rays, unit in the norm, one per row of a read-only
     array: the 2n axis directions (+e_k, then -e_k), then 2n² standard
     normals of the Philox stream keyed by seed, each divided by its norm
-    (a zero row dropped). Built once per (n, norm, seed)."""
+    (a zero row dropped)."""
     k = np.arange(2 * n)
     axes = np.zeros((2 * n, n))
     axes[k, k // 2] = np.where(k % 2 == 0, 1.0, -1.0)
-    rays = [axes]
-    gen = np.random.Generator(np.random.Philox(key=seed))
-    for row in gen.standard_normal((2 * n * n, n)):
-        length = _norm_of(row, norm)
-        if length > 0:
-            rays.append(row[None] / length)
-    return read_only(np.concatenate(rays))
+    normals = np.random.Generator(np.random.Philox(key=seed)).standard_normal((2 * n * n, n))
+    if norm == EUCLIDEAN:  # _length's dot, whose bits a vectorized sum need not have
+        lengths = np.sqrt([row.dot(row) for row in normals])
+    else:
+        lengths = np.abs(normals).max(axis=1)
+    kept = lengths > 0
+    return read_only(np.concatenate([axes, normals[kept] / lengths[kept, None]]))
 
 
 def _nearest_hits(values: np.ndarray, ts: np.ndarray, root) -> list[tuple[float, int]]:
@@ -264,7 +262,6 @@ def reliability_index(
 
     n = model.n
     mid, rad = model.midpoints, model.radii
-    factor_t = model.factor.T
     evaluations = 0
 
     def g_of(x) -> float | np.ndarray:
@@ -281,12 +278,8 @@ def reliability_index(
             return math.nan
 
     def g_at(delta: np.ndarray) -> float:
-        """g at one standardized point, mapped by from_delta's own
-        operations without its checks."""
-        x = delta @ factor_t
-        x *= rad
-        x += mid
-        return g_of(x.tolist())
+        """g at one standardized point, by the scalar evaluator."""
+        return g_of(from_delta(model, delta).tolist())
 
     g_mid = g_at(np.zeros(n))
     if math.isnan(g_mid):
@@ -304,7 +297,7 @@ def reliability_index(
     # ray whose bracket brentq cannot finish (g undefined inside it) has
     # no hit.
     ts = np.linspace(0.0, opts.eta_max, _SCAN_STEPS + 1)
-    reach = directions @ factor_t  # row r holds A·ray_r
+    reach = directions @ model.factor.T  # row r holds A·ray_r
     values = np.empty((len(directions), _SCAN_STEPS + 1))
     values[:, 0] = g_mid
     values[:, 1:] = g_of([mid[k] + rad[k] * np.outer(reach[:, k], ts[1:]) for k in range(n)])
