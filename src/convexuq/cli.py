@@ -27,7 +27,7 @@ from .correlation import (
 )
 from .dataio import read_intervals_csv, read_matrix_csv, read_samples_csv, write_samples_csv
 from .domain import regularize
-from .errors import ConvexUQError, InputError, NumericError
+from .errors import ConvexUQError, IndexOutOfRange, InputError, NumericError
 from .expr import parse_limit_state
 from .models import build_model, fitness, load_model, project_2d, save_model
 from .reliability import ReliabilityOptions, reliability_index
@@ -120,6 +120,11 @@ def cmd_assess(args: argparse.Namespace) -> int:
 def cmd_project(args: argparse.Namespace) -> int:
     with _stage("model load"):
         model = load_model(args.model)
+    for flag, index in (("--i", args.i), ("--j", args.j)):
+        if not 1 <= index <= model.n:
+            raise IndexOutOfRange(f"{flag} {index} outside 1..{model.n}")
+    if args.i == args.j:
+        raise IndexOutOfRange("--i and --j must name two distinct variables")
     i, j = args.i - 1, args.j - 1
     if args.exact:
         # the model operation, defined for the ellipsoid only; a

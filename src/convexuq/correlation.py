@@ -205,10 +205,12 @@ def scc(x_i: np.ndarray, x_j: np.ndarray) -> float:
 
 
 def _mp_shape_2d(variant: ModelVariant, r: np.ndarray) -> np.ndarray:
-    """Closed-form 2x2 shape matrices S(r) of an MP variant, vectorized
-    over r; rows of each S have unit absolute sum. Matches the general
-    factorization path (asserted in tests), with the r=0 member being the
-    standard square for every variant."""
+    """Closed-form 2x2 shape matrices S(r) of an MP variant other than
+    UTriMP, vectorized over r; rows of each S have unit absolute sum.
+    Matches the general factorization path (asserted in tests), with the
+    r=0 member being the standard square for every variant. UTriMP's S(r)
+    is LTriMP's with rows and columns swapped, so `_ccc_fits` fits a
+    UTriMP pair (i, j) as LTriMP on (j, i)."""
     r = np.atleast_1d(np.asarray(r, dtype=float))
     out = np.empty(r.shape + (2, 2))
     absr = np.abs(r)
@@ -249,15 +251,8 @@ def _mp_shape_2d(variant: ModelVariant, r: np.ndarray) -> np.ndarray:
         out[..., 0, 1] = 0.0
         out[..., 1, 0] = r / d
         out[..., 1, 1] = c / d
-    elif variant is ModelVariant.UTRI:
-        c = np.sqrt(1.0 - r * r)
-        d = c + absr
-        out[..., 0, 0] = c / d
-        out[..., 0, 1] = r / d
-        out[..., 1, 0] = 0.0
-        out[..., 1, 1] = 1.0
     else:
-        raise ValueError(f"not a parallelepiped variant: {variant}")
+        raise ValueError(f"no closed-form pair shape for {variant}")
     return out
 
 
@@ -578,6 +573,10 @@ def _ccc_fits(
     if variant is ModelVariant.ME:
         lo, hi = _me_intervals(u, pairs)
     else:
+        if variant is ModelVariant.UTRI:
+            # the swapped pair's adjugate terms and distances differ from
+            # UTriMP's only by IEEE operations that commute, so the bits hold
+            variant, pairs = ModelVariant.LTRI, [(j, i) for i, j in pairs]
         lo, hi = _mp_intervals(variant, u, pairs)
     return [
         _finish_ccc(lo_p, hi_p, u[:, pair], on_infeasible)

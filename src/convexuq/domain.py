@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import ctypes
 import math
+import operator
 import os
 import threading
 from collections.abc import Callable
@@ -71,6 +72,20 @@ def read_only(values) -> np.ndarray:
     arr = np.array(values, dtype=float)
     arr.flags.writeable = False
     return arr
+
+
+def as_integer(value, name: str) -> int:
+    """`value` as a Python int, through `operator.index`; a TypeError that
+    names the argument otherwise, so a float or a string is refused."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
+def longest_block(group: Sequence[slice]) -> int:
+    """Rows of the longest block of a group, which sizes its buffers."""
+    return max(block.stop - block.start for block in group)
 
 
 def row_blocks(count: int, size: int = BLOCK_ROWS) -> list[slice]:

@@ -89,7 +89,7 @@ class NotEllipsoid(InputError):
 
 
 class IndexOutOfRange(InputError):
-    """Variable index outside 0..n-1."""
+    """Variable index outside its range: 0..n-1 in the library, 1..n on the CLI."""
 
 
 class ParseError(InputError):

@@ -26,7 +26,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .correlation import EPS_PD, ESTIMATORS, MEMBERSHIP_TOL, CorrelationMatrix, ModelVariant
-from .domain import Interval, MarginalSpec, SampleSet, map_groups, read_only, row_blocks
+from .domain import (
+    Interval,
+    MarginalSpec,
+    SampleSet,
+    longest_block,
+    map_groups,
+    read_only,
+    row_blocks,
+)
 from .errors import (
     DimensionMismatch,
     IllConditioned,
@@ -163,50 +171,33 @@ def build_model(variant: ModelVariant, spec: MarginalSpec, R: CorrelationMatrix)
     )
 
 
-def membership_block(
-    model: ConvexModel, rows: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
-    """The membership kernel on one block of rows, in the calling thread:
-    a row holding ±inf or nan, or whose value overflows, may give inf or
-    nan, and the caller sets `np.errstate` for it."""
-    if model.variant is ModelVariant.ME:
-        return _quadratic_form(rows, model.midpoints, model.characteristic, out)
-    # the centring is C-ordered because a Fortran-ordered one can round
-    # the product differently
-    return centred_membership(model, np.subtract(rows, model.midpoints, order="C"), out)
-
-
 def _quadratic_form(
-    points: np.ndarray, shift: np.ndarray | None, matrix: np.ndarray, out: np.ndarray | None
+    centred: np.ndarray, matrix: np.ndarray, out: np.ndarray | None
 ) -> np.ndarray:
-    """c·M·c of each row c = point - shift (the point itself where shift
-    is None), with the bits of np.einsum("ij,jk,ik->i", c, M, c). On three
-    or more rows einsum adds the terms (c_j·M_jk)·c_k to one sum per row,
-    from 0, j-major and k-minor; so does this, in passes over at most
-    _FORM_ROWS rows. A pass centres its rows into a transposed copy, then
-    for each j writes the n terms of j below the running sums and adds
-    them in with one reduction over axis 0, which numpy makes row by row
-    where there are two or more columns (with one it sums pairwise); every
-    pass has at least two. On one or two rows einsum rounds otherwise, and
-    runs itself."""
-    rows, n = points.shape
+    """c·M·c of each row c of `centred`, with the bits of
+    np.einsum("ij,jk,ik->i", c, M, c). On three or more rows einsum adds
+    the terms (c_j·M_jk)·c_k to one sum per row, from 0, j-major and
+    k-minor; so does this, in passes over at most _FORM_ROWS rows. A pass
+    copies its rows into a transposed buffer, then for each j writes the
+    n terms of j below the running sums and adds them in with one
+    reduction over axis 0, which numpy makes row by row where there are
+    two or more columns (with one it sums pairwise); every pass has at
+    least two. On one or two rows einsum rounds otherwise, and runs
+    itself."""
+    rows, n = centred.shape
     if rows < 3:
-        centred = points if shift is None else points - shift
         return np.einsum("ij,jk,ik->i", centred, matrix, centred, out=out)
     if out is None:
         out = np.empty(rows)
     passes = row_blocks(rows, _FORM_ROWS)
-    longest = max(part.stop - part.start for part in passes)
+    longest = longest_block(passes)
     columns = np.empty((n, longest))
     # each reduction reads one buffer and writes the other's running sums
     buffers = np.empty((2, n + 1, longest))
     for part in passes:
         width = part.stop - part.start
         c = columns[:, :width]
-        if shift is None:
-            np.copyto(c, points[part].T)
-        else:
-            np.subtract(points[part].T, shift[:, None], out=c)
+        np.copyto(c, centred[part].T)
         buffers[0, 0, :width] = 0.0
         for j in range(n):
             terms = buffers[j % 2, :, :width]
@@ -223,10 +214,14 @@ def centred_membership(
     out: np.ndarray | None = None,
     product: np.ndarray | None = None,
 ) -> np.ndarray:
-    """`membership_block` on rows less the midpoints; MP computes its
-    rows×n product into `product` where one is given."""
+    """The membership kernel, in the calling thread: the defining-inequality
+    value of each row of `centred`, points less the midpoints in a C-ordered
+    block (a Fortran-ordered one's MP product can round otherwise). MP forms
+    its rows×n product in `product` where one is given. A row holding ±inf
+    or nan, or whose value overflows, may give inf or nan under the
+    caller's `np.errstate`."""
     if model.variant is ModelVariant.ME:
-        return _quadratic_form(centred, None, model.characteristic, out)
+        return _quadratic_form(centred, model.characteristic, out)
     # the reference's row-wise product, whose bits, unlike those of the
     # transposed product, do not depend on the BLAS's thread count; each
     # row's largest magnitude taken column by column gives the bits, nan
@@ -258,13 +253,15 @@ def membership_values(model: ConvexModel, rows: np.ndarray) -> np.ndarray:
     values = np.empty(len(rows))
 
     def fill(group: list[slice]) -> None:
+        centred_buf = np.empty((longest_block(group), model.n))
         # a non-finite coordinate, or a finite one near the float limit,
         # makes its row's value inf or nan, through overflow and the
         # invalid operations inf·0 and inf − inf
         with np.errstate(over="ignore", invalid="ignore"):
             for block in group:
-                out = values[block]
-                membership_block(model, rows[block], out=out)
+                out, centred = values[block], centred_buf[: block.stop - block.start]
+                np.subtract(rows[block], model.midpoints, out=centred)
+                centred_membership(model, centred, out)
                 out[np.isnan(out)] = np.inf
 
     map_groups(row_blocks(len(rows)), fill, len(rows))
@@ -286,8 +283,8 @@ def contains(model: ConvexModel, x: np.ndarray) -> Membership:
     if not sum(map(abs, x.tolist())) <= model._one_point_bound:  # nan fails too
         value = float(membership_values(model, x[None])[0])
     elif model.variant is ModelVariant.ME:
-        value = float(membership_block(model, x[None])[0])
-    else:  # dot gives the bits of membership_block's one-row centred @ characteristicᵀ
+        value = float(centred_membership(model, (x - model.midpoints)[None])[0])
+    else:  # dot gives the bits of centred_membership's one-row centred @ characteristicᵀ
         value = max(map(abs, model.characteristic.dot(x - model.midpoints).tolist()))
     return Membership(value <= 1.0 + MEMBERSHIP_TOL, value)
 

@@ -43,7 +43,7 @@ except ImportError as exc:
     ) from exc
 
 from .correlation import ModelVariant
-from .domain import read_only
+from .domain import as_integer, read_only
 from .errors import EvaluationError, NoSurfaceFound, UnboundVariable
 from .expr import LimitState
 from .models import ConvexModel, from_delta
@@ -240,7 +240,8 @@ def reliability_index(
     Raises NoSurfaceFound when g keeps one sign on every probed ray within
     the eta_max ball (eta_max is then a lower bound on the index),
     UnboundVariable when g uses names that are neither model variables nor
-    option bindings, and ValueError when eta_max is not finite and > 0.
+    option bindings, ValueError when eta_max is not finite and > 0, and
+    TypeError when the seed is not an integer (`operator.index`).
     """
     opts = options or ReliabilityOptions()
     norm = opts.norm or default_norm(model)
@@ -248,6 +249,7 @@ def reliability_index(
         raise ValueError(f"norm must be '{EUCLIDEAN}' or '{INFINITY}', got {opts.norm!r}")
     if not (math.isfinite(opts.eta_max) and opts.eta_max > 0.0):
         raise ValueError(f"eta_max must be finite and > 0, got {opts.eta_max!r}")
+    seed = as_integer(opts.seed, "seed")
     names = model.spec.names
     bindings = dict(opts.bindings)
     shadowed = set(bindings) & set(names)
@@ -289,7 +291,7 @@ def reliability_index(
     scale = max(1.0, abs(g_mid))
     tol_abs = _G_TOL * scale
 
-    directions = _directions(n, norm, int(opts.seed))
+    directions = _directions(n, norm, seed)
 
     # stage 1: bracket the surface along every ray. One evaluation covers
     # every ray and step; brentq seeks the root in the bracket of each ray

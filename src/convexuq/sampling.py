@@ -14,26 +14,16 @@ same bits whatever the number of threads. Counts and seeds are integers
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .correlation import CorrelationMatrix, ModelVariant, fit_correlation_matrix
-from .domain import make_marginal_spec, map_groups, row_blocks
+from .domain import as_integer, longest_block, make_marginal_spec, map_groups, row_blocks
 from .models import MEMBERSHIP_TOL, ConvexModel, build_model, centred_membership
 
 VERDICT_UNBIASED = "unbiased-consistent"
 VERDICT_BIASED = "biased-detected"
-
-
-def _integer(value, name: str) -> int:
-    """`value` as a Python int, through `operator.index`; a TypeError that
-    names the argument otherwise."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _stream(seed: int, offset: int) -> np.random.Generator:
@@ -44,10 +34,6 @@ def _stream(seed: int, offset: int) -> np.random.Generator:
     gen = np.random.Generator(bits)
     gen.random(offset % 4)
     return gen
-
-
-def _longest(group: list[slice]) -> int:
-    return max(block.stop - block.start for block in group)
 
 
 def verdict_tolerance(draws: int) -> float:
@@ -97,7 +83,7 @@ def sample_uniform(model: ConvexModel, count: int, seed: int) -> np.ndarray:
     grouping fixes the drawn bits. Besides the result, a draw holds a few
     blocks of deviates per thread.
     """
-    count, seed = _integer(count, "count"), _integer(seed, "seed")
+    count, seed = as_integer(count, "count"), as_integer(seed, "seed")
     if count < 1:
         raise ValueError("count must be at least 1")
     n = model.n
@@ -112,7 +98,7 @@ def sample_uniform(model: ConvexModel, count: int, seed: int) -> np.ndarray:
             # sin value at half + k, which may fall in another block
             lo = (group[0].start * n + 1) // 2
             radius_gen, angle_gen = _stream(seed, lo), _stream(seed, half + lo)
-            radius_buf, angle_buf = np.empty((2, _longest(group) * n // 2 + 1))
+            radius_buf, angle_buf = np.empty((2, longest_block(group) * n // 2 + 1))
             for block in group:
                 a, b = (block.start * n + 1) // 2, (block.stop * n + 1) // 2
                 radius, angle = radius_buf[: b - a], angle_buf[: b - a]
@@ -130,7 +116,8 @@ def sample_uniform(model: ConvexModel, count: int, seed: int) -> np.ndarray:
 
         def draw(group: list[slice]) -> None:
             radial = _stream(seed, 2 * half + group[0].start)
-            scale_buf, product_buf = np.empty(_longest(group)), np.empty((_longest(group), n))
+            longest = longest_block(group)
+            scale_buf, product_buf = np.empty(longest), np.empty((longest, n))
             for block in group:
                 z, scale = x[block], scale_buf[: block.stop - block.start]
                 np.sqrt(np.add.reduce(z * z, axis=1), out=scale)  # np.linalg.norm(z, axis=1)
@@ -155,7 +142,7 @@ def sample_uniform(model: ConvexModel, count: int, seed: int) -> np.ndarray:
 
         def draw(group: list[slice]) -> None:
             gen = _stream(seed, group[0].start * n)
-            delta_buf = np.empty((_longest(group), n))
+            delta_buf = np.empty((longest_block(group), n))
             for block in group:
                 delta = delta_buf[: block.stop - block.start]
                 gen.random(out=delta)
@@ -174,14 +161,14 @@ def mc_volume(model: ConvexModel, count: int, seed: int) -> tuple[float, float]:
     with its binomial standard error. The draws are the stream's first
     count·n values in row order, scaled to the box, streamed block by
     block."""
-    count, seed = _integer(count, "count"), _integer(seed, "seed")
+    count, seed = as_integer(count, "count"), as_integer(seed, "seed")
     if count < 1000:
         raise ValueError("count must be at least 1e3")
     n = model.n
 
     def count_hits(group: list[slice]) -> int:
         gen = _stream(seed, group[0].start * n)
-        longest = _longest(group)
+        longest = longest_block(group)
         draws_buf, values_buf = np.empty((longest, n)), np.empty(longest)
         product_buf = None if model.variant is ModelVariant.ME else np.empty(n * longest)
         hits = 0
@@ -240,7 +227,7 @@ def verify_unbiasedness(
     The verdict is unbiased-consistent when the largest entry error stays
     within 4/sqrt(draws) + 0.005.
     """
-    draws, seed = _integer(draws, "draws"), _integer(seed, "seed")
+    draws, seed = as_integer(draws, "draws"), as_integer(seed, "seed")
     true_entries, recovered, max_err = _refit_on_draws("scc", variant, R, draws, seed)
     tol = verdict_tolerance(draws)
     verdict = VERDICT_UNBIASED if max_err <= tol else VERDICT_BIASED
@@ -265,7 +252,7 @@ def ccc_recovery_report(
     """Demonstration counterpart of verify_unbiasedness for the CCC
     measure: fit pairwise CCCs on uniform draws from the true domain and
     report the gaps."""
-    draws, seed = _integer(draws, "draws"), _integer(seed, "seed")
+    draws, seed = as_integer(draws, "draws"), as_integer(seed, "seed")
     true_entries, fitted, max_err = _refit_on_draws("ccc", variant, R, draws, seed)
     return CCCRecoveryReport(
         variant=variant,

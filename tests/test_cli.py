@@ -264,6 +264,30 @@ def test_project_index_out_of_range(built_me, tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "i, j, message",
+    [
+        ("0", "2", "--i 0 outside 1..3"),
+        ("1", "4", "--j 4 outside 1..3"),
+        ("3", "3", "--i and --j must name two distinct variables"),
+    ],
+    ids=["i-below", "j-above", "same"],
+)
+@pytest.mark.parametrize("exact", [[], ["--exact"]], ids=["svg", "exact"])
+def test_project_names_bad_indices_one_based(built_me, tmp_path, capsys, i, j, message, exact):
+    """The CLI's indices are 1-based, and so are its messages about them;
+    nothing is written."""
+    capsys.readouterr()
+    out = tmp_path / "x.svg"
+    args = ["project", "--model", str(built_me), "--i", i, "--j", j, "--out", str(out)]
+    code = main(args + exact)
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_sample_round_trips_through_reader(built_me, tmp_path, capsys):
     out = tmp_path / "draws.csv"
     code = main(

@@ -19,7 +19,6 @@ from convexuq.correlation import (
     _REFINE_TOL,
     _hull_candidates,
     _mp_intervals,
-    _mp_shape_2d,
     _pick_extreme,
     scc,
 )
@@ -37,6 +36,24 @@ from convexuq.factorization import core_shape_matrix, shape_matrix
 from test_acceptance import GEOTECH_CCC_REF
 
 MP_VARIANTS = [V.MP1, V.MP2, V.RECT, V.LTRI, V.UTRI]
+
+
+def _shape_2d(variant, r):
+    """Closed-form 2x2 shape matrices S(r) of every MP variant: the
+    library's, and UTriMP's own, which the library never forms (it fits a
+    UTriMP pair as LTriMP on the swapped pair). UTriMP's is the
+    independent reference for its fits here."""
+    if variant is not V.UTRI:
+        return correlation._mp_shape_2d(variant, r)
+    r = np.atleast_1d(np.asarray(r, dtype=float))
+    c = np.sqrt(1.0 - r * r)
+    d = c + np.abs(r)
+    out = np.empty(r.shape + (2, 2))
+    out[..., 0, 0] = c / d
+    out[..., 0, 1] = r / d
+    out[..., 1, 0] = 0.0
+    out[..., 1, 1] = 1.0
+    return out
 
 
 def _pair_ccc(variant, u, **options):
@@ -98,18 +115,18 @@ def test_closed_form_shape_matches_factorization(r):
     R = np.array([[1.0, r], [r, 1.0]])
     for variant in MP_VARIANTS:
         generic = shape_matrix(core_shape_matrix(variant, R)).entries
-        closed = _mp_shape_2d(variant, np.array([r]))[0]
+        closed = _shape_2d(variant, np.array([r]))[0]
         np.testing.assert_allclose(closed, generic, atol=1e-12)
 
 
 def test_shape_at_zero_is_square():
     for variant in MP_VARIANTS:
-        np.testing.assert_array_equal(_mp_shape_2d(variant, np.array([0.0]))[0], np.eye(2))
+        np.testing.assert_array_equal(_shape_2d(variant, np.array([0.0]))[0], np.eye(2))
 
 
 def test_rect_family_discontinuous_at_zero():
     # the limiting member at r -> 0 is the inscribed diamond, not the square
-    s_eps = _mp_shape_2d(V.RECT, np.array([1e-9]))[0]
+    s_eps = _shape_2d(V.RECT, np.array([1e-9]))[0]
     np.testing.assert_allclose(s_eps, [[0.5, 0.5], [0.5, -0.5]], atol=1e-8)
 
 
@@ -120,7 +137,7 @@ def _full_set_feasible(variant, r, u):
     batched test."""
     worst = []
     for lo in range(0, len(r), 64):
-        shapes = _mp_shape_2d(variant, r[lo : lo + 64])
+        shapes = _shape_2d(variant, r[lo : lo + 64])
         a11, a12 = shapes[..., 0, 0], shapes[..., 0, 1]
         a21, a22 = shapes[..., 1, 0], shapes[..., 1, 1]
         det = a11 * a22 - a12 * a21
@@ -304,7 +321,9 @@ def test_mp_ccc_hull_reduction_is_bit_identical(variant, u):
     candidates give the bits of the whole grid and each end bisected on
     its own over every sample."""
     r_neg, r_pos = _full_set_mp_interval(variant, u)
-    assert [a.tolist() for a in _mp_intervals(variant, u, [(0, 1)])] == [[r_neg], [r_pos]]
+    # the matrix fit runs a UTriMP pair (i, j) as LTriMP on (j, i)
+    fitted, pair = (V.LTRI, [(1, 0)]) if variant is V.UTRI else (variant, [(0, 1)])
+    assert [a.tolist() for a in _mp_intervals(fitted, u, pair)] == [[r_neg], [r_pos]]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateData)
         assert _pair_ccc(variant, u) == _pick_extreme(r_neg, r_pos, u)
@@ -367,6 +386,32 @@ def test_matrix_fit_is_the_pairwise_fit(variant, u):
             assert R.entries[i, j].hex() == float(reference).hex()
             expected += _warning_messages(lambda: _pair_ccc(variant, pair))[1]
     assert messages == expected
+
+
+def _assert_utri_is_reversed_ltri(u):
+    """The UTriMP fit of u has the bits and warnings of the LTriMP fit of
+    u's columns in reverse order, read back in reverse."""
+    upper, up = _warning_messages(lambda: cq.fit_correlation_matrix("ccc", V.UTRI, u))
+    lower, low = _warning_messages(lambda: cq.fit_correlation_matrix("ccc", V.LTRI, u[:, ::-1]))
+    assert upper.entries.tobytes() == lower.entries[::-1, ::-1].tobytes()
+    assert sorted(up) == sorted(low)
+
+
+@pytest.mark.parametrize("name", ["standard", "beam", "geotech"])
+def test_utri_fit_is_the_reversed_ltri_fit_on_bundled_sets(name, data_dir):
+    spec = cq.read_intervals_csv(data_dir / f"{name}_intervals.csv")
+    samples = cq.read_samples_csv(data_dir / f"{name}_samples.csv")
+    _assert_utri_is_reversed_ltri(cq.regularize(spec, samples).rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(u=_mp_fit_matrices())
+@example(u=_MIXED)
+def test_utri_fit_is_the_reversed_ltri_fit(u):
+    """UTriMP's pair shape is LTriMP's with rows and columns swapped, and
+    the matrix fit reads it so; the UTriMP closed form above checks the
+    fitted values themselves."""
+    _assert_utri_is_reversed_ltri(u)
 
 
 def _first_candidate_witnesses(terms, coords, starts):

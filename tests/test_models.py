@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -702,7 +703,11 @@ def test_blas_thread_count_is_read_from_the_library(setting):
     """Where numpy bundles OpenBLAS, the count read is the one its
     environment variable sets, capped at the cores."""
     code = "import convexuq.domain as d; print(d._blas_threads(), d._core_count())"
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": setting}
+    env = {
+        **os.environ,
+        "OPENBLAS_NUM_THREADS": setting,
+        "PYTHONPATH": str(Path(cq.__file__).parents[1]),
+    }
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     blas, cores = out.stdout.split()

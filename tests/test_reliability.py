@@ -60,6 +60,24 @@ def test_delta_norm_matches_membership():
         )
 
 
+def test_seed_is_taken_through_operator_index():
+    """A float or string seed raises a TypeError naming it, rather than
+    being truncated or parsed, and a numpy integer seed gives the result
+    of the int it equals."""
+    model = make_model(V.ME)
+    g = cq.parse_limit_state("x1*x1/8 - x2 + 0.05*x3*x1 - 6")
+    for seed in (1.5, 3.0, "3"):
+        with pytest.raises(TypeError, match="seed must be an integer"):
+            cq.reliability_index(model, g, cq.ReliabilityOptions(seed=seed))
+    got, expected, other = (
+        cq.reliability_index(model, g, cq.ReliabilityOptions(seed=seed))
+        for seed in (np.int64(3), 3, 1)
+    )
+    assert got.eta.hex() == expected.eta.hex() != other.eta.hex()
+    np.testing.assert_array_equal(got.delta_star, expected.delta_star)
+    assert (got.starts, got.evaluations) == (expected.starts, expected.evaluations)
+
+
 def test_default_norm_by_variant():
     assert default_norm(make_model(V.ME)) == "euclidean"
     assert default_norm(make_model(V.RECT)) == "infinity"
