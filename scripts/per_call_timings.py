@@ -5,12 +5,16 @@ n = 10), of scalar and array `LimitState.evaluate` (the beam limit state
 and an n = 10 linear one of the benchmark's synthetic form), of
 `from_delta` and of `reliability_index` (the beam's SCC ME and MP-II
 models at S = 250, and an n = 10 MP-II model with the synthetic form's
-limit state). Every case runs `--calls` calls per repeat, array calls a
-hundredth of that and solves a two-hundredth (at least one). `--bulk N`
-adds milliseconds per call of `sample_uniform`, `membership_values`,
+limit state), and of `fit_correlation_matrix("ccc", MP2, ...)` on the
+three bundled sets (N <= 32, as the case studies fit them). Every case
+runs `--calls` calls per repeat, array calls a hundredth of that, CCC fits
+a hundredth and solves a two-hundredth (at least one). `--bulk N` adds
+milliseconds per call of `sample_uniform`, `membership_values`,
 `mc_volume` and `verify_unbiasedness` at N rows (ME and MP-II at
-n = 3 and 10), and of `fit_correlation_matrix("scc")` on N rows
-(n = 3 and 10), one call of each per repeat, with the process's CPU time
+n = 3 and 10), of `fit_correlation_matrix("scc")` on N rows (n = 3 and
+10), and of `fit_correlation_matrix("ccc", MP2, ...)` at the benchmark's
+wide shapes (n = 30 by 200 rows and n = 10 by 2000, whatever N), one
+call of each per repeat, with the process's CPU time
 (`time.process_time`, all threads) next to the wall time; the bulk calls
 run on two threads only beside a one-thread BLAS, so set
 `OPENBLAS_NUM_THREADS=1` to time them as the benchmark runs them. The
@@ -107,6 +111,17 @@ def cases(calls: int, data_dir: Path) -> dict:
         out[f"evaluate {name} scalar"] = (calls, run_scalar)
         out[f"evaluate {name} array ({rays * SCAN_STEPS} points)"] = (array_calls, run_array)
 
+    fits = max(1, calls // 100)
+    for name in ("standard", "beam", "geotech"):
+        spec = cq.read_intervals_csv(data_dir / f"{name}_intervals.csv")
+        u = cq.regularize(spec, cq.read_samples_csv(data_dir / f"{name}_samples.csv")).rows
+
+        def run(u=u):
+            for _ in range(fits):
+                cq.fit_correlation_matrix("ccc", cq.ModelVariant.MP2, u, on_infeasible="relax")
+
+        out[f"fit_correlation_matrix ccc MP-II {name}"] = (fits, run)
+
     beam_spec = cq.read_intervals_csv(data_dir / "beam_intervals.csv")
     u = cq.regularize(beam_spec, cq.read_samples_csv(data_dir / "beam_samples.csv")).rows
     beam_R = cq.ensure_positive_definite(cq.fit_correlation_matrix("scc", None, u), policy="repair")
@@ -128,7 +143,8 @@ def cases(calls: int, data_dir: Path) -> dict:
 
 
 def bulk_cases(rows: int) -> dict:
-    """name -> (1, function making one call at `rows` rows)."""
+    """name -> (1, function making one call at `rows` rows; the CCC fits
+    at the shapes their names give)."""
     out = {}
     for n in (3, 10):
         spec = cq.make_marginal_spec((f"x{k + 1}", 10.0 - k, 14.0 + 0.5 * k) for k in range(n))
@@ -148,6 +164,14 @@ def bulk_cases(rows: int) -> dict:
         out[f"fit_correlation_matrix scc n={n}"] = (
             1,
             partial(cq.fit_correlation_matrix, "scc", None, u),
+        )
+    for n, count in ((30, 200), (10, 2000)):
+        spec = cq.make_marginal_spec((f"x{k + 1}", 10.0 - k, 14.0 + 0.5 * k) for k in range(n))
+        model = cq.build_model(cq.ModelVariant.MP2, spec, correlation(n))
+        u = (cq.sample_uniform(model, count, seed=2) - spec.midpoints) / spec.radii
+        out[f"fit_correlation_matrix ccc MP-II n={n} N={count}"] = (
+            1,
+            partial(cq.fit_correlation_matrix, "ccc", cq.ModelVariant.MP2, u),
         )
     return out
 

@@ -41,18 +41,20 @@ _STEPS = int((R_CLAMP - _GRID_STEP / 2) / _GRID_STEP)  # largest grid multiple b
 _GRID = read_only(
     np.concatenate(([-R_CLAMP], np.arange(-_STEPS, _STEPS + 1) * _GRID_STEP, [R_CLAMP]))
 )
+_ZERO = _STEPS + 1  # the index of r = 0 in _GRID
 _TIE_TOL = 1e-9
-# margin by which a sample must lie inside every polygon edge before the MP fit
-# may drop it; why this keeps the fit bit-identical is in _mp_intervals
-_HULL_TOL = 1e-9
-# most elements a blocked CCC stage holds in one temporary: (r, sample) for
-# the parallelepipeds, (sample, pair) for the ellipse. An _mp_feasible block
-# holds about ten such temporaries, so this keeps it near 1 MB
+# the exact MP kernel's relative margin: its thresholds K(1 -+ _GAMMA), K = 1 +
+# MEMBERSHIP_TOL, lie three times _mp_distance's largest relative rounding
+# from the float test's K; the inner one rounds to 1.0, so a sample on the
+# box's edge or corner stays inside it
+_GAMMA = 1e-9
+_THRESHOLDS = tuple((1.0 + MEMBERSHIP_TOL) * (1.0 + g) for g in (-_GAMMA, _GAMMA))
+# relative slack of every comparison of a test point's rho with a bound: the
+# bounds and rho(|r|) are within a few ulps of exact, far below this
+_SLACK = 1e-12
+# most (row, pair) elements a blocked CCC stage holds in one temporary; an
+# _mp_feasible block holds about ten such temporaries, so this keeps it near 1 MB
 _BLOCK = 1 << 14
-# grid points per cell of the witness pass; see _witness_pass
-_CELL = 25
-# directions whose extreme rows are the polygon of _hull_candidates' second stage
-_DIRECTIONS = 32
 
 
 class ModelVariant(enum.Enum):
@@ -282,62 +284,32 @@ def _mp_distance(terms: tuple[np.ndarray, ...], u1: np.ndarray, u2: np.ndarray) 
     return np.maximum(d1, d2, out=d1)
 
 
-def _blocks(begins: np.ndarray, size: int, step: int):
-    """Walk a run of size elements cut into segments at begins (sorted,
-    from 0, none empty) in blocks of at most step elements; yield each
-    block's (lo, hi), the segments a:b it meets, and where each of them
-    begins in it."""
-    for lo in range(0, size, step):
-        hi = min(lo + step, size)
-        a = int(np.searchsorted(begins, lo, side="right")) - 1
-        b = int(np.searchsorted(begins, hi))
-        yield lo, hi, a, b, np.maximum(begins[a:b], lo) - lo
+def _pair_blocks(u: np.ndarray, first: np.ndarray, second: np.ndarray):
+    """Walk the (row, pair) elements of the column pairs (first[p],
+    second[p]) of u in blocks of at most _BLOCK; yield each block's slice
+    of pairs and its (rows, pairs) arrays of first and second coordinates."""
+    rows = min(len(u), _BLOCK)
+    step = max(1, _BLOCK // rows)
+    for r0 in range(0, len(u), rows):
+        block = u[r0 : r0 + rows]
+        for p0 in range(0, len(first), step):
+            part = slice(p0, p0 + step)
+            yield part, block[:, first[part]], block[:, second[part]]
 
 
 def _mp_feasible(
-    terms: tuple[np.ndarray, ...], coords: np.ndarray, first: np.ndarray, counts: np.ndarray
+    terms: tuple[np.ndarray, ...], u: np.ndarray, first: np.ndarray, second: np.ndarray
 ) -> np.ndarray:
-    """For each of T tests, do all its sample rows lie inside its 2D domain
-    |S(r)^-1 u| <= e (with membership tolerance)? Test t reads the counts[t]
-    rows of coords (a (2, K) array of u1 and u2) from first[t] on, at the r
-    whose _mp_terms are each term's entry t. Returns a (T,) bool array.
-
-    The tests' (r, row) elements go in blocks of at most _BLOCK, and each
-    test takes the exact max of its rows' _mp_distance, so neither the
-    blocks nor the other tests change any answer: every value is
-    elementwise in r and in sample."""
-    begins = np.cumsum(counts) - counts
-    shift = first - begins
-    worst = np.full(len(counts), -np.inf)
-    for lo, hi, a, b, cuts in _blocks(begins, int(counts.sum()), _BLOCK):
-        lengths = np.diff(cuts, append=hi - lo)
-        row = np.arange(lo, hi) + np.repeat(shift[a:b], lengths)
-        u1, u2 = coords[0, row], coords[1, row]
-        del row
-        dist = _mp_distance([np.repeat(t[a:b], lengths) for t in terms], u1, u2)
-        part = worst[a:b]
-        np.maximum(part, np.maximum.reduceat(dist, cuts), out=part)
+    """For each of T tests, do all rows of its column pair (first[t],
+    second[t]) lie inside its 2D domain |S(r)^-1 u| <= e (with membership
+    tolerance), at the r whose _mp_terms are each term's entry t? A (T,)
+    bool array; each test takes the exact max of its rows' _mp_distance
+    over _pair_blocks, so neither blocks nor other tests change an answer."""
+    worst = np.full(len(first), -np.inf)
+    for part, u1, u2 in _pair_blocks(u, first, second):
+        dist = _mp_distance([t[None, part] for t in terms], u1, u2)
+        np.maximum(worst[part], dist.max(axis=0), out=worst[part])
     return worst <= 1.0 + MEMBERSHIP_TOL
-
-
-def _witnesses(terms: tuple[np.ndarray, ...], coords: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """For each of C values of r (terms of shape (C,)) and each pair, the
-    index in coords of the pair's first candidate row at the largest
-    _mp_distance. Pair p's rows run from starts[p] to the next start; rows
-    go in blocks of at most _BLOCK (r, row) elements. Returns (C, P)."""
-    c, k = len(terms[0]), coords.shape[1]
-    column = [t[:, None] for t in terms]
-    best = np.full((c, len(starts)), -np.inf)
-    which = np.zeros((c, len(starts)), dtype=np.intp)
-    for lo, hi, a, b, cuts in _blocks(starts, k, max(1, _BLOCK // c)):
-        dist = _mp_distance(column, coords[0, lo:hi], coords[1, lo:hi])
-        top = np.maximum.reduceat(dist, cuts, axis=1)
-        reach = dist == np.repeat(top, np.diff(cuts, append=hi - lo), axis=1)
-        arg = np.minimum.reduceat(np.where(reach, np.arange(lo, hi), k), cuts, axis=1)
-        gain = top > best[:, a:b]
-        np.copyto(best[:, a:b], top, where=gain)
-        np.copyto(which[:, a:b], arg, where=gain)
-    return which
 
 
 def _pick_extreme(r_neg: float, r_pos: float, u: np.ndarray) -> float:
@@ -352,142 +324,73 @@ def _me_intervals(u: np.ndarray, pairs: list[tuple[int, int]]) -> tuple[np.ndarr
     """Closed-form ME feasible intervals (lo, hi) of every column pair of u,
     as two arrays in the order of pairs: the intersection of the per-sample
     feasible r-intervals of the ellipse family u1^2 + u2^2 - 2 r u1 u2 <=
-    1 - r^2; empty when lo > hi. The per-sample bounds of all pairs are
-    taken as columns, in blocks of at most _BLOCK (sample, pair) elements,
-    and each pair's lo and hi are the exact max and min of its samples'."""
+    1 - r^2; empty when lo > hi. The per-sample bounds go through
+    _pair_blocks, and each pair's lo and hi are the exact max and min of
+    its samples'."""
     first, second = np.array(pairs).T
     lo, hi = np.full(len(pairs), -np.inf), np.full(len(pairs), np.inf)
-    rows = min(len(u), _BLOCK)
-    step = max(1, _BLOCK // rows)
-    for r0 in range(0, len(u), rows):
-        block = u[r0 : r0 + rows]
-        for p0 in range(0, len(pairs), step):
-            u1, u2 = block[:, first[p0 : p0 + step]], block[:, second[p0 : p0 + step]]
-            prod = u1 * u2
-            half = np.sqrt(np.maximum((1.0 - u1 * u1) * (1.0 - u2 * u2), 0.0))
-            part = lo[p0 : p0 + step]
-            np.maximum(part, (prod - half).max(axis=0), out=part)
-            part = hi[p0 : p0 + step]
-            np.minimum(part, (prod + half).min(axis=0), out=part)
+    for part, u1, u2 in _pair_blocks(u, first, second):
+        prod = u1 * u2
+        half = np.sqrt(np.maximum((1.0 - u1 * u1) * (1.0 - u2 * u2), 0.0))
+        np.maximum(lo[part], (prod - half).max(axis=0), out=lo[part])
+        np.minimum(hi[part], (prod + half).min(axis=0), out=hi[part])
     return lo, hi
 
 
-def _not_inside(x: np.ndarray, y: np.ndarray, directions: int) -> np.ndarray:
-    """Which rows may lie on their pair's hull: x and y hold one pair's
-    coordinates per line, and a row is dropped (False) only when it lies
-    at least _HULL_TOL inside every edge line of its pair's polygon, the
-    rows extreme in `directions` evenly spaced directions in order of
-    angle. A zero-length edge has a nan normal, which np.fmax skips. So a
-    polygon of one point leaves every depth nan, and one with no area
-    puts each row on both sides of its edge lines; neither drops a row."""
-    angle = 2.0 * np.pi * np.arange(directions) / directions
-    cos, sin = np.cos(angle), np.sin(angle)
-    pick = np.stack([np.argmax(c * x + s * y, axis=1) for c, s in zip(cos, sin)], axis=1)
-    vx, vy = np.take_along_axis(x, pick, 1), np.take_along_axis(y, pick, 1)
-    ex, ey = np.roll(vx, -1, axis=1) - vx, np.roll(vy, -1, axis=1) - vy
-    with np.errstate(invalid="ignore"):  # 0/0 on a zero-length edge
-        length = np.hypot(ex, ey)
-        nx, ny = ey / length, -ex / length
-    offset = nx * vx + ny * vy
-    depth = np.full(x.shape, np.nan)
-    for k in range(directions):
-        np.fmax(depth, nx[:, k, None] * x + ny[:, k, None] * y - offset[:, k, None], out=depth)
-    return ~(depth <= -_HULL_TOL)
+def _mp_rho(variant: ModelVariant, r: np.ndarray) -> np.ndarray:
+    """The parameter rho(|r|), increasing, in which each side of an MP
+    family's condition is linear: |r| for MP-I, |r|/(1 + sqrt(1 - r^2)) for
+    MP-II (S(r) is MP-I's S(rho)), |r|/sqrt(1 - r^2) for LTriMP and 1/sigma =
+    sqrt((1 + |r|)/(1 - |r|)) for RectMP, each within a few ulps."""
+    a = np.abs(r)
+    if variant is ModelVariant.RECT:
+        return np.sqrt((1.0 + a) / (1.0 - a))
+    if variant is ModelVariant.MP1:
+        return a
+    c = np.sqrt((1.0 - a) * (1.0 + a))
+    return a / (1.0 + c) if variant is ModelVariant.MP2 else a / c
 
 
-def _hull_candidates(u: np.ndarray, pairs: list[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
-    """The samples that can bind an MP fit of each column pair of u: a
-    (2, K) array of their u1 and u2, pair by pair in the order of pairs and
-    rows in the order of u, and each pair's count.
-
-    Pairs go in blocks of at most _BLOCK (pair, row) elements, in two
-    stages of _not_inside. The first tests every row against the octagon
-    of its pair's extremes along the axes and the diagonals (Akl and
-    Toussaint's prefilter); the second tests the rows it keeps against
-    the polygon of their extremes in _DIRECTIONS directions, each pair's
-    rows padded to the block's longest with copies of its first, which
-    are then dropped. A dropped row p has p + _HULL_TOL*B inside a polygon
-    whose vertices are kept rows: the vertices go round in order of angle,
-    p is left of every directed edge line by _HULL_TOL, so the polygon
-    winds around each point of that disc, which thus lies in the hull of
-    the kept rows (see _mp_intervals)."""
-    first, second = np.array(pairs).T
-    columns = np.ascontiguousarray(u.T)
-    step = max(1, _BLOCK // len(u))
-    kept, counts = [], []
-    for p0 in range(0, len(pairs), step):
-        x, y = columns[first[p0 : p0 + step]], columns[second[p0 : p0 + step]]
-        keep = _not_inside(x, y, 8)
-        count = keep.sum(axis=1)
-        # each pair's survivors first, in row order; the rest of the
-        # longest pair's width repeats the pair's first survivor
-        rows = np.argsort(~keep, axis=1, kind="stable")[:, : count.max()]
-        pad = np.arange(rows.shape[1]) >= count[:, None]
-        rows = np.where(pad, rows[:, :1], rows)
-        x, y = np.take_along_axis(x, rows, 1), np.take_along_axis(y, rows, 1)
-        keep = _not_inside(x, y, _DIRECTIONS) & ~pad
-        kept.append(np.stack([x[keep], y[keep]]))
-        counts.append(keep.sum(axis=1))
-    return np.concatenate(kept, axis=1), np.concatenate(counts)
+def _mp_sample_bounds(variant: ModelVariant, k: float, x: np.ndarray, v: np.ndarray):
+    """Each sample's (lower, upper) bound on rho at threshold k on one side
+    s of r, from x = u1 and v = s*u2 within [-k, k]; lower is None where
+    rho >= 0 is the only one, and nan is no bound. MP-I and MP-II:
+    |x - rho*v| and |v - rho*x| <= k(1 - rho), so rho <= min(a, b)/max(a, b)
+    for (a, b) = (k - x, k - v) and (k + x, k + v). LTriMP: S^-1 u = (u1,
+    u2 + rho*(u2 - s*u1)), so with w = v - x, rho <= (k - sign(w)*v)/|w|.
+    RectMP, rho = 1/sigma: |x + v|(1 + sigma) <= 2k and |x - v|(1 + sigma)
+    <= 2k*sigma give |x + v|/(2k - |x + v|) <= rho <= (2k - |x - v|)/|x - v|."""
+    if variant is ModelVariant.RECT:
+        plus, minus = np.abs(x + v), np.abs(x - v)
+        return plus / (2.0 * k - plus), (2.0 * k - minus) / minus
+    if variant is ModelVariant.LTRI:
+        w = v - x
+        return None, np.where(w > 0.0, k - v, k + v) / np.abs(w)
+    a, b, c, d = k - x, k - v, k + x, k + v
+    return None, np.fmin(np.minimum(a, b) / np.maximum(a, b), np.minimum(c, d) / np.maximum(c, d))
 
 
-def _witness_pass(terms: tuple[np.ndarray, ...], coords: np.ndarray, starts: np.ndarray):
-    """The (grid point, pair) tests that the witnesses leave open, as two
-    index arrays in pair order, then point order; terms are _mp_terms of
-    _GRID, and pair p's candidate rows are the columns of coords from
-    starts[p] to the next start.
-
-    The grid is cut into cells of _CELL points, each between two coarse
-    points (every _CELL-th grid point). A pair's witnesses are its
-    _witnesses at the coarse points, and every grid point is tested on the
-    witnesses of its cell's two coarse points, pairs in blocks of at most
-    _BLOCK (point, witness) elements. A point where a witness's distance
-    exceeds 1 + MEMBERSHIP_TOL is infeasible; every other point stays
-    open."""
-    coarse = np.arange(0, len(_GRID), _CELL)
-    witnesses = _witnesses([t[coarse] for t in terms], coords, starts)
-    # cell c holds grid points c*_CELL onward and lies between coarse points
-    # c and c + 1; the last cell's tail past the grid repeats its last point
-    padded = [t[np.minimum(np.arange(len(coarse) * _CELL), len(_GRID) - 1)] for t in terms]
-    upper = np.minimum(np.arange(1, len(coarse) + 1), len(coarse) - 1)
-    step = max(1, _BLOCK // padded[0].size)
-    points, pairs = [], []
-    for p0 in range(0, len(starts), step):
-        lower = witnesses[:, p0 : p0 + step].T
-        open_ = True
-        for rows in (lower, lower[:, upper]):
-            # one row per pair, one column per padded grid point
-            u1, u2 = (np.repeat(coords[axis, rows], _CELL, axis=1) for axis in (0, 1))
-            open_ = open_ & (_mp_distance(padded, u1, u2) <= 1.0 + MEMBERSHIP_TOL)
-        pair, point = np.nonzero(open_[:, : len(_GRID)])
-        points.append(point)
-        pairs.append(pair + p0)
-    return np.concatenate(points), np.concatenate(pairs)
-
-
-def _grid_ends(
-    variant: ModelVariant, coords: np.ndarray, starts: np.ndarray, counts: np.ndarray
-) -> np.ndarray:
-    """The first and last feasible _GRID index of every pair, a (2, P)
-    array; pair p's candidate rows are the counts[p] columns of coords
-    from starts[p] on. Every (point, pair) that _witness_pass leaves open
-    takes the full test, one _mp_feasible call on all of them, each with
-    its own r.
-
-    This gives the grid answers of testing every point on every candidate.
-    A witness is one of its pair's candidates, and _mp_distance gives its
-    distance the bits of the same element inside the full test's exact
-    max, which is at least that value. So a point that a witness rules out
-    fails the full test too, and every other point takes the full test.
-    The choice of witnesses affects only how many points remain."""
-    terms = _mp_terms(variant, _GRID)
-    point, pair = _witness_pass(terms, coords, starts)
-    feasible = _mp_feasible([t[point] for t in terms], coords, starts[pair], counts[pair])
-    point, pair = point[feasible], pair[feasible]
-    # never empty for a pair: r = 0 is on the grid, S(0) = I, and _ccc_fits
-    # admits |u| <= 1 + 1e-9 only
-    index = np.arange(len(starts))
-    return point[[np.searchsorted(pair, index), np.searchsorted(pair, index, side="right") - 1]]
+def _mp_bounds(variant: ModelVariant, u: np.ndarray, first: np.ndarray, second: np.ndarray):
+    """The feasible rho-interval (lo, hi) of every column pair at each of
+    _THRESHOLDS on each side of r (0 for r < 0): two (threshold, side,
+    pair) arrays, empty where lo > hi, the exact max and min of the pair's
+    _mp_sample_bounds over _pair_blocks. A pair with an entry beyond the
+    inner threshold, 1.0, gets no inner interval, so its points take the
+    float test."""
+    lo, hi = np.zeros((2, 2, len(first))), np.full((2, 2, len(first)), np.inf)
+    # x/0 is inf and 0/0 nan: no bound; so is an overflow past a tiny divisor
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for part, u1, u2 in _pair_blocks(u, first, second):
+            for side, v in enumerate((-u2, u2)):
+                for level, k in enumerate(_THRESHOLDS):
+                    lower, upper = _mp_sample_bounds(variant, k, u1, v)
+                    at = level, side, part
+                    hi[at] = np.fmin(hi[at], np.fmin.reduce(upper, axis=0))
+                    if lower is not None:
+                        lo[at] = np.maximum(lo[at], lower.max(axis=0))
+    peak = np.maximum(u.max(axis=0), -u.min(axis=0))
+    hi[0][:, np.maximum(peak[first], peak[second]) > _THRESHOLDS[0]] = -np.inf
+    return lo, hi
 
 
 def _mp_intervals(
@@ -495,50 +398,67 @@ def _mp_intervals(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Grid-plus-bisection extremes (r_neg, r_pos) of the MP feasible set
     of every column pair of u, each within the clamp, as two arrays in the
-    order of pairs. Feasibility in r need not be one interval, so each
-    pair's first and last feasible grid points are bisected toward their
-    infeasible outer neighbours; an end at the clamp has no neighbour and
-    stays there. The grid is one stage over all pairs (_grid_ends: a
-    witness pass, then one full test of the points it leaves open); the
-    bisection is one loop for both ends of every pair, each step one
-    _mp_feasible call over the stacked candidates of all pairs. Each pair
-    gets the grid indices, bisection path and ends it would get alone: its
-    tests are its own, and a closed end retests its own feasible r, so it
-    does not move.
+    order of pairs: the first and last feasible points of _GRID, each
+    bisected toward its infeasible outer neighbour to within _REFINE_TOL
+    (an end at the clamp stays there). Each answer is the float test's,
+    _mp_feasible on all of the pair's samples, which runs only where the
+    exact intervals of _mp_bounds cannot settle a point.
 
-    The grid and the bisections test only _hull_candidates of each pair;
-    the SCC tie-break in _finish_ccc still reads every sample. This returns
-    the same bits as testing all of u. For every r, f_r(u) =
-    |S(r)^-1 u|_inf is a norm, hence convex, so its maximum over the hull
-    H of the kept points is attained at a kept vertex. A dropped point p
-    has p + tau*B (tau = _HULL_TOL, B the unit disc) inside a polygon of
-    kept extremes, and so inside H (see _hull_candidates). Hence
-    p*(1 + tau/|p|) lies in H and f_r(p) <= max_H f_r / (1 + tau/sqrt(2)):
-    a relative margin of about 7e-10, since |p| <= sqrt(2) in the unit
-    box. Rounding in _mp_distance stays below 1e-13 relative, even at the
-    clamp, where |S^-1| reaches about 1e3 (1e6 for MP-I). The test against
-    1 + MEMBERSHIP_TOL therefore gives the same answer at every r the fit
-    visits, and with it the same grid indices, bisection path and fitted
-    r. The polygon edges are computed in floating point, so the guarantee
-    rests on the tau margin alone.
-    """
-    coords, counts = _hull_candidates(u, pairs)
-    starts = np.cumsum(counts) - counts
-    ends = _grid_ends(variant, coords, starts, counts)
+    Why the bits hold: the float test rounds max |S(r)^-1 u|_inf to within
+    _GAMMA/3 relative (pinned by a test; the largest, 2.7e-10, is MP-I's
+    near the clamp) and compares it with K = 1 + MEMBERSHIP_TOL, so it
+    passes a point whose exact distance is within K(1 - _GAMMA) and fails
+    one beyond K(1 + _GAMMA). On each side of r the exact distance is
+    within a threshold iff rho(|r|) is in that threshold's interval; a
+    point settles when rho is inside the inner or outside the outer one,
+    by relative slack _SLACK. r = 0 (S = I, distance max |u| <= K, as
+    _ccc_fits checks) always passes and is never read from the intervals,
+    which for RectMP hold the r -> 0 diamond. Feasibility need not be one
+    interval in r (RectMP can have an island off 0; float answers near a
+    bound need not be monotone), so a side's last grid point is the last
+    of its sure points and of its unsettled points that pass. The grid's unsettled points, and each bisection step's unsettled
+    midpoints of all pairs, take one float test call."""
+    first, second = np.array(pairs).T
+    lo, hi = _mp_bounds(variant, u, first, second)
+    # inside the sure intervals a point passes; outside the maybe ones it fails
+    sure_lo, sure_hi = lo[0] * (1.0 + _SLACK), hi[0] * (1.0 - _SLACK)
+    maybe_lo, maybe_hi = lo[1] * (1.0 - _SLACK), hi[1] * (1.0 + _SLACK)
+
+    def test(r: np.ndarray, pair: np.ndarray) -> np.ndarray:
+        return _mp_feasible(_mp_terms(variant, r), u, first[pair], second[pair])
+
+    # grid position j is r = _GRID[_ZERO + 1 + j] on side 1, -r on side 0
+    rho = _mp_rho(variant, _GRID[_ZERO + 1 :])
+    top = np.searchsorted(rho, sure_hi, side="right")
+    sure = np.where(np.searchsorted(rho, sure_lo) < top, top, 0)
+    start = np.maximum(sure, np.searchsorted(rho, maybe_lo))
+    stop = np.searchsorted(rho, maybe_hi, side="right")
+    count = np.maximum(stop - start, 0).ravel()
+    if count.any():  # every unsettled (side, pair, j), in one float test
+        at = np.repeat(np.arange(count.size), count)
+        j = np.arange(at.size) - np.repeat(np.cumsum(count) - count, count) + start.ravel()[at]
+        side, pair = np.divmod(at, len(pairs))
+        passed = test(_GRID[_ZERO + (2 * side - 1) * (j + 1)], pair)
+        np.maximum.at(sure.reshape(-1), at[passed], j[passed] + 1)
+    ends = _ZERO + np.array([[-1], [1]]) * sure  # sure: each side's last feasible k
     feas = _GRID[ends]
     # an end at the clamp brackets itself, so it starts closed
     infeas = _GRID[np.clip(ends + [[-1], [1]], 0, len(_GRID) - 1)]
-    both_starts, both_counts = np.tile(starts, 2), np.tile(counts, 2)
     for _ in range(64):
         open_ = np.abs(infeas - feas) > _REFINE_TOL
         if not open_.any():
             break
-        # a closed end retests its own feasible r, so neither side moves
-        mid = np.where(open_, (feas + infeas) / 2.0, feas)
-        terms = [t.ravel() for t in _mp_terms(variant, mid)]
-        ok = _mp_feasible(terms, coords, both_starts, both_counts).reshape(mid.shape)
-        feas = np.where(ok, mid, feas)
-        infeas = np.where(ok, infeas, mid)
+        # a row's midpoints lie on its side of 0; a closed end keeps its
+        # feasible r, as a retest of it would
+        side, pair = np.nonzero(open_)
+        mid = (feas[side, pair] + infeas[side, pair]) / 2.0
+        rho = _mp_rho(variant, mid)
+        ok = (sure_lo[side, pair] <= rho) & (rho <= sure_hi[side, pair])
+        unsettled = ~ok & (maybe_lo[side, pair] <= rho) & (rho <= maybe_hi[side, pair])
+        if unsettled.any():
+            ok[unsettled] = test(mid[unsettled], pair[unsettled])
+        feas[side[ok], pair[ok]] = mid[ok]
+        infeas[side[~ok], pair[~ok]] = mid[~ok]
     return feas[0], feas[1]
 
 
@@ -557,10 +477,7 @@ def _check_fit_options(method: str, variant, on_infeasible: str) -> None:
 
 
 def _ccc_fits(
-    variant: ModelVariant,
-    u: np.ndarray,
-    pairs: list[tuple[int, int]],
-    on_infeasible: str,
+    variant: ModelVariant, u: np.ndarray, pairs: list[tuple[int, int]], on_infeasible: str
 ) -> list[float]:
     """The CCC of every column pair of u, in the order of pairs: first the
     feasible r-interval of every pair (_me_intervals or _mp_intervals, all
@@ -568,7 +485,7 @@ def _ccc_fits(
     errors in pair order."""
     if u.shape[0] < 1:
         raise DimensionMismatch("need at least one sample pair")
-    if not np.all(np.abs(u) <= 1.0 + 1e-9):  # also refuses nan
+    if not np.all(np.abs(u) <= 1.0 + MEMBERSHIP_TOL):  # also refuses nan
         raise ValueError("u_pairs entries must lie in [-1, 1]")
     if variant is ModelVariant.ME:
         lo, hi = _me_intervals(u, pairs)
@@ -701,13 +618,13 @@ def fit_correlation_matrix(
     alone; the warnings come in pair order.
 
     All pairs are fitted in one stage: the feasible intervals of all pairs
-    first, then each pair finished on its own. For the ellipse the
-    intervals are closed-form, all pairs as columns of one blocked pass.
-    For the parallelepipeds one grid stage serves all pairs: a witness
-    pass rules out most grid points with one candidate each, and one full
-    test settles the rest on all candidates, with the answers of testing
-    every point (see _grid_ends); then one bisection runs over all pairs
-    together (see _mp_intervals).
+    first, then each pair finished on its own. The ellipse's are
+    closed-form. A parallelepiped's condition on each sign of r is linear
+    in one monotone parameter, so one blocked pass takes each pair's exact
+    interval in it; the grid and bisection answers are replayed from those,
+    the float test running only at the few points too near a bound, so
+    every value has the bits of testing each point on every sample (see
+    _mp_intervals).
 
     "scc" runs three stages. One blocked copy transposes the rows into
     one C-ordered row per column (`_scc_columns`); one `np.dot` per

@@ -96,6 +96,16 @@ class LimitState:
             undefined |= ~np.isfinite(value)
         return np.where(undefined, np.nan, value)
 
+    def _value(self, env: Mapping[str, float]) -> float:
+        """evaluate's scalar path without its checks, nan where g is
+        undefined: for a caller that has checked that env binds every
+        variable to a float, as the reliability solver does once per solve."""
+        try:
+            value = self._scalar(env)
+        except (ZeroDivisionError, EvaluationError):
+            return math.nan
+        return value if math.isfinite(value) else math.nan
+
 
 def _power(a: float, b: float) -> float:
     if a < 0.0 and not b.is_integer():

@@ -20,8 +20,10 @@ off the surface is dropped, and the start's ray hit stands in for it.
 The reported index is the best surface point found; `starts` records
 each refined start.
 
-The solver reads only `g.variables` and calls only `g.evaluate`;
-`evaluations` counts those calls, and one call may carry many points.
+The solver reads only `g.variables` and calls only `g.evaluate`, or, on a
+LimitState at one point with float bindings, `g._value`: its scalar path
+without the checks the solver has already made. `evaluations` counts
+those calls, and one call may carry many points.
 """
 
 from __future__ import annotations
@@ -266,7 +268,13 @@ def reliability_index(
     mid, rad = model.midpoints, model.radii
     evaluations = 0
 
-    def g_of(x) -> float | np.ndarray:
+    # every name is bound (checked above), so a LimitState's scalar call
+    # skips evaluate's checks, unless an array binding makes it an array call
+    unchecked = isinstance(g, LimitState) and not any(
+        isinstance(v, np.ndarray) for v in bindings.values()
+    )
+
+    def g_of(x, scalar: bool = False) -> float | np.ndarray:
         """g at physical coordinates, one entry per variable: floats take
         the scalar evaluator, arrays one array call. nan wherever g is
         undefined."""
@@ -274,6 +282,8 @@ def reliability_index(
         evaluations += 1
         env = dict(zip(names, x))
         env.update(bindings)
+        if scalar and unchecked:
+            return g._value(env)
         try:
             return g.evaluate(env)
         except EvaluationError:
@@ -281,7 +291,7 @@ def reliability_index(
 
     def g_at(delta: np.ndarray) -> float:
         """g at one standardized point, by the scalar evaluator."""
-        return g_of(from_delta(model, delta).tolist())
+        return g_of(from_delta(model, delta).tolist(), scalar=True)
 
     g_mid = g_at(np.zeros(n))
     if math.isnan(g_mid):

@@ -6,18 +6,17 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.spatial import ConvexHull, QhullError
 from scipy.special import ndtr
 
 import convexuq as cq
 import convexuq.correlation as correlation
 from convexuq import ModelVariant as V
 from convexuq.correlation import (
+    _GAMMA,
+    _GRID,
     _GRID_STEP,
-    _HULL_TOL,
     R_CLAMP,
     _REFINE_TOL,
-    _hull_candidates,
     _mp_intervals,
     _pick_extreme,
     scc,
@@ -33,6 +32,7 @@ from convexuq.errors import (
     ZeroDeviation,
 )
 from convexuq.factorization import core_shape_matrix, shape_matrix
+from conftest import DATA
 from test_acceptance import GEOTECH_CCC_REF
 
 MP_VARIANTS = [V.MP1, V.MP2, V.RECT, V.LTRI, V.UTRI]
@@ -128,6 +128,92 @@ def test_rect_family_discontinuous_at_zero():
     # the limiting member at r -> 0 is the inscribed diamond, not the square
     s_eps = _shape_2d(V.RECT, np.array([1e-9]))[0]
     np.testing.assert_allclose(s_eps, [[0.5, 0.5], [0.5, -0.5]], atol=1e-8)
+
+
+def _shape_2d_long(variant, r):
+    """_mp_shape_2d's entries (a11, a12, a21, a22) in np.longdouble, from
+    the same float r."""
+    r = r.astype(np.longdouble)
+    a, one = np.abs(r), np.longdouble(1.0)
+    if variant is V.MP1:
+        return one / (one + a), r / (one + a), r / (one + a), one / (one + a)
+    if variant is V.MP2:
+        sp, sm = np.sqrt(one + r), np.sqrt(one - r)
+        p, q = (sp + sm) / 2, (sp - sm) / 2
+        d = p + np.abs(q)
+        return p / d, q / d, q / d, p / d
+    if variant is V.RECT:
+        sp, sm = np.sqrt(one + a), np.sqrt(one - a)
+        b, c = sp / (sp + sm), sm / (sp + sm)
+        return b, c, np.where(r > 0, b, -b), np.where(r > 0, -c, c)
+    c = np.sqrt(one - r * r)
+    return np.ones_like(r), np.zeros_like(r), r / (a + c), c / (a + c)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="no extended long double")
+@pytest.mark.parametrize("variant", [V.MP1, V.MP2, V.RECT, V.LTRI], ids=lambda v: v.value)
+def test_mp_distance_rounding_is_within_the_kernel_margin(variant):
+    """_mp_distance is within _GAMMA/3 of S(r)^-1 u taken in long double,
+    relative, on the grid, its cells' midpoints and bisection-like points
+    within 1e-6 of the clamp, for samples on the box's edges and corners
+    and on both diagonals: the margin by which the exact kernel's two
+    thresholds bracket the float test's. The largest, about 2.7e-10, is
+    MP-I's near the clamp, where its adjugate cancels."""
+    near = R_CLAMP - np.arange(1, 2001) * 5e-10
+    r = np.concatenate([_GRID, (_GRID[1:] + _GRID[:-1]) / 2.0, near, -near])
+    r = r[r != 0.0]
+    rng = np.random.Generator(np.random.Philox(key=61))
+    a = rng.uniform(-1.0, 1.0, 60)
+    corners = [[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, 0.3], [-0.6, 1.0], [1.0, 0.0]]
+    u = np.concatenate(
+        [rng.uniform(-1.0, 1.0, (60, 2)), np.column_stack([a, a]), np.column_stack([a, -a]), corners]
+    )
+    u1, u2 = u[:, 0].astype(np.longdouble), u[:, 1].astype(np.longdouble)
+    worst = 0.0
+    for lo in range(0, len(r), 1000):
+        part = r[lo : lo + 1000]
+        dist = correlation._mp_distance(
+            [t[:, None] for t in correlation._mp_terms(variant, part)], u[:, 0], u[:, 1]
+        )
+        a11, a12, a21, a22 = (t[:, None] for t in _shape_2d_long(variant, part))
+        det = a11 * a22 - a12 * a21
+        exact = np.maximum(np.abs((a22 * u1 - a12 * u2) / det), np.abs((a11 * u2 - a21 * u1) / det))
+        worst = max(worst, float(np.max(np.abs(dist - exact) / exact)))
+    assert worst <= _GAMMA / 3
+
+
+@pytest.mark.parametrize("variant", [V.MP1, V.MP2, V.RECT, V.LTRI], ids=lambda v: v.value)
+def test_mp_distance_is_linear_in_rho(variant):
+    """On each side s of r, |S(r)^-1 u|_inf is the form in rho =
+    _mp_rho(|r|) that _mp_sample_bounds solves, with x = u1 and v = s*u2."""
+    rng = np.random.Generator(np.random.Philox(key=67))
+    r = np.concatenate([rng.uniform(-0.999, 0.999, 200), [-R_CLAMP, R_CLAMP]])
+    u = rng.uniform(-1.0, 1.0, (200, 2))
+    dist = correlation._mp_distance(
+        [t[:, None] for t in correlation._mp_terms(variant, r)], u[:, 0], u[:, 1]
+    )
+    rho = correlation._mp_rho(variant, r)[:, None]
+    x, v = u[:, 0], np.sign(r)[:, None] * u[:, 1]
+    if variant is V.RECT:
+        sigma = 1.0 / rho
+        form = np.maximum(np.abs(x + v) * (1 + sigma) / 2, np.abs(x - v) * (1 + sigma) / (2 * sigma))
+    elif variant is V.LTRI:
+        form = np.maximum(np.abs(x), np.abs(v + rho * (v - x)))
+    else:
+        form = np.maximum(np.abs(x - rho * v), np.abs(v - rho * x)) / (1 - rho)
+    np.testing.assert_allclose(dist, form, rtol=1e-9)
+
+
+def test_rect_fit_keeps_the_grid_semantics():
+    """RectMP's r > 0 side of _RECT_ISLAND is feasible on [0.8164, 0.8166]
+    only, between two grid points, and beam's pairs admit only r = 0: the
+    fit is the grid's answer, r = 0, in both."""
+    r = np.array([0.816, 0.8164, 0.8165, 0.8166, 0.817])
+    feasible = _full_set_feasible(V.RECT, r, _RECT_ISLAND)
+    assert feasible.tolist() == [False, True, True, True, False]
+    assert _pair_ccc(V.RECT, _RECT_ISLAND) == 0.0
+    R = cq.fit_correlation_matrix("ccc", V.RECT, _BEAM)
+    assert np.array_equal(R.entries, np.eye(3))
 
 
 def _full_set_feasible(variant, r, u):
@@ -298,10 +384,24 @@ def _copula(key, size, loads):
     return 2.0 * ndtr(z) - 1.0
 
 
+def _rect_island(r_lo, r_hi):
+    """Two samples confining RectMP's r > 0 side to [r_lo, r_hi]: in rho =
+    sqrt((1 + r)/(1 - r)), the first bounds it below and the second above."""
+    rho_lo, rho_hi = (np.sqrt((1.0 + r) / (1.0 - r)) for r in (r_lo, r_hi))
+    a, b = rho_lo / (1.0 + rho_lo), 1.0 / (1.0 + rho_hi)
+    return np.array([[a, a], [b, -b]])
+
+
+_RECT_ISLAND = _rect_island(0.8164, 0.8166)
+_BEAM = cq.regularize(
+    cq.read_intervals_csv(DATA / "beam_intervals.csv"),
+    cq.read_samples_csv(DATA / "beam_samples.csv"),
+).rows
+
+
 @settings(max_examples=150, deadline=None)
 @given(variant=st.sampled_from(MP_VARIANTS), u=_mp_fit_samples())
-# copula pairs where only a few grid points are feasible, so nearly every
-# point is settled by a witness alone
+# copula pairs where only a few grid points are feasible
 @example(variant=V.MP2, u=_copula(31, 200, [0.6, -0.4]))
 @example(variant=V.MP1, u=_copula(32, 200, [0.9, 0.9]))
 @example(variant=V.RECT, u=_copula(33, 2000, [0.5, 0.3]))
@@ -316,10 +416,25 @@ def _copula(key, size, loads):
 @example(variant=V.MP2, u=np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]]))
 # both ends at the clamp: no bisection
 @example(variant=V.UTRI, u=np.array([[0.0, 0.0]]))
-def test_mp_ccc_hull_reduction_is_bit_identical(variant, u):
-    """The witness-settled grid and both ends bisected together on the hull
-    candidates give the bits of the whole grid and each end bisected on
-    its own over every sample."""
+# a corner in the slack band beyond 1: every r > 0 grid point takes the
+# float test
+@example(variant=V.MP1, u=np.array([[1.0 + 5e-10, 1.0 + 5e-10], [0.2, -0.1]]))
+# one bisection point of each lies too near a bound for the exact kernel,
+# so the float test settles it
+@example(variant=V.MP2, u=np.array([[0.23, -0.23], [0.99, 0.96]]))
+@example(variant=V.LTRI, u=np.array([[-0.51, -0.72], [0.34, 0.43]]))
+# r > 0 feasible on [0.8164, 0.8166] only, between two grid points: the
+# grid sees no feasible point there, so r_pos is 0
+@example(variant=V.RECT, u=_RECT_ISLAND)
+# beam: RectMP's only feasible r on every pair is 0
+@example(variant=V.RECT, u=_BEAM[:, [0, 1]])
+@example(variant=V.RECT, u=_BEAM[:, [0, 2]])
+@example(variant=V.RECT, u=_BEAM[:, [1, 2]])
+def test_mp_ccc_exact_bounds_replay_is_bit_identical(variant, u):
+    """The grid and both ends' bisections replayed from the exact
+    per-sample bounds, with the float test only where they cannot settle
+    a point, give the bits of the whole grid and each end bisected on its
+    own, every point tested on every sample."""
     r_neg, r_pos = _full_set_mp_interval(variant, u)
     # the matrix fit runs a UTriMP pair (i, j) as LTriMP on (j, i)
     fitted, pair = (V.LTRI, [(1, 0)]) if variant is V.UTRI else (variant, [(0, 1)])
@@ -327,6 +442,30 @@ def test_mp_ccc_hull_reduction_is_bit_identical(variant, u):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateData)
         assert _pair_ccc(variant, u) == _pick_extreme(r_neg, r_pos, u)
+
+
+@settings(max_examples=100, deadline=None)
+@given(variant=st.sampled_from([V.MP1, V.MP2, V.RECT, V.LTRI]), u=_mp_fit_samples())
+@example(variant=V.RECT, u=_RECT_ISLAND)
+@example(variant=V.MP1, u=np.array([[1.0, 1.0], [-1.0, -1.0], [0.5, 0.4]]))
+@example(variant=V.LTRI, u=np.array([[1.0, -1.0], [1.0, 1.0], [0.0, -1.0]]))
+# entries in the slack band beyond 1: no inner interval
+@example(variant=V.MP2, u=np.array([[1.0 + 5e-10, 0.3], [-0.2, -1.0 - 1e-9]]))
+def test_mp_bounds_settle_points_as_the_float_test_does(variant, u):
+    """On the grid and a denser scan, every r whose rho lies inside its
+    side's inner interval (less the slack) passes the float test on all
+    samples, and every r outside the outer interval fails it."""
+    index = np.array([0])
+    lo, hi = correlation._mp_bounds(variant, u, index, index + 1)
+    r = np.concatenate([_GRID, np.linspace(-R_CLAMP, R_CLAMP, 6007)])
+    r = r[r != 0.0]
+    rho, side = correlation._mp_rho(variant, r), (r > 0).astype(int)
+    slack = correlation._SLACK
+    inner = (lo[0, side, 0] * (1 + slack) <= rho) & (rho <= hi[0, side, 0] * (1 - slack))
+    outer = (lo[1, side, 0] * (1 - slack) <= rho) & (rho <= hi[1, side, 0] * (1 + slack))
+    feasible = _full_set_feasible(variant, r, u)
+    assert feasible[inner].all()
+    assert not feasible[~outer].any()
 
 
 @st.composite
@@ -414,27 +553,34 @@ def test_utri_fit_is_the_reversed_ltri_fit(u):
     _assert_utri_is_reversed_ltri(u)
 
 
-def _first_candidate_witnesses(terms, coords, starts):
-    """A poor witness choice: each pair's first candidate at every coarse r."""
-    return np.broadcast_to(starts, (len(terms[0]), len(starts)))
+def _fit_work(variant, u, monkeypatch):
+    """Work counts of one matrix fit: the steps of its bisection and the
+    (pair, r) tests they make (every _mp_rho call but the first, which is
+    the grid's), and the calls of the float fallback with the tests they
+    carry."""
+    work = {"steps": 0, "bisection": 0, "calls": 0, "fallback": 0}
+    rho, feasible = correlation._mp_rho, correlation._mp_feasible
+    grid_seen = []
 
+    def counted_rho(variant, r):
+        if grid_seen:
+            work["steps"] += 1
+            work["bisection"] += np.size(r)
+        grid_seen.append(True)
+        return rho(variant, r)
 
-def _full_test_elements(variant, u, monkeypatch):
-    """The (r, row) elements of the grid stage's full test, which is the
-    first _mp_feasible call of a fit, and the number of calls."""
-    calls = []
-    feasible = correlation._mp_feasible
-
-    def counted(terms, coords, first, counts):
-        calls.append(int(np.sum(counts)))
-        return feasible(terms, coords, first, counts)
+    def counted_feasible(terms, columns, first, second):
+        work["calls"] += 1
+        work["fallback"] += len(first)
+        return feasible(terms, columns, first, second)
 
     with monkeypatch.context() as patch:
-        patch.setattr(correlation, "_mp_feasible", counted)
+        patch.setattr(correlation, "_mp_rho", counted_rho)
+        patch.setattr(correlation, "_mp_feasible", counted_feasible)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegenerateData)
             cq.fit_correlation_matrix("ccc", variant, u)
-    return calls[0], len(calls)
+    return work
 
 
 def _me_interval(u):
@@ -469,39 +615,20 @@ def test_me_matrix_intervals_are_the_pairwise_closed_form(u):
 
 
 @pytest.mark.parametrize("variant", MP_VARIANTS, ids=lambda v: v.value)
-def test_mp_fit_with_poor_witnesses_is_bit_identical(variant, monkeypatch):
-    """Witnesses only save work: with each pair's first candidate as its
-    witness everywhere, the full test settles more points, and every entry
-    still has the one-end-at-a-time reference's bits."""
-    u = _copula(37, 200, [0.7, -0.5, 0.3])
-    good, _ = _full_test_elements(variant, u, monkeypatch)
-    monkeypatch.setattr(correlation, "_witnesses", _first_candidate_witnesses)
-    poor, _ = _full_test_elements(variant, u, monkeypatch)
-    assert poor > good
-    for data in (u, _MIXED):
-        R = _warning_messages(lambda: cq.fit_correlation_matrix("ccc", variant, data))[0]
-        for i in range(data.shape[1]):
-            for j in range(i + 1, data.shape[1]):
-                pair = data[:, (i, j)]
-                reference = _pick_extreme(*_full_set_mp_interval(variant, pair), pair)
-                assert R.entries[i, j].hex() == float(reference).hex()
-
-
-@pytest.mark.parametrize("variant", MP_VARIANTS, ids=lambda v: v.value)
 def test_mp_matrix_fit_work_does_not_grow_with_pairs(variant, monkeypatch):
-    """The grid stage is one full test of the (r, pair) points its witnesses
-    leave open, and the bisection at most 64 calls for all pairs together:
-    the feasibility calls do not grow from 6 pairs to 28, and the full test
-    covers at most a quarter of the whole grid's (r, row) elements."""
+    """The exact kernel settles nearly every point: the float fallback
+    carries at most 2% of the bisection's (pair, r) tests, in at most one
+    call for the grid and one per bisection step, so its calls stay within
+    1 + 64 for 6 pairs, 28 or 435."""
     rng = np.random.Generator(np.random.Philox(key=19))
-    u = rng.uniform(-0.95, 0.95, size=(40, 6))
-    wider = np.column_stack([u, rng.uniform(-0.95, 0.95, size=(40, 2))])
-    _, small = _full_test_elements(variant, wider[:, :4], monkeypatch)
-    _, large = _full_test_elements(variant, wider, monkeypatch)
-    assert large <= small <= 1 + 64
-    full, _ = _full_test_elements(variant, u, monkeypatch)
-    rows = _hull_candidates(u, [(i, j) for i in range(6) for j in range(i + 1, 6)])[1].sum()
-    assert full <= 0.25 * len(correlation._GRID) * rows
+    wider = rng.uniform(-0.95, 0.95, size=(40, 8))
+    small = _fit_work(variant, wider[:, :4], monkeypatch)
+    large = _fit_work(variant, wider, monkeypatch)
+    loads = np.random.Generator(np.random.Philox(key=29)).uniform(-0.9, 0.9, size=30)
+    wide = _fit_work(variant, _copula(29, 200, loads), monkeypatch)
+    for work in (small, large, wide):
+        assert work["calls"] <= 1 + work["steps"] <= 1 + 64
+        assert work["fallback"] <= 0.02 * work["bisection"]
 
 
 def _peak_bytes(fit):
@@ -514,98 +641,28 @@ def _peak_bytes(fit):
 
 
 def test_mp_fit_memory_is_bounded_without_a_2d_hull():
-    """A collinear pair keeps all its N samples as candidates; the grid
-    test still holds a few blocks, not several 2001 x N arrays (about
-    400 MB at N = 5000), and a matrix beside it stays linear in N."""
+    """A collinear pair: the exact kernel holds a few blocks of at most
+    _BLOCK elements, so at N = 400,000 its peak is below one N-long array
+    (3.2 MB), and a fit and a matrix at N = 5000 stay linear in N, far
+    from a 2001 x N grid (80 MB)."""
     rng = np.random.Generator(np.random.Philox(key=23))
-    t = rng.uniform(-1.0, 1.0, size=5000)
+    t = rng.uniform(-1.0, 1.0, size=400_000)
     collinear = np.column_stack([t, 0.5 * t + 0.25])
-    coords, counts = _hull_candidates(collinear, [(0, 1)])
-    assert counts.tolist() == [5000] and np.array_equal(coords, collinear.T)
-    assert _peak_bytes(lambda: _pair_ccc(V.MP2, collinear)) < 16e6
-    u = np.column_stack([collinear, rng.uniform(-1.0, 1.0, size=(5000, 2))])
-    assert _peak_bytes(lambda: cq.fit_correlation_matrix("ccc", V.MP2, u)) < 16e6
+    index = np.array([0])
+    lo, hi = correlation._mp_bounds(V.MP2, collinear, index, index + 1)
+    assert np.all(lo <= hi)
+    assert _peak_bytes(lambda: correlation._mp_bounds(V.MP2, collinear, index, index + 1)) < 2e6
+    assert _peak_bytes(lambda: _pair_ccc(V.MP2, collinear[:5000])) < 2e6
+    u = np.column_stack([collinear[:5000], rng.uniform(-1.0, 1.0, size=(5000, 2))])
+    assert _peak_bytes(lambda: cq.fit_correlation_matrix("ccc", V.MP2, u)) < 2e6
 
 
 def test_wide_mp_fit_memory_is_bounded():
     """A generic wide fit, 435 pairs of 200 samples, holds a few blocks of
-    the witness pass and of the full test at a time, not whole grids."""
+    the exact kernel at a time, not a grid per pair."""
     loads = np.random.Generator(np.random.Philox(key=29)).uniform(-0.5, 0.5, size=30)
     u = _copula(29, 200, loads)
     assert _peak_bytes(lambda: cq.fit_correlation_matrix("ccc", V.MP2, u)) < 3e6
-
-
-def test_hull_candidates_keep_vertices_and_edge_points():
-    corners = [[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]
-    on_edges = [[0.0, -1.0], [1.0, 0.25], [-0.5, 1.0], [-1.0, 0.0]]
-    inside = [[0.0, 0.0], [0.9, 0.9], [-0.999, 0.5]]
-    u = np.array(corners + on_edges + inside)
-    coords, counts = _hull_candidates(u, [(0, 1)])
-    np.testing.assert_array_equal(coords.T, np.array(corners + on_edges))
-    assert counts.tolist() == [8]
-
-
-def test_hull_candidates_return_input_without_a_2d_hull():
-    """Fewer than 3 distinct points, or all on one line: every row is kept."""
-    for u in (
-        np.array([[0.3, -0.2]]),
-        np.array([[0.3, -0.2], [-0.5, 0.1]]),
-        np.array([[-1.0, -0.5], [0.0, 0.0], [0.5, 0.25], [1.0, 0.5]]),
-        np.array([[0.2, 0.2], [0.2, 0.2], [0.2, 0.2]]),
-    ):
-        coords, counts = _hull_candidates(u, [(0, 1)])
-        np.testing.assert_array_equal(coords.T, u)
-        assert counts.tolist() == [len(u)]
-
-
-def _qhull_depth(hull_of, u):
-    """Each row's largest signed distance to the edge lines of the convex
-    hull of hull_of, by qhull; None when qhull builds no 2-D hull."""
-    try:
-        equations = ConvexHull(hull_of).equations
-    except QhullError:
-        return None
-    return (u @ equations[:, :2].T + equations[:, 2]).max(axis=1)
-
-
-@settings(max_examples=300, deadline=None)
-@given(u=_mp_fit_samples())
-@example(u=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1e-9, 1e-9], [2e-9, 2e-9]]))
-# one row inside an edge by less than _HULL_TOL, one by more
-@example(u=np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0], [1.0 - 5e-10, 0.5],
-                     [1.0 - 2e-9, -0.5]]))
-@example(u=_copula(47, 2000, [0.9, -0.3]))
-def test_hull_candidates_keep_the_hull_and_drop_only_inner_rows(u):
-    """With qhull as the oracle: a pair keeps, in row order, every row that
-    is not at least _HULL_TOL inside its convex hull (every row when qhull
-    builds no 2-D hull), and each row it drops lies at least _HULL_TOL
-    inside the hull of the rows it keeps."""
-    coords, counts = _hull_candidates(u, [(0, 1)])
-    kept = coords.T
-    # equal rows are kept or dropped together, so a row is kept iff an
-    # equal one is among the kept
-    kept_rows = set(map(tuple, kept.tolist()))
-    keep = np.array([row in kept_rows for row in map(tuple, u.tolist())])
-    np.testing.assert_array_equal(u[keep], kept)
-    assert counts.tolist() == [len(kept)]
-    depth = _qhull_depth(u, u)
-    assert keep.all() if depth is None else keep[depth > -_HULL_TOL].all()
-    if not keep.all():
-        assert (_qhull_depth(kept, u[~keep]) <= -_HULL_TOL).all()
-
-
-@settings(max_examples=60, deadline=None)
-@given(u=_mp_fit_matrices())
-# 435 pairs of 200 rows: each block holds 81 pairs of different widths
-@example(u=_copula(53, 200, np.linspace(-0.5, 0.5, 30)))
-def test_hull_candidates_of_a_matrix_are_each_pairs_own(u):
-    """Blocks change no pair's candidates: the candidates of all pairs are
-    each pair's own, in pair order."""
-    pairs = [(i, j) for i in range(u.shape[1]) for j in range(i + 1, u.shape[1])]
-    coords, counts = _hull_candidates(u, pairs)
-    alone = [_hull_candidates(u[:, pair], [(0, 1)]) for pair in pairs]
-    np.testing.assert_array_equal(coords, np.concatenate([c for c, _ in alone], axis=1))
-    assert counts.tolist() == [int(k[0]) for _, k in alone]
 
 
 def test_me_infeasible_raises_with_gap():

@@ -317,6 +317,21 @@ def test_compiled_evaluators_match_recursive_oracle(tree, a, b2, c_3):
         assert outcome(g.evaluate, point) == outcome(lambda e: oracle_evaluate(g, e), point)
 
 
+@settings(max_examples=200, deadline=None)
+@given(tree=oracle_trees(), a=wide_points, b2=wide_points, c_3=wide_points)
+def test_unchecked_scalar_value_is_evaluate_or_nan(tree, a, b2, c_3):
+    """`_value`, the one-point call of the reliability solver, gives
+    evaluate's bits, and nan where evaluate raises EvaluationError."""
+    g = parse_limit_state(render(tree))
+    for k in range(6):
+        point = {"a": a[k], "b2": b2[k], "c_3": c_3[k]}
+        value = g._value(point)
+        try:
+            assert value.hex() == g.evaluate(point).hex()
+        except EvaluationError:
+            assert math.isnan(value)
+
+
 def test_long_chains_compile():
     """A left-associative chain as deep as the recursive evaluator allowed
     compiles without nesting parentheses in the generated source."""

@@ -15,6 +15,7 @@ import convexuq as cq
 from convexuq import ModelVariant as V
 from convexuq import reliability
 from convexuq.errors import EvaluationError, NoSurfaceFound, UnboundVariable
+from convexuq.expr import LimitState
 from convexuq.reliability import default_norm
 
 R3 = np.array(
@@ -306,6 +307,33 @@ def test_solver_reads_only_variables_and_evaluate(variant):
     result = cq.reliability_index(model, bare)
     assert result.evaluations == bare.calls
     assert result.eta == cq.reliability_index(model, g).eta
+
+
+@pytest.mark.parametrize("variant", [V.ME, V.LTRI], ids=lambda v: v.value)
+def test_solver_scalar_calls_skip_evaluate_checks(variant, monkeypatch):
+    """On a LimitState with float bindings, the solver's one-point calls
+    take `_value`, evaluate's scalar path without its checks, and its array
+    calls take evaluate: `evaluations` counts both, and eta, delta* and the
+    count are those of a proxy that has only `evaluate`."""
+    model = make_model(variant)
+    g = cq.parse_limit_state("x1*x3 - S")
+    options = cq.ReliabilityOptions(bindings={"S": 130.0})
+    bare = _BareLimitState(g)
+    expected = cq.reliability_index(model, bare, options)
+    calls = {"evaluate": 0, "_value": 0}
+    for name in calls:
+        method = getattr(LimitState, name)
+
+        def counted(self, env, name=name, method=method):
+            calls[name] += 1
+            return method(self, env)
+
+        monkeypatch.setattr(LimitState, name, counted)
+    result = cq.reliability_index(model, g, options)
+    assert result.evaluations == sum(calls.values()) == bare.calls == expected.evaluations
+    assert calls["_value"] > calls["evaluate"] > 0
+    assert result.eta.hex() == expected.eta.hex()
+    assert result.delta_star.tobytes() == expected.delta_star.tobytes()
 
 
 # g is undefined on the slab 3.5 < x1 < 4.5 (a fractional power of a
