@@ -12,9 +12,14 @@ a hundredth and solves a two-hundredth (at least one). `--bulk N` adds
 milliseconds per call of `sample_uniform`, `membership_values`,
 `mc_volume` and `verify_unbiasedness` at N rows (ME and MP-II at
 n = 3 and 10), of `fit_correlation_matrix("scc")` on N rows (n = 3 and
-10), and of `fit_correlation_matrix("ccc", MP2, ...)` at the benchmark's
-wide shapes (n = 30 by 200 rows and n = 10 by 2000, whatever N), one
-call of each per repeat, with the process's CPU time
+10), of `read_samples_csv` and `fit_correlation_matrix("ccc", MP2, ...)`
+at the benchmark's wide shapes (n = 30 by 200 rows and n = 10 by 2000,
+whatever N; the CSVs written to a temporary directory), of the ME CCC
+and the SCC fit at n = 30 by 200 (the ME fit's 435 relax warnings
+recorded, as the benchmark records them), and of a CLI `build` cold
+start (the bundled standard set, SCC ME, in a new Python process, whose
+CPU time the CPU column leaves out), one call of each per repeat, with
+the process's CPU time
 (`time.process_time`, all threads) next to the wall time; the bulk calls
 run on two threads only beside a one-thread BLAS, so set
 `OPENBLAS_NUM_THREADS=1` to time them as the benchmark runs them. The
@@ -26,8 +31,12 @@ two commits by running this script on each, alternately.
 """
 
 import argparse
+import os
+import subprocess
 import sys
+import tempfile
 import time
+import warnings
 from functools import partial
 from pathlib import Path
 
@@ -142,9 +151,17 @@ def cases(calls: int, data_dir: Path) -> dict:
     return out
 
 
-def bulk_cases(rows: int) -> dict:
-    """name -> (1, function making one call at `rows` rows; the CCC fits
-    at the shapes their names give)."""
+def recorded(call):
+    """call() with its warnings recorded, as the benchmark's fits run."""
+    with warnings.catch_warnings(record=True):
+        warnings.simplefilter("always")
+        return call()
+
+
+def bulk_cases(rows: int, data_dir: Path, workdir: Path) -> dict:
+    """name -> (1, function making one call at `rows` rows; the reads and
+    fits at the shapes their names give, and the CLI cold start). The
+    sample CSVs are written to workdir."""
     out = {}
     for n in (3, 10):
         spec = cq.make_marginal_spec((f"x{k + 1}", 10.0 - k, 14.0 + 0.5 * k) for k in range(n))
@@ -168,11 +185,38 @@ def bulk_cases(rows: int) -> dict:
     for n, count in ((30, 200), (10, 2000)):
         spec = cq.make_marginal_spec((f"x{k + 1}", 10.0 - k, 14.0 + 0.5 * k) for k in range(n))
         model = cq.build_model(cq.ModelVariant.MP2, spec, correlation(n))
-        u = (cq.sample_uniform(model, count, seed=2) - spec.midpoints) / spec.radii
+        points = cq.sample_uniform(model, count, seed=2)
+        path = workdir / f"samples-n{n}.csv"
+        cq.write_samples_csv(path, spec.names, points)
+        out[f"read_samples_csv n={n} N={count}"] = (1, partial(cq.read_samples_csv, path))
+        u = (points - spec.midpoints) / spec.radii
         out[f"fit_correlation_matrix ccc MP-II n={n} N={count}"] = (
             1,
             partial(cq.fit_correlation_matrix, "ccc", cq.ModelVariant.MP2, u),
         )
+        if n == 30:
+            me_fit = partial(
+                cq.fit_correlation_matrix, "ccc", cq.ModelVariant.ME, u, on_infeasible="relax"
+            )
+            out[f"fit_correlation_matrix ccc ME n={n} N={count}"] = (1, partial(recorded, me_fit))
+            out[f"fit_correlation_matrix scc n={n} N={count}"] = (
+                1,
+                partial(cq.fit_correlation_matrix, "scc", None, u),
+            )
+    build = [
+        sys.executable,
+        "-c",
+        "import sys; from convexuq.cli import main; sys.exit(main())",
+        "build",
+        *("--samples", str(data_dir / "standard_samples.csv")),
+        *("--intervals", str(data_dir / "standard_intervals.csv")),
+        *("--variant", "me", "--method", "scc", "--out", str(workdir / "model.json")),
+    ]
+    env = {**os.environ, "PYTHONPATH": str(Path(cq.__file__).parents[1])}
+    out["cli build cold start (subprocess)"] = (
+        1,
+        partial(subprocess.run, build, env=env, check=True, capture_output=True),
+    )
     return out
 
 
@@ -198,16 +242,17 @@ def main(argv=None) -> int:
     if args.bulk and args.bulk < 10_000:
         parser.error("--bulk must be at least 10000, verify_unbiasedness' least draw count")
     table = cases(args.calls, args.data_dir)
-    bulk = bulk_cases(args.bulk) if args.bulk else {}
-    best = dict.fromkeys([*table, *bulk], float("inf"))
-    best_cpu = dict.fromkeys(bulk, float("inf"))
-    for _ in range(args.repeats):
-        for name, (count, run) in [*table.items(), *bulk.items()]:
-            start, start_cpu = time.perf_counter(), time.process_time()
-            run()
-            best[name] = min(best[name], (time.perf_counter() - start) / count)
-            if name in bulk:
-                best_cpu[name] = min(best_cpu[name], time.process_time() - start_cpu)
+    with tempfile.TemporaryDirectory() as workdir:
+        bulk = bulk_cases(args.bulk, args.data_dir, Path(workdir)) if args.bulk else {}
+        best = dict.fromkeys([*table, *bulk], float("inf"))
+        best_cpu = dict.fromkeys(bulk, float("inf"))
+        for _ in range(args.repeats):
+            for name, (count, run) in [*table.items(), *bulk.items()]:
+                start, start_cpu = time.perf_counter(), time.process_time()
+                run()
+                best[name] = min(best[name], (time.perf_counter() - start) / count)
+                if name in bulk:
+                    best_cpu[name] = min(best_cpu[name], time.process_time() - start_cpu)
     print(f"us per call, min of {args.repeats} interleaved repeats")
     for name in table:
         print(f"  {name:44s} {1e6 * best[name]:10.2f}")

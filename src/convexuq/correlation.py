@@ -159,7 +159,7 @@ def _scc_columns(u: np.ndarray) -> np.ndarray:
             np.maximum(peaks, peak, out=peaks)
         return peaks
 
-    peaks = np.max(map_groups(row_blocks(count), copy, count), axis=0)
+    peaks = np.max(map_groups(row_blocks(count), copy, u.size), axis=0)
     for column, peak in zip(columns, peaks):
         if peak > 0.0 and not 1e-50 <= peak <= 1e50:
             column /= peak
@@ -177,33 +177,49 @@ def _scc_dots(columns: np.ndarray, pairs: list[tuple[int, int]]) -> list[float]:
         with np.errstate(under="ignore"):
             return [float(np.dot(columns[i], columns[j])) for i, j in group]
 
-    return [dot for group in map_groups(pairs, dots, columns.shape[1]) for dot in group]
+    groups = map_groups(pairs, dots, columns.shape[1] * len(pairs))
+    return [dot for group in groups for dot in group]
 
 
-def _scc_value(dot: float, norm_i: float, norm_j: float) -> float:
-    """The SCC of two `_scc_columns` rows from their dot product and their
-    self dots: the dot over the square root of the self dots' product,
-    clipped to [-1, 1]."""
-    if norm_i == 0.0 or norm_j == 0.0:
+def _scc_fits(u: np.ndarray, pairs: list[tuple[int, int]], clamp: bool) -> np.ndarray:
+    """The SCC of every column pair of u, in the order of pairs: every
+    column copied, scaled and self-dotted once (`_scc_columns`,
+    `_scc_dots`), then each pair's dot over the square root of its self
+    dots' product, clipped to [-1, 1], as one array expression. Those are
+    the IEEE operations of one pair at a time, so each value has the bits
+    of the pair's own fit. With clamp, a value exactly ±1 warns with
+    DegenerateData and becomes ±R_CLAMP, so assembly stays valid. A column
+    at its midpoint raises ZeroDeviation at its first pair, after the
+    warnings of the pairs before it."""
+    n = u.shape[1]
+    dots = np.array(_scc_dots(_scc_columns(u), [(k, k) for k in range(n)] + pairs))
+    first, second = np.array(pairs).T
+    norms = dots[:n]
+    zero = (norms[first] == 0.0) | (norms[second] == 0.0)
+    stop = int(zero.argmax()) if zero.any() else len(pairs)
+    # a zero column's pairs divide by 0; they raise below and are never read
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = np.clip(dots[n:] / np.sqrt(norms[first] * norms[second]), -1.0, 1.0)
+    exact = np.flatnonzero(np.abs(values[:stop]) >= 1.0) if clamp else []
+    for k in exact:
+        warnings.warn(f"SCC of pair {pairs[k]} is exactly ±1; clamped", DegenerateData)
+    if stop < len(pairs):
         raise ZeroDeviation("a column sits identically at its midpoint")
-    value = dot / np.sqrt(norm_i * norm_j)
-    return float(np.clip(value, -1.0, 1.0))
+    values[exact] = np.sign(values[exact]) * R_CLAMP
+    return values
 
 
 def scc(x_i: np.ndarray, x_j: np.ndarray) -> float:
     """Sample correlation coefficient of two regularized columns, about
     their interval midpoint 0. The columns may hold any finite values; a
     non-finite one raises ValueError. fit_correlation_matrix("scc") goes
-    through the same three helpers, so its entries are this function's
-    bits."""
+    through the same `_scc_fits`, so its entries are this function's bits."""
     x_i, x_j = np.asarray(x_i, dtype=float), np.asarray(x_j, dtype=float)
     if x_i.shape != x_j.shape or x_i.ndim != 1:
         raise DimensionMismatch(
             f"columns must be 1-D and equal length, got {x_i.shape} and {x_j.shape}"
         )
-    columns = _scc_columns(np.stack((x_i, x_j)).T)
-    norm_i, norm_j, dot = _scc_dots(columns, [(0, 0), (1, 1), (0, 1)])
-    return _scc_value(dot, norm_i, norm_j)
+    return float(_scc_fits(np.stack((x_i, x_j)).T, [(0, 1)], clamp=False)[0])
 
 
 def _mp_shape_2d(variant: ModelVariant, r: np.ndarray) -> np.ndarray:
@@ -310,14 +326,6 @@ def _mp_feasible(
         dist = _mp_distance([t[None, part] for t in terms], u1, u2)
         np.maximum(worst[part], dist.max(axis=0), out=worst[part])
     return worst <= 1.0 + MEMBERSHIP_TOL
-
-
-def _pick_extreme(r_neg: float, r_pos: float, u: np.ndarray) -> float:
-    """Choose the fitted value among the two one-sided extremes by max |r|,
-    breaking near-ties with the SCC sign of the pair."""
-    if abs(abs(r_pos) - abs(r_neg)) <= _TIE_TOL:
-        return r_pos if float(u[:, 0] @ u[:, 1]) >= 0.0 else r_neg
-    return r_pos if abs(r_pos) > abs(r_neg) else r_neg
 
 
 def _me_intervals(u: np.ndarray, pairs: list[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
@@ -478,11 +486,16 @@ def _check_fit_options(method: str, variant, on_infeasible: str) -> None:
 
 def _ccc_fits(
     variant: ModelVariant, u: np.ndarray, pairs: list[tuple[int, int]], on_infeasible: str
-) -> list[float]:
+) -> np.ndarray:
     """The CCC of every column pair of u, in the order of pairs: first the
-    feasible r-interval of every pair (_me_intervals or _mp_intervals, all
-    pairs together), then each pair finished on its own, warnings and
-    errors in pair order."""
+    feasible r-interval (lo, hi) of every pair (_me_intervals or
+    _mp_intervals), then every pair finished at once. An empty interval
+    relaxes to its midpoint or raises InfeasibleFit; the others are
+    clamped to ±R_CLAMP, an interval beyond the clamp taking its near end,
+    and the end of larger |r| is picked, a tie within _TIE_TOL going to
+    the sign of the pair's SCC dot. Each step is the same IEEE operation
+    on each pair as on the pair alone, so the values keep their bits; the
+    warnings and the error follow in pair order."""
     if u.shape[0] < 1:
         raise DimensionMismatch("need at least one sample pair")
     if not np.all(np.abs(u) <= 1.0 + MEMBERSHIP_TOL):  # also refuses nan
@@ -495,35 +508,32 @@ def _ccc_fits(
             # UTriMP's only by IEEE operations that commute, so the bits hold
             variant, pairs = ModelVariant.LTRI, [(j, i) for i, j in pairs]
         lo, hi = _mp_intervals(variant, u, pairs)
-    return [
-        _finish_ccc(lo_p, hi_p, u[:, pair], on_infeasible)
-        for pair, lo_p, hi_p in zip(pairs, lo.tolist(), hi.tolist())
-    ]
-
-
-def _finish_ccc(lo: float, hi: float, u: np.ndarray, on_infeasible: str) -> float:
-    """One pair's CCC from its feasible interval (lo, hi) and its samples u."""
-    if lo > hi:
-        gap = lo - hi
-        if on_infeasible == "relax":
-            warnings.warn(
-                f"infeasible ME pair fit relaxed to minimax value (gap {gap:.3g})",
-                DegenerateData,
+    empty = lo > hi
+    lo_c, hi_c = np.maximum(lo, -R_CLAMP), np.minimum(hi, R_CLAMP)
+    beyond = ~empty & (lo_c > hi_c)  # the interval lies beyond the clamp
+    take_hi = np.abs(hi_c) > np.abs(lo_c)
+    for k in np.flatnonzero(~empty & ~beyond & (np.abs(np.abs(hi_c) - np.abs(lo_c)) <= _TIE_TOL)):
+        pair = u[:, pairs[k]]
+        take_hi[k] = float(pair[:, 0] @ pair[:, 1]) >= 0.0
+    r = np.where(take_hi, hi_c, lo_c)
+    r[beyond] = np.where(lo[beyond] > 0.0, R_CLAMP, -R_CLAMP)
+    r[empty] = np.clip((lo[empty] + hi[empty]) / 2.0, -R_CLAMP, R_CLAMP)
+    clamped = ~empty & (np.abs(r) >= R_CLAMP)
+    for k in np.flatnonzero(empty | clamped):
+        if clamped[k]:
+            warnings.warn("fit clamped at |r| = 1 - 1e-6", DegenerateData)
+            continue
+        gap = float(lo[k] - hi[k])
+        if on_infeasible == "error":
+            raise InfeasibleFit(
+                f"no ellipse of the family encloses all pairs (feasible intervals "
+                f"disjoint, gap {gap:.3g})",
+                gap=gap,
             )
-            return float(np.clip((lo + hi) / 2.0, -R_CLAMP, R_CLAMP))
-        raise InfeasibleFit(
-            f"no ellipse of the family encloses all pairs (feasible intervals "
-            f"disjoint, gap {gap:.3g})",
-            gap=gap,
+        warnings.warn(
+            f"infeasible ME pair fit relaxed to minimax value (gap {gap:.3g})", DegenerateData
         )
-    lo_c, hi_c = max(lo, -R_CLAMP), min(hi, R_CLAMP)
-    if lo_c > hi_c:
-        r = R_CLAMP if lo > 0 else -R_CLAMP  # the interval lies beyond the clamp
-    else:
-        r = _pick_extreme(lo_c, hi_c, u)
-    if abs(r) >= R_CLAMP:
-        warnings.warn("fit clamped at |r| = 1 - 1e-6", DegenerateData)
-    return float(r)
+    return r
 
 
 def assemble_correlation_matrix(
@@ -618,45 +628,45 @@ def fit_correlation_matrix(
     alone; the warnings come in pair order.
 
     All pairs are fitted in one stage: the feasible intervals of all pairs
-    first, then each pair finished on its own. The ellipse's are
+    first, then all pairs finished at once (`_ccc_fits`). The ellipse's are
     closed-form. A parallelepiped's condition on each sign of r is linear
     in one monotone parameter, so one blocked pass takes each pair's exact
     interval in it; the grid and bisection answers are replayed from those,
     the float test running only at the few points too near a bound, so
     every value has the bits of testing each point on every sample (see
-    _mp_intervals).
+    _mp_intervals). The finish is elementwise IEEE arithmetic on the
+    interval arrays, the operations a pair alone goes through, so it keeps
+    those bits.
 
     "scc" runs three stages. One blocked copy transposes the rows into
     one C-ordered row per column (`_scc_columns`); one `np.dot` per
-    column and per pair follows (`_scc_dots`); each pair is then finished
-    in pair order (`_scc_value`). Over more than BLOCK_ROWS rows the copy
-    and the dots run on the block groups (`map_groups`); every warning
-    and error comes from the caller's thread, in pair order. SCC values
-    that land exactly at ±1 are pulled to the clamp with a DegenerateData
-    warning so assembly stays valid, and a column sitting at its midpoint
-    raises ZeroDeviation at its first pair."""
+    column and per pair follows (`_scc_dots`); all pairs are then finished
+    at once, the dot over the square root of the self dots' product in
+    one array expression (`_scc_fits`), the same IEEE operations as one
+    pair's, so every entry is scc's bits on its two columns. Over more
+    than THREAD_ELEMENTS rows × columns the copy, and over more than
+    THREAD_ELEMENTS rows × pairs the dots, run on the block groups
+    (`map_groups`); every warning and error comes from the caller's
+    thread, in pair order. SCC values that land exactly at ±1 are pulled
+    to the clamp with a DegenerateData warning so assembly stays valid,
+    and a column sitting at its midpoint raises ZeroDeviation at its first
+    pair.
+
+    Both triangles are written through the pairs' index arrays, and the
+    CorrelationMatrix checks of the result still run."""
     _check_fit_options(method, variant, on_infeasible)
     u = np.asarray(u_rows, dtype=float)
     if u.ndim != 2:
         raise DimensionMismatch(f"u_rows must be 2-D, got shape {u.shape}")
     n = u.shape[1]
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    entries = np.eye(n)
     # fitted only when a pair exists, so a lone column is [[1.0]] whatever its rows
-    if not pairs:
-        values = []
-    elif method == "ccc":
-        values = _ccc_fits(variant, u, pairs, on_infeasible)
-    else:
-        # every column copied, scaled and self-dotted once, not once per pair
-        columns = _scc_columns(u)
-        dots = _scc_dots(columns, [(k, k) for k in range(n)] + pairs)
-        values = []
-        for (i, j), dot in zip(pairs, dots[n:]):
-            r = _scc_value(dot, dots[i], dots[j])
-            if abs(r) >= 1.0:
-                warnings.warn(f"SCC of pair ({i}, {j}) is exactly ±1; clamped", DegenerateData)
-                r = float(np.sign(r)) * R_CLAMP
-            values.append(r)
-    return assemble_correlation_matrix(
-        [(i, j, r) for (i, j), r in zip(pairs, values)], n, method
-    )
+    if n > 1:
+        first, second = np.triu_indices(n, 1)
+        pairs = list(zip(first.tolist(), second.tolist()))
+        if method == "ccc":
+            values = _ccc_fits(variant, u, pairs, on_infeasible)
+        else:
+            values = _scc_fits(u, pairs, clamp=True)
+        entries[first, second] = entries[second, first] = values
+    return CorrelationMatrix(entries=entries, method=method)

@@ -36,10 +36,53 @@ def _records(path: str | Path) -> Iterator[tuple[int, list[str]]]:
                 yield lineno, record
 
 
+def _plain_samples(path: str | Path) -> SampleSet | None:
+    """The sample set of a file whose records are plain, converted in one
+    `np.loadtxt` call; None where the row walk's answer could differ.
+
+    Unquoted text, read with newline="", ends a csv.reader record at each
+    \\r\\n, \\r and \\n and nowhere else (str.splitlines would also split at
+    \\x0c, \\x1c or \\u2028), and splits it at each comma. numpy's parser
+    strips a cell's whitespace and calls PyOS_string_to_double, as float()
+    does; a cell float() takes and it refuses (`1_0`, non-ASCII digits)
+    raises here. So the result is kept only where the text has no quote
+    and no line past csv's field limit, its first line is a header of
+    non-blank names and a later line is not empty, loadtxt raises nothing,
+    and every entry is finite: there it holds the walk's rows, bit for
+    bit."""
+    try:
+        with Path(path).open(newline="", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:  # the walk raises it, or an error before it
+        return None
+    if '"' in text:
+        return None
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    # a line past csv's field limit may hold a field that the walk refuses
+    if max(map(len, lines)) > csv.field_size_limit():
+        return None
+    names = tuple(name.strip() for name in lines[0].split(","))
+    # loadtxt skips only empty lines, and warns only where it reads no row
+    if not all(names) or not any(lines[1:]):
+        return None
+    try:
+        rows = np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=2)
+    except ValueError:  # a cell or a row for the walk to name
+        return None
+    if rows.shape[1] != len(names) or not np.isfinite(rows).all():
+        return None
+    return SampleSet(names=names, rows=rows)
+
+
 def read_samples_csv(path: str | Path) -> SampleSet:
-    """Read a header+rows sample CSV into a SampleSet. Each row converts
-    with one float() per cell; a row with a bad cell is converted again
-    cell by cell, so the ParseError names its line and column."""
+    """Read a header+rows sample CSV into a SampleSet. A file of plain
+    records converts in one call (`_plain_samples`), with the bits of the
+    row walk. Any other goes through the walk: each row converts with one
+    float() per cell, and a row with a bad cell is converted again cell by
+    cell, so the ParseError names its line and column."""
+    plain = _plain_samples(path)
+    if plain is not None:
+        return plain
     records = _records(path)
     try:
         header_line, header = next(records)

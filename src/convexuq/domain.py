@@ -40,6 +40,13 @@ BLOCK_ROWS = 2**14
 # most threads one bulk call runs on: each holds a few blocks of
 # temporaries, so theirs stay a few blocks whatever the number of cores
 BULK_THREADS = 2
+# least work, in elements (rows × columns, or rows × pairs), that a bulk
+# call splits over threads. A thread costs 0.1–0.2 ms to start and join.
+# Measured on two cores, the split breaks even near 5e4 elements for
+# sample_uniform and mc_volume, 6e4–3e5 for membership_values, 5e5 for
+# the SCC copy and 1.5e6 for the SCC dots; the floor sits between the two
+# groups, so that an SCC fit of 2e4 rows at n <= 4 keeps to one thread
+THREAD_ELEMENTS = 2**18
 
 _I = TypeVar("_I")
 _T = TypeVar("_T")
@@ -144,18 +151,20 @@ def _thread_count() -> int:
     return min(_core_count(), BULK_THREADS) if _blas_threads() == 1 else 1
 
 
-def map_groups(items: Sequence[_I], work: Callable[[Sequence[_I]], _T], rows: int) -> list[_T]:
+def map_groups(
+    items: Sequence[_I], work: Callable[[Sequence[_I]], _T], elements: int
+) -> list[_T]:
     """`work(group)` for each of W contiguous groups of `items`, results in
     group order: W = min(`_thread_count()`, len(items)) for work over more
-    than BLOCK_ROWS `rows`, else one. The items are the row blocks of
-    `row_blocks(rows)` or any other list of equal pieces of work. The
-    caller's thread runs group 0 and a thread of its own each other group,
-    all joined before the return; the exception of the first group that
-    raised one is raised here. Block boundaries do not depend on W, so
-    item-wise work gives the same bits on any number of threads. `work`
-    must not call this again, and enters its own `np.errstate`, which
-    holds per thread."""
-    width = min(_thread_count(), len(items)) if rows > BLOCK_ROWS else 1
+    than THREAD_ELEMENTS `elements` (rows × columns, or rows × pairs),
+    else one. The items are the row blocks of `row_blocks(rows)` or any
+    other list of equal pieces of work. The caller's thread runs group 0
+    and a thread of its own each other group, all joined before the
+    return; the exception of the first group that raised one is raised
+    here. Block boundaries do not depend on W, so item-wise work gives the
+    same bits on any number of threads. `work` must not call this again,
+    and enters its own `np.errstate`, which holds per thread."""
+    width = min(_thread_count(), len(items)) if elements > THREAD_ELEMENTS else 1
     cuts = [len(items) * g // width for g in range(width + 1)]
     groups = [items[lo:hi] for lo, hi in zip(cuts[:-1], cuts[1:])]
     results: list = [None] * width

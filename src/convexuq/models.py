@@ -264,7 +264,7 @@ def membership_values(model: ConvexModel, rows: np.ndarray) -> np.ndarray:
                 centred_membership(model, centred, out)
                 out[np.isnan(out)] = np.inf
 
-    map_groups(row_blocks(len(rows)), fill, len(rows))
+    map_groups(row_blocks(len(rows)), fill, rows.size)
     return values
 
 

@@ -34,15 +34,6 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
-from scipy.optimize import brentq
-
-try:  # the SLSQP core that scipy's own minimize(method="SLSQP") loops over
-    from scipy.optimize._slsqplib import slsqp
-except ImportError as exc:
-    raise ImportError(
-        "convexuq requires scipy>=1.17: its reliability solver drives "
-        "scipy.optimize._slsqplib.slsqp, which this scipy lacks"
-    ) from exc
 
 from .correlation import ModelVariant
 from .domain import as_integer, read_only
@@ -106,6 +97,29 @@ class ReliabilityResult:
     starts: tuple[StartRecord, ...]  # the refined starts, nearest hit first
 
 
+def brentq(f, a: float, b: float, **options) -> float:
+    """scipy.optimize.brentq, imported at its first call, so that `import
+    convexuq` loads no scipy module (scipy.optimize alone takes about
+    0.4 s). The solver reads this name at each call and never rebinds it."""
+    from scipy.optimize import brentq as scipy_brentq
+
+    return scipy_brentq(f, a, b, **options)
+
+
+def _slsqp_core():
+    """The SLSQP core that scipy's own minimize(method="SLSQP") loops over,
+    imported when a solve starts; an ImportError that names the
+    requirement where this scipy lacks it."""
+    try:
+        from scipy.optimize._slsqplib import slsqp
+    except ImportError as exc:
+        raise ImportError(
+            "convexuq requires scipy>=1.17: its reliability solver drives "
+            "scipy.optimize._slsqplib.slsqp, which this scipy lacks"
+        ) from exc
+    return slsqp
+
+
 class _Slsqp:
     """One start's SLSQP problem over y = (delta, s): minimise s subject to
     one equality (the surface) and m - 1 inequalities (the ball), with
@@ -119,6 +133,7 @@ class _Slsqp:
     other value once it has finished, 0 being success."""
 
     def __init__(self, y0: np.ndarray, m: int) -> None:
+        self.core = _slsqp_core()
         size = y0.size
         meq = 1
         self.y = np.clip(y0, -np.inf, np.inf)
@@ -156,7 +171,7 @@ class _Slsqp:
         return self.state["iter"]
 
     def step(self) -> None:
-        slsqp(
+        self.core(
             self.state, self.fx, self.gx, self.C, self.d, self.y, self.mult,
             self.lower, self.upper, self.buffer, self.indices,
         )
@@ -263,6 +278,7 @@ def reliability_index(
             f"limit state uses unbound name(s): {', '.join(sorted(unbound))}",
             names=sorted(unbound),
         )
+    _slsqp_core()  # a scipy without the core is refused before any work
 
     n = model.n
     mid, rad = model.midpoints, model.radii

@@ -135,7 +135,7 @@ def sample_uniform(model: ConvexModel, count: int, seed: int) -> np.ndarray:
                 np.multiply(product, model.radii, out=x[block])
                 x[block] += model.midpoints
 
-        map_groups(row_blocks(count), normals, count)
+        map_groups(row_blocks(count), normals, count * n)
 
     else:
         linear = (model.radii[:, None] * model.factor).T
@@ -152,7 +152,7 @@ def sample_uniform(model: ConvexModel, count: int, seed: int) -> np.ndarray:
                 np.matmul(delta, linear, out=out)
                 out += model.midpoints
 
-    map_groups(row_blocks(count), draw, count)
+    map_groups(row_blocks(count), draw, count * n)
     return x
 
 
@@ -189,7 +189,7 @@ def mc_volume(model: ConvexModel, count: int, seed: int) -> tuple[float, float]:
                 hits += int(np.count_nonzero(values <= 1.0 + MEMBERSHIP_TOL))
         return hits
 
-    p = sum(map_groups(row_blocks(count), count_hits, count)) / count
+    p = sum(map_groups(row_blocks(count), count_hits, count * n)) / count
     return p, float(np.sqrt(p * (1.0 - p) / count))
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
-from scipy.spatial import ConvexHull
 
 from .correlation import ModelVariant
 from .domain import SampleSet, regularize
@@ -73,6 +72,8 @@ def _boundary_points(model: ConvexModel, i: int, j: int) -> np.ndarray:
             f"cannot project a parallelepiped with n={model.n}: its shadow needs "
             f"all 2^{model.n} = {2**model.n} box vertices (at most n={_MAX_BOX_DIM})"
         )
+    from scipy.spatial import ConvexHull  # at the first render: `import convexuq` loads no scipy
+
     corners = np.array(list(itertools.product((-1.0, 1.0), repeat=model.n)))
     projected = (corners @ model.factor.T)[:, [i, j]]
     hull = ConvexHull(projected)

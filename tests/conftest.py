@@ -61,10 +61,13 @@ def quiet_degenerate():
 @pytest.fixture()
 def thread_count(monkeypatch):
     """Setter of the number of threads that every bulk call runs on
-    (`domain._thread_count`), for the rest of the test."""
+    (`domain._thread_count`), for the rest of the test. It also lowers the
+    work floor of a split (`domain.THREAD_ELEMENTS`) to BLOCK_ROWS
+    elements, so that the thread tests split calls of a few blocks."""
 
     def patch(threads):
         monkeypatch.setattr(cq.domain, "_thread_count", lambda: threads)
+        monkeypatch.setattr(cq.domain, "THREAD_ELEMENTS", cq.domain.BLOCK_ROWS)
 
     return patch
 

@@ -17,8 +17,8 @@ from convexuq.correlation import (
     _GRID_STEP,
     R_CLAMP,
     _REFINE_TOL,
+    _TIE_TOL,
     _mp_intervals,
-    _pick_extreme,
     scc,
 )
 from convexuq.domain import BLOCK_ROWS
@@ -54,6 +54,76 @@ def _shape_2d(variant, r):
     out[..., 1, 0] = 0.0
     out[..., 1, 1] = 1.0
     return out
+
+
+def _pick_extreme(r_neg, r_pos, u):
+    """The per-pair reference of the fit's pick: the one-sided extreme of
+    larger |r|, a near-tie going to the SCC sign of the pair."""
+    if abs(abs(r_pos) - abs(r_neg)) <= _TIE_TOL:
+        return r_pos if float(u[:, 0] @ u[:, 1]) >= 0.0 else r_neg
+    return r_pos if abs(r_pos) > abs(r_neg) else r_neg
+
+
+def _finish_ccc(lo, hi, u, on_infeasible):
+    """The per-pair reference of the CCC finish: one pair's value from its
+    feasible interval (lo, hi) and its samples u, with its warnings."""
+    if lo > hi:
+        gap = lo - hi
+        if on_infeasible == "relax":
+            warnings.warn(
+                f"infeasible ME pair fit relaxed to minimax value (gap {gap:.3g})",
+                DegenerateData,
+            )
+            return float(np.clip((lo + hi) / 2.0, -R_CLAMP, R_CLAMP))
+        raise InfeasibleFit(
+            f"no ellipse of the family encloses all pairs (feasible intervals "
+            f"disjoint, gap {gap:.3g})",
+            gap=gap,
+        )
+    lo_c, hi_c = max(lo, -R_CLAMP), min(hi, R_CLAMP)
+    if lo_c > hi_c:
+        r = R_CLAMP if lo > 0 else -R_CLAMP  # the interval lies beyond the clamp
+    else:
+        r = _pick_extreme(lo_c, hi_c, u)
+    if abs(r) >= R_CLAMP:
+        warnings.warn("fit clamped at |r| = 1 - 1e-6", DegenerateData)
+    return float(r)
+
+
+def _scc_value(dot, norm_i, norm_j):
+    """The per-pair reference of the SCC finish: the dot over the square
+    root of the self dots' product, clipped to [-1, 1]."""
+    if norm_i == 0.0 or norm_j == 0.0:
+        raise ZeroDeviation("a column sits identically at its midpoint")
+    value = dot / np.sqrt(norm_i * norm_j)
+    return float(np.clip(value, -1.0, 1.0))
+
+
+def _outcome(fit):
+    """(values, warnings as (category, message), exception or None) of a
+    fit; fit appends each value to the list it is given."""
+    values = []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            fit(values)
+            error = None
+        except Exception as exc:  # compared with the reference's
+            error = exc
+    return values, [(w.category, str(w.message)) for w in caught], error
+
+
+def _assert_same_outcome(got, expected):
+    """The same values by float.hex, the same warnings in the same order
+    and the same exception type, message and gap."""
+    (values, caught, error), (ref_values, ref_caught, ref_error) = got, expected
+    assert caught == ref_caught
+    assert type(error) is type(ref_error)
+    if ref_error is None:
+        assert [float(v).hex() for v in values] == [float(v).hex() for v in ref_values]
+    else:
+        assert str(error) == str(ref_error)
+        assert getattr(error, "gap", None) == getattr(ref_error, "gap", None)
 
 
 def _pair_ccc(variant, u, **options):
@@ -610,8 +680,109 @@ def test_me_matrix_intervals_are_the_pairwise_closed_form(u):
         for k, pair in enumerate(pairs):
             interval = _me_interval(u[:, pair])
             assert (lo[k].hex(), hi[k].hex()) == tuple(float(x).hex() for x in interval)
-            entry = correlation._finish_ccc(*interval, u[:, pair], "relax")
+            entry = _finish_ccc(*interval, u[:, pair], "relax")
             assert R.entries[pair].hex() == entry.hex()
+
+
+# interval ends: anywhere in and a little beyond [-1, 1], exactly at or
+# beyond the clamp, or a signed zero
+_END = st.floats(-1.01, 1.01) | st.sampled_from([-1.0, -R_CLAMP, -0.0, 0.0, R_CLAMP, 1.0])
+# an interval of two ends in either order (empty half the time), or one
+# whose ends' magnitudes differ by about _TIE_TOL
+_INTERVAL = st.tuples(_END, _END) | st.tuples(
+    st.floats(0.0, 1.0), st.floats(-2 * _TIE_TOL, 2 * _TIE_TOL)
+).map(lambda t: (-t[0], t[0] + t[1]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(2, 4),
+    rows=st.integers(1, 5),
+    on_infeasible=st.sampled_from(["error", "relax"]),
+    data=st.data(),
+)
+def test_ccc_finish_is_the_per_pair_finish(n, rows, on_infeasible, data):
+    """All pairs finished at once from their (lo, hi) arrays give each
+    pair's own finish: the same values by float.hex, the same relax and
+    clamp warnings in pair order, and under "error" the same InfeasibleFit
+    (message and gap) at the same pair, after the same warnings."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    cell = st.floats(-1.0, 1.0) | st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0])
+    row = st.lists(cell, min_size=n, max_size=n)
+    u = np.array(data.draw(st.lists(row, min_size=rows, max_size=rows)))
+    intervals = data.draw(st.lists(_INTERVAL, min_size=len(pairs), max_size=len(pairs)))
+    lo, hi = (np.array(ends) for ends in zip(*intervals))
+
+    def fit(values):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(correlation, "_me_intervals", lambda *_: (lo.copy(), hi.copy()))
+            values.extend(correlation._ccc_fits(V.ME, u, pairs, on_infeasible))
+
+    def reference(values):
+        for (a, b), pair in zip(intervals, pairs):
+            values.append(_finish_ccc(a, b, u[:, pair], on_infeasible))
+
+    _assert_same_outcome(_outcome(fit), _outcome(reference))
+
+
+@st.composite
+def _scc_matrices(draw):
+    """Rows of 2 to 5 columns, each after the first a fresh one, a zero
+    one or a multiple of an earlier one, whose SCC with it is ±1."""
+    rows = draw(st.integers(2, 8))
+    cell = st.floats(-1.0, 1.0) | st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0])
+    fresh = st.lists(cell, min_size=rows, max_size=rows)
+    columns = [draw(fresh)]
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["fresh", "zero", "multiple"]))
+        if kind == "fresh":
+            columns.append(draw(fresh))
+        elif kind == "zero":
+            columns.append([0.0] * rows)
+        else:
+            scale = draw(st.sampled_from([-2.0, -1.0, 0.5, 1.0, 3.0]))
+            columns.append([scale * x for x in draw(st.sampled_from(columns))])
+    return np.array(columns).T
+
+
+@settings(max_examples=150, deadline=None)
+@given(u=_scc_matrices())
+# an exact -1 pair, then a zero column: the clamp warning, then ZeroDeviation
+@example(u=np.array([[0.5, -1.0, 0.0], [-0.75, 1.5, 0.0], [0.25, -0.5, 0.0]]))
+def test_scc_finish_is_the_per_pair_finish(u):
+    """The SCC finish as one array expression gives the per-pair loop's
+    values by float.hex, its ±1 clamp warnings in pair order, and its
+    ZeroDeviation at the first pair that touches a zero column, after the
+    warnings of the pairs before it; scc of each pair alone is the
+    per-pair value, without a warning."""
+    n = u.shape[1]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+    def fit(values):
+        R = cq.fit_correlation_matrix("scc", None, u).entries
+        assert np.array_equal(R, R.T)
+        values.extend(R[pair] for pair in pairs)
+
+    def reference(values):
+        columns = correlation._scc_columns(u)
+        dots = correlation._scc_dots(columns, [(k, k) for k in range(n)] + pairs)
+        for (i, j), dot in zip(pairs, dots[n:]):
+            r = _scc_value(dot, dots[i], dots[j])
+            if abs(r) >= 1.0:
+                warnings.warn(f"SCC of pair ({i}, {j}) is exactly ±1; clamped", DegenerateData)
+                r = float(np.sign(r)) * R_CLAMP
+            values.append(r)
+
+    _assert_same_outcome(_outcome(fit), _outcome(reference))
+    for i, j in pairs:
+
+        def alone(values):
+            columns = correlation._scc_columns(u[:, (i, j)])
+            dots = correlation._scc_dots(columns, [(0, 0), (1, 1), (0, 1)])
+            values.append(_scc_value(dots[2], dots[0], dots[1]))
+
+        got = _outcome(lambda values: values.append(scc(u[:, i], u[:, j])))
+        _assert_same_outcome(got, _outcome(alone))
 
 
 @pytest.mark.parametrize("variant", MP_VARIANTS, ids=lambda v: v.value)
@@ -951,9 +1122,11 @@ def test_scc_fit_refuses_nonfinite_entries(thread_count, rows, value):
                 scc(u[:, 0], u[:, 1])
 
 
-def test_scc_fit_starts_no_thread_within_one_block(thread_count, monkeypatch):
-    """At most BLOCK_ROWS rows run the copy and every dot product in the
-    caller's thread; one more row starts threads."""
+def test_scc_fit_starts_threads_only_above_the_work_floor(monkeypatch):
+    """With two threads to run on, the copy splits only over more than
+    THREAD_ELEMENTS rows × columns, the dots only over more than
+    THREAD_ELEMENTS rows × pairs (self dots included); each split starts
+    one thread, and the bits stay."""
     started = []
 
     class Thread(threading.Thread):
@@ -962,15 +1135,16 @@ def test_scc_fit_starts_no_thread_within_one_block(thread_count, monkeypatch):
             super().start()
 
     monkeypatch.setattr(cq.domain.threading, "Thread", Thread)
-    thread_count(7)
-    for rows in (2, BLOCK_ROWS):
-        u = np.random.default_rng(rows).uniform(-1.0, 1.0, size=(rows, 10))
-        cq.fit_correlation_matrix("scc", None, u)
-        scc(u[:, 0], u[:, 1])
-    assert started == []
-    u = np.random.default_rng(0).uniform(-1.0, 1.0, size=(BLOCK_ROWS + 1, 10))
-    cq.fit_correlation_matrix("scc", None, u)
-    assert started
+    monkeypatch.setattr(cq.domain, "_thread_count", lambda: 2)
+    floor = cq.domain.THREAD_ELEMENTS
+    # n = 2: a copy of 2 and a dot stage of 3 elements per row
+    cases = ((floor // 3, 0), (floor // 3 + 1, 1), (floor // 2, 1), (floor // 2 + 1, 2))
+    for rows, starts in cases:
+        u = np.random.default_rng(rows).uniform(-1.0, 1.0, size=(rows, 2))
+        started.clear()
+        value = cq.fit_correlation_matrix("scc", None, u).entries[0, 1]
+        assert len(started) == starts, rows
+        assert value == scc(u[:, 0], u[:, 1]) == _scc_oracle(u)[0, 1]
 
 
 def test_scc_fit_memory_is_one_copy(thread_count, traced_peak):

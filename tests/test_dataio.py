@@ -1,8 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import convexuq as cq
+from convexuq import dataio
 from convexuq.dataio import read_matrix_csv
+from convexuq.domain import SampleSet
 from convexuq.errors import ParseError
 
 
@@ -79,3 +85,97 @@ def test_read_matrix_bad_cell_has_location(tmp_path):
         read_matrix_csv(path)
     assert exc.value.line == 3
     assert exc.value.field == "column 2"
+
+
+def _walk(path):
+    """The row walk, the reference of read_samples_csv: one csv.reader
+    record at a time, one float() per cell, and a ParseError that names
+    the first bad record's line and field."""
+    records = dataio._records(path)
+    try:
+        header_line, header = next(records)
+    except StopIteration:
+        raise ParseError("empty sample file", line=1) from None
+    names = tuple(name.strip() for name in header)
+    if any(not name for name in names):
+        raise ParseError("blank name in header", line=header_line)
+    rows = []
+    for lineno, record in records:
+        if len(record) != len(names):
+            raise ParseError(f"expected {len(names)} values, got {len(record)}", line=lineno)
+        try:  # float() ignores the whitespace that _parse_number strips
+            rows.append([float(cell) for cell in record])
+        except ValueError:  # raises the first bad cell's ParseError
+            rows.append(
+                [dataio._parse_number(cell, lineno, names[i]) for i, cell in enumerate(record)]
+            )
+    if not rows:
+        raise ParseError("sample file has a header but no data rows", line=header_line + 1)
+    matrix = np.array(rows, dtype=float)
+    if not np.all(np.isfinite(matrix)):
+        raise ParseError("non-finite value in sample file")
+    return SampleSet(names=names, rows=matrix)
+
+
+def _read_outcome(read, path):
+    """(names, rows as uint64, shape) of a read, or its exception's type,
+    text, line and field; any warning is an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            samples = read(path)
+        except Exception as exc:  # compared with the walk's
+            return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "field", None)
+    return samples.names, samples.rows.view(np.uint64).tolist(), samples.rows.shape
+
+
+_CELL = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-(10**6), 10**6).map(str),
+    st.sampled_from(
+        ["1_0", "nan", "inf", "-inf", "1e400", " 1.5 ", "\t-2e3", "3\u2003", "\xa07", "2\x0c",
+         "1\x0c2", "", "  ", '"3"', '"1,5"', "x", "\u0661", "0x1p3", "1\x00"]
+    ),
+)
+_NAME = st.sampled_from(["a", "b", " c ", "d\x0c", "e\u2028", "", '"q"', '"r,s"', '"t\nu"'])
+
+
+@st.composite
+def _sample_texts(draw):
+    """Sample CSV texts: a header of 1 to 3 names, then rows of that many
+    cells, ragged rows, and blank, whitespace-only and comma-only lines,
+    each ended by \\n, \\r\\n or a lone \\r, perhaps after a BOM and
+    without a final newline."""
+    width = draw(st.integers(1, 3))
+    row = st.lists(_CELL, min_size=width, max_size=width).map(",".join)
+    other = st.lists(_CELL, min_size=1, max_size=4).map(",".join) | st.sampled_from(
+        ["", "   ", ",,", " , ", "\t"]
+    )
+    header = ",".join(draw(st.lists(_NAME, min_size=width, max_size=width)))
+    lines = [header] + draw(st.lists(row | row | other, max_size=6))
+    if draw(st.booleans()):
+        lines.insert(0, draw(st.sampled_from(["", " ", ","])))
+    end = st.sampled_from(["\n", "\r\n", "\r"])
+    ends = draw(st.lists(end, min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if draw(st.booleans()):
+        text = text[: -len(ends[-1])]
+    return ("\ufeff" if draw(st.booleans()) else "") + text
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_sample_texts())
+@example(text="a,b\n1,2\x0c3,4\n")
+@example(text="a,b\r\n1,2\r3,4\r\n\r\n")
+@example(text="a,b\n")
+@example(text="\ufeffa,b\n1,2")
+@example(text='a,b\n"1",2\n')
+@example(text="a\n1_0\n")
+# one field past csv's field limit, which the walk refuses
+@example(text="a\n" + " " * 131072 + "1\n")
+def test_read_samples_is_the_row_walk(tmp_path_factory, text):
+    """The one-call conversion gives the walk's names and rows, bit for
+    bit, or the walk's exception, and no warning."""
+    path = tmp_path_factory.mktemp("texts") / "s.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert _read_outcome(cq.read_samples_csv, path) == _read_outcome(_walk, path)

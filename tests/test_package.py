@@ -1,6 +1,10 @@
-"""The package's public name list."""
+"""The package's public name list, and what its import loads."""
 
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import convexuq
 
@@ -19,3 +23,18 @@ def test_public_names_are_listed_once():
     }
     assert sorted(bound - set(listed)) == []
     assert [name for name in listed if inspect.ismodule(getattr(convexuq, name))] == ["errors"]
+
+
+def test_import_loads_no_scipy():
+    """`import convexuq` loads no scipy module: the solver imports
+    scipy.optimize when a solve starts, and the renderer scipy.spatial at
+    its first parallelepiped render."""
+    code = (
+        "import sys, convexuq\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(convexuq.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert done.stdout.strip() == "[]"

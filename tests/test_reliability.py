@@ -729,13 +729,18 @@ def test_directions_are_read_only_with_the_one_by_one_bits(norm):
 
 
 def test_import_names_the_scipy_requirement():
-    """A scipy without the SLSQP core the solver drives fails at import,
-    with the requirement in the message."""
+    """With a scipy that lacks the SLSQP core the solver drives, `import
+    convexuq` succeeds and the first solve fails with an ImportError that
+    names the requirement."""
     probe = (
         "import sys, types, scipy.optimize\n"
         "sys.modules['scipy.optimize._slsqplib'] = types.ModuleType('scipy.optimize._slsqplib')\n"
+        "import convexuq as cq\n"
+        "spec = cq.make_marginal_spec([('x', -1.0, 1.0), ('y', -1.0, 1.0)])\n"
+        "R = cq.CorrelationMatrix(entries=[[1.0, 0.0], [0.0, 1.0]], method='scc')\n"
+        "model = cq.build_model(cq.ModelVariant.ME, spec, R)\n"
         "try:\n"
-        "    import convexuq\n"
+        "    cq.reliability_index(model, cq.parse_limit_state('0.5 - x'))\n"
         "except ImportError as exc:\n"
         "    print(exc)\n"
     )
