@@ -14,6 +14,7 @@ import argparse
 import sys
 import warnings
 from contextlib import contextmanager
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -110,9 +111,7 @@ def cmd_assess(args: argparse.Namespace) -> int:
     if args.json:
         import json
 
-        Path(args.json).write_text(
-            json.dumps(report.to_dict(), indent=2) + "\n", encoding="utf-8"
-        )
+        Path(args.json).write_text(json.dumps(asdict(report), indent=2) + "\n", encoding="utf-8")
         print(f"wrote {args.json}")
     return 0
 

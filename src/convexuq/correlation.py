@@ -1,4 +1,4 @@
-"""Pairwise correlation measures and correlation-matrix assembly.
+"""Pairwise correlation measures and the correlation matrices they fill.
 
 Two measures are supported. The sample correlation coefficient (SCC) is a
 Pearson-style coefficient taken about the interval midpoints rather than
@@ -22,9 +22,7 @@ from .domain import map_groups, read_only, row_blocks
 from .errors import (
     DegenerateData,
     DimensionMismatch,
-    DuplicatePair,
     InfeasibleFit,
-    MissingPair,
     NotPositiveDefinite,
     ZeroDeviation,
 )
@@ -35,7 +33,9 @@ EPS_PD = 1e-8
 R_CLAMP = 1.0 - 1e-6
 MEMBERSHIP_TOL = 1e-9
 _GRID_STEP = 1e-3
-_REFINE_TOL = 1e-7
+# an MP end's bisection halvings: it starts one grid cell (0.999e-3 to 1e-3)
+# from its infeasible neighbour, so 14 leave it within 6.1e-8, 13 only 1.22e-7
+_HALVINGS = 14
 _STEPS = int((R_CLAMP - _GRID_STEP / 2) / _GRID_STEP)  # largest grid multiple below the clamp
 # the MP fit's r grid, 2001 points: ±R_CLAMP and every multiple of _GRID_STEP between
 _GRID = read_only(
@@ -188,7 +188,7 @@ def _scc_fits(u: np.ndarray, pairs: list[tuple[int, int]], clamp: bool) -> np.nd
     dots' product, clipped to [-1, 1], as one array expression. Those are
     the IEEE operations of one pair at a time, so each value has the bits
     of the pair's own fit. With clamp, a value exactly ±1 warns with
-    DegenerateData and becomes ±R_CLAMP, so assembly stays valid. A column
+    DegenerateData and becomes ±R_CLAMP, so the matrix stays valid. A column
     at its midpoint raises ZeroDeviation at its first pair, after the
     warnings of the pairs before it."""
     n = u.shape[1]
@@ -378,13 +378,15 @@ def _mp_sample_bounds(variant: ModelVariant, k: float, x: np.ndarray, v: np.ndar
     return None, np.fmin(np.minimum(a, b) / np.maximum(a, b), np.minimum(c, d) / np.maximum(c, d))
 
 
-def _mp_bounds(variant: ModelVariant, u: np.ndarray, first: np.ndarray, second: np.ndarray):
+def _mp_bounds(
+    variant: ModelVariant, u: np.ndarray, first: np.ndarray, second: np.ndarray, peak: np.ndarray
+):
     """The feasible rho-interval (lo, hi) of every column pair at each of
     _THRESHOLDS on each side of r (0 for r < 0): two (threshold, side,
     pair) arrays, empty where lo > hi, the exact max and min of the pair's
-    _mp_sample_bounds over _pair_blocks. A pair with an entry beyond the
-    inner threshold, 1.0, gets no inner interval, so its points take the
-    float test."""
+    _mp_sample_bounds over _pair_blocks. A pair with a column whose peak,
+    its largest |entry|, is beyond the inner threshold, 1.0, gets no inner
+    interval, so its points take the float test."""
     lo, hi = np.zeros((2, 2, len(first))), np.full((2, 2, len(first)), np.inf)
     # x/0 is inf and 0/0 nan: no bound; so is an overflow past a tiny divisor
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -396,21 +398,21 @@ def _mp_bounds(variant: ModelVariant, u: np.ndarray, first: np.ndarray, second: 
                     hi[at] = np.fmin(hi[at], np.fmin.reduce(upper, axis=0))
                     if lower is not None:
                         lo[at] = np.maximum(lo[at], lower.max(axis=0))
-    peak = np.maximum(u.max(axis=0), -u.min(axis=0))
     hi[0][:, np.maximum(peak[first], peak[second]) > _THRESHOLDS[0]] = -np.inf
     return lo, hi
 
 
 def _mp_intervals(
-    variant: ModelVariant, u: np.ndarray, pairs: list[tuple[int, int]]
+    variant: ModelVariant, u: np.ndarray, pairs: list[tuple[int, int]], peak: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Grid-plus-bisection extremes (r_neg, r_pos) of the MP feasible set
     of every column pair of u, each within the clamp, as two arrays in the
     order of pairs: the first and last feasible points of _GRID, each
-    bisected toward its infeasible outer neighbour to within _REFINE_TOL
-    (an end at the clamp stays there). Each answer is the float test's,
-    _mp_feasible on all of the pair's samples, which runs only where the
-    exact intervals of _mp_bounds cannot settle a point.
+    halved _HALVINGS times toward its infeasible outer neighbour (an end at
+    the clamp stays there); peak is each column's largest |entry|. Each
+    answer is the float test's, _mp_feasible on all of the pair's samples,
+    which runs only where the exact intervals of _mp_bounds cannot settle
+    a point.
 
     Why the bits hold: the float test rounds max |S(r)^-1 u|_inf to within
     _GAMMA/3 relative (pinned by a test; the largest, 2.7e-10, is MP-I's
@@ -424,10 +426,11 @@ def _mp_intervals(
     which for RectMP hold the r -> 0 diamond. Feasibility need not be one
     interval in r (RectMP can have an island off 0; float answers near a
     bound need not be monotone), so a side's last grid point is the last
-    of its sure points and of its unsettled points that pass. The grid's unsettled points, and each bisection step's unsettled
-    midpoints of all pairs, take one float test call."""
+    of its sure points and of its unsettled points that pass. The grid's
+    unsettled points, and each halving's unsettled midpoints of all pairs,
+    take one float test call."""
     first, second = np.array(pairs).T
-    lo, hi = _mp_bounds(variant, u, first, second)
+    lo, hi = _mp_bounds(variant, u, first, second, peak)
     # inside the sure intervals a point passes; outside the maybe ones it fails
     sure_lo, sure_hi = lo[0] * (1.0 + _SLACK), hi[0] * (1.0 - _SLACK)
     maybe_lo, maybe_hi = lo[1] * (1.0 - _SLACK), hi[1] * (1.0 + _SLACK)
@@ -450,23 +453,20 @@ def _mp_intervals(
         np.maximum.at(sure.reshape(-1), at[passed], j[passed] + 1)
     ends = _ZERO + np.array([[-1], [1]]) * sure  # sure: each side's last feasible k
     feas = _GRID[ends]
-    # an end at the clamp brackets itself, so it starts closed
+    # an end at the clamp brackets itself and is never bisected
     infeas = _GRID[np.clip(ends + [[-1], [1]], 0, len(_GRID) - 1)]
-    for _ in range(64):
-        open_ = np.abs(infeas - feas) > _REFINE_TOL
-        if not open_.any():
-            break
-        # a row's midpoints lie on its side of 0; a closed end keeps its
-        # feasible r, as a retest of it would
-        side, pair = np.nonzero(open_)
-        mid = (feas[side, pair] + infeas[side, pair]) / 2.0
+    side, pair = np.nonzero(feas != infeas)
+    good, bad = feas[side, pair], infeas[side, pair]
+    s_lo, s_hi, m_lo, m_hi = (b[side, pair] for b in (sure_lo, sure_hi, maybe_lo, maybe_hi))
+    for _ in range(_HALVINGS if side.size else 0):
+        mid = (good + bad) / 2.0
         rho = _mp_rho(variant, mid)
-        ok = (sure_lo[side, pair] <= rho) & (rho <= sure_hi[side, pair])
-        unsettled = ~ok & (maybe_lo[side, pair] <= rho) & (rho <= maybe_hi[side, pair])
+        ok = (s_lo <= rho) & (rho <= s_hi)
+        unsettled = ~ok & (m_lo <= rho) & (rho <= m_hi)
         if unsettled.any():
             ok[unsettled] = test(mid[unsettled], pair[unsettled])
-        feas[side[ok], pair[ok]] = mid[ok]
-        infeas[side[~ok], pair[~ok]] = mid[~ok]
+        good, bad = np.where(ok, mid, good), np.where(ok, bad, mid)
+    feas[side, pair] = good
     return feas[0], feas[1]
 
 
@@ -498,7 +498,8 @@ def _ccc_fits(
     warnings and the error follow in pair order."""
     if u.shape[0] < 1:
         raise DimensionMismatch("need at least one sample pair")
-    if not np.all(np.abs(u) <= 1.0 + MEMBERSHIP_TOL):  # also refuses nan
+    peak = np.maximum(u.max(axis=0), -u.min(axis=0))  # nan where a column holds nan
+    if not np.all(peak <= 1.0 + MEMBERSHIP_TOL):
         raise ValueError("u_pairs entries must lie in [-1, 1]")
     if variant is ModelVariant.ME:
         lo, hi = _me_intervals(u, pairs)
@@ -507,7 +508,7 @@ def _ccc_fits(
             # the swapped pair's adjugate terms and distances differ from
             # UTriMP's only by IEEE operations that commute, so the bits hold
             variant, pairs = ModelVariant.LTRI, [(j, i) for i, j in pairs]
-        lo, hi = _mp_intervals(variant, u, pairs)
+        lo, hi = _mp_intervals(variant, u, pairs, peak)
     empty = lo > hi
     lo_c, hi_c = np.maximum(lo, -R_CLAMP), np.minimum(hi, R_CLAMP)
     beyond = ~empty & (lo_c > hi_c)  # the interval lies beyond the clamp
@@ -534,33 +535,6 @@ def _ccc_fits(
             f"infeasible ME pair fit relaxed to minimax value (gap {gap:.3g})", DegenerateData
         )
     return r
-
-
-def assemble_correlation_matrix(
-    pairwise: list[tuple[int, int, float]],
-    n: int,
-    method: str,
-) -> CorrelationMatrix:
-    """Assemble the symmetric unit-diagonal matrix from n(n-1)/2 pairwise
-    coefficients given as (i, j, r) with 0-based i < j."""
-    matrix = np.eye(n)
-    seen = set()
-    for i, j, r in pairwise:
-        if not (0 <= i < j < n):
-            raise MissingPair(f"pair index ({i}, {j}) invalid for n={n}; need 0 <= i < j < n")
-        if (i, j) in seen:
-            raise DuplicatePair(f"pair ({i}, {j}) supplied twice")
-        if not abs(r) < 1.0:
-            raise ValueError(f"|r| must be < 1, got {r} for pair ({i}, {j})")
-        seen.add((i, j))
-        matrix[i, j] = matrix[j, i] = float(r)
-    expected = n * (n - 1) // 2
-    if len(seen) != expected:
-        absent = [
-            (i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in seen
-        ]
-        raise MissingPair(f"{expected} pairs required, got {len(seen)}; missing {absent}")
-    return CorrelationMatrix(entries=matrix, method=method)
 
 
 def ensure_positive_definite(R: CorrelationMatrix, policy: str = "strict") -> CorrelationMatrix:
@@ -611,7 +585,7 @@ def fit_correlation_matrix(
     on_infeasible: str = "error",
 ) -> CorrelationMatrix:
     """Compute all pairwise coefficients from regularized sample rows and
-    assemble the matrix. method, variant (a ModelVariant for "ccc", unread
+    fill the matrix with them. method, variant (a ModelVariant for "ccc", unread
     for "scc") and on_infeasible are checked before any work, whatever the
     number of columns. Only "ccc" needs every entry of u_rows in [-1, 1];
     "scc" takes any finite entries, and raises ValueError at a non-finite
@@ -648,12 +622,10 @@ def fit_correlation_matrix(
     THREAD_ELEMENTS rows × pairs the dots, run on the block groups
     (`map_groups`); every warning and error comes from the caller's
     thread, in pair order. SCC values that land exactly at ±1 are pulled
-    to the clamp with a DegenerateData warning so assembly stays valid,
+    to the clamp with a DegenerateData warning so the matrix stays valid,
     and a column sitting at its midpoint raises ZeroDeviation at its first
-    pair.
-
-    Both triangles are written through the pairs' index arrays, and the
-    CorrelationMatrix checks of the result still run."""
+    pair. Both triangles are written through the pairs' index arrays, and
+    the CorrelationMatrix checks of the result still run."""
     _check_fit_options(method, variant, on_infeasible)
     u = np.asarray(u_rows, dtype=float)
     if u.ndim != 2:

@@ -2,17 +2,18 @@
 
 Sample CSV: first line is a comma-separated header of variable names,
 subsequent lines are decimal numbers ('.' separator, no thousands
-separators, UTF-8). Interval file: one `name,lower,upper` line per
-variable. Correlation file: a headerless square matrix of numbers, one
-row per line. Blank lines are skipped everywhere, and a bad cell names
-its line (and its column or field).
+separators). Interval file: one `name,lower,upper` line per variable.
+Correlation file: a headerless square matrix of numbers, one row per
+line. Every file is UTF-8, a leading byte-order mark skipped; blank lines
+are skipped everywhere, and a bad cell names its line (and its column or
+field).
 """
 
 from __future__ import annotations
 
 import csv
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, TextIO
 
 import numpy as np
 
@@ -28,9 +29,15 @@ def _parse_number(text: str, line: int, field: str) -> float:
         raise ParseError(f"cannot parse number '{text}'", line=line, field=field) from None
 
 
+def _open(path: str | Path) -> TextIO:
+    """path opened for csv (newline=""), as UTF-8 less a leading byte-order
+    mark, which Excel's "CSV UTF-8" writes: every reader opens its file here."""
+    return Path(path).open(newline="", encoding="utf-8-sig")
+
+
 def _records(path: str | Path) -> Iterator[tuple[int, list[str]]]:
     """(1-based line number, cells) of every non-blank CSV record."""
-    with Path(path).open(newline="", encoding="utf-8") as fh:
+    with _open(path) as fh:
         for lineno, record in enumerate(csv.reader(fh), start=1):
             if any(map(str.strip, record)):
                 yield lineno, record
@@ -51,7 +58,7 @@ def _plain_samples(path: str | Path) -> SampleSet | None:
     and every entry is finite: there it holds the walk's rows, bit for
     bit."""
     try:
-        with Path(path).open(newline="", encoding="utf-8") as fh:
+        with _open(path) as fh:
             text = fh.read()
     except UnicodeDecodeError:  # the walk raises it, or an error before it
         return None

@@ -54,7 +54,7 @@ _T = TypeVar("_T")
 
 @dataclass(frozen=True, slots=True)
 class Interval:
-    """Closed interval [lower, upper] with positive radius."""
+    """Closed interval [lower, upper] with positive, finite width and midpoint."""
 
     lower: float
     upper: float
@@ -64,6 +64,10 @@ class Interval:
             raise DegenerateInterval(f"non-finite interval bounds [{self.lower}, {self.upper}]")
         if not self.lower < self.upper:
             raise DegenerateInterval(f"interval [{self.lower}, {self.upper}] has zero or negative width")
+        if not (math.isfinite(self.upper - self.lower) and math.isfinite(self.lower + self.upper)):
+            raise DegenerateInterval(
+                f"interval [{self.lower}, {self.upper}] has a width or midpoint beyond float range"
+            )
 
     @property
     def midpoint(self) -> float:

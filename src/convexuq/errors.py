@@ -62,14 +62,6 @@ class InfeasibleFit(InputError):
         self.gap = gap
 
 
-class MissingPair(InputError):
-    """A pairwise coefficient required for matrix assembly is absent."""
-
-
-class DuplicatePair(InputError):
-    """A pairwise coefficient was supplied more than once."""
-
-
 class NotPositiveDefinite(NumericError):
     """Matrix fails the positive-definiteness requirement."""
 

@@ -76,16 +76,6 @@ class AssessmentReport:
     nu_bar: float
     excluded: tuple[int, ...]  # 0-based sample row indices outside the domain
 
-    def to_dict(self) -> dict:
-        return {
-            "enclosed": self.enclosed,
-            "total": self.total,
-            "kappa": self.kappa,
-            "nu": self.nu,
-            "nu_bar": self.nu_bar,
-            "excluded": list(self.excluded),
-        }
-
 
 @dataclass(frozen=True)
 class ConvexModel:

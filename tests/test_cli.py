@@ -129,6 +129,34 @@ def test_build_refuses_model_enclosing_no_sample(tmp_path, data_dir, capsys):
     assert not out.exists()
 
 
+def test_build_pd_repair_reports_the_repair(tmp_path, capsys):
+    """Three samples whose MP-II(CCC) matrix is indefinite (lambda_min
+    -0.273): the repaired model still encloses the sample (0.3, 0.3, 0),
+    so it is written, and the build prints what the repair changed."""
+    samples, intervals = tmp_path / "s.csv", tmp_path / "iv.csv"
+    samples.write_text("a,b,c\n-0.5,-0.6,0.4\n-0.3,0.3,0.8\n0.3,0.3,0\n", encoding="utf-8")
+    intervals.write_text("a,-1,1\nb,-1,1\nc,-1,1\n", encoding="utf-8")
+    out = tmp_path / "m.json"
+    args = [
+        "build",
+        "--samples", str(samples),
+        "--intervals", str(intervals),
+        "--variant", "mp2",
+        "--method", "ccc",
+        "--out", str(out),
+    ]
+    assert main(args) == 3
+    assert capsys.readouterr().err == "error: smallest eigenvalue -2.733e-01 below 1e-08\n"
+    assert main(args + ["--pd", "repair"]) == 0
+    text = capsys.readouterr().out
+    assert re.search(
+        r"^repaired: lambda_min was -2\.733e-01, largest entry change \d\.\d{3}e-\d\d$",
+        text,
+        re.MULTILINE,
+    )
+    assert cq.fitness(cq.load_model(out), cq.read_samples_csv(samples)).enclosed >= 1
+
+
 def test_build_strict_pd_exits_3_unprefixed(tmp_path, data_dir, capsys):
     """geotech ME(CCC) under the default --pd strict is indefinite: the
     NumericError leaves the positive-definiteness stage without a stage
@@ -169,6 +197,32 @@ def test_assess_prints_counts_and_json(built_me, tmp_path, data_dir, capsys):
     doc = json.loads(report_path.read_text())
     assert doc["total"] == 20
     assert doc["enclosed"] == doc["total"] - len(doc["excluded"])
+
+
+def test_assess_of_a_model_enclosing_every_sample_excludes_none(tmp_path, data_dir, capsys):
+    """The standard set's ME(SCC) model encloses all 20 samples."""
+    model, report_path = tmp_path / "m.json", tmp_path / "report.json"
+    samples = str(data_dir / "standard_samples.csv")
+    intervals = str(data_dir / "standard_intervals.csv")
+    assert main(
+        [
+            "build",
+            "--samples", samples,
+            "--intervals", intervals,
+            "--variant", "me",
+            "--method", "scc",
+            "--out", str(model),
+        ]
+    ) == 0
+    capsys.readouterr()
+    code = main(
+        ["assess", "--model", str(model), "--samples", samples, "--json", str(report_path)]
+    )
+    assert code == 0
+    text = capsys.readouterr().out
+    assert "kappa = 20/20\n" in text
+    assert "excluded sample rows (1-based): none\n" in text
+    assert json.loads(report_path.read_text())["excluded"] == []
 
 
 def test_assess_prints_library_warning_on_stdout(tmp_path, data_dir, capsys):
@@ -299,6 +353,16 @@ def test_sample_round_trips_through_reader(built_me, tmp_path, capsys):
     assert drawn.names == ("u1", "u2", "u3")
     model = cq.load_model(built_me)
     assert np.all(cq.membership_values(model, drawn.rows) <= 1.0 + 1e-6)
+
+
+def test_sample_refuses_a_count_below_one(built_me, tmp_path, capsys):
+    out = tmp_path / "draws.csv"
+    code = main(
+        ["sample", "--model", str(built_me), "--n", "0", "--seed", "1", "--out", str(out)]
+    )
+    assert code == 2
+    assert capsys.readouterr().err == "error: sample count must be at least 1\n"
+    assert not out.exists()
 
 
 def test_sample_repeat_is_byte_identical(built_me, tmp_path, capsys):
@@ -446,3 +510,13 @@ def test_reliability_bad_binding_exits_2(unit_box_model, tmp_path, capsys):
         ["reliability", "--model", str(unit_box_model), "--g", str(g_file), "--bind", "Sx"]
     )
     assert code == 2
+
+
+def test_reliability_non_numeric_binding_exits_2(unit_box_model, tmp_path, capsys):
+    g_file = tmp_path / "g.txt"
+    g_file.write_text("x1 - S", encoding="utf-8")
+    code = main(
+        ["reliability", "--model", str(unit_box_model), "--g", str(g_file), "--bind", "S=abc"]
+    )
+    assert code == 2
+    assert capsys.readouterr().err == "error: binding 'S=abc' has a non-numeric value\n"

@@ -16,7 +16,6 @@ from convexuq.correlation import (
     _GRID,
     _GRID_STEP,
     R_CLAMP,
-    _REFINE_TOL,
     _TIE_TOL,
     _mp_intervals,
     scc,
@@ -25,9 +24,7 @@ from convexuq.domain import BLOCK_ROWS
 from convexuq.errors import (
     DegenerateData,
     DimensionMismatch,
-    DuplicatePair,
     InfeasibleFit,
-    MissingPair,
     NotPositiveDefinite,
     ZeroDeviation,
 )
@@ -374,9 +371,10 @@ def test_ccc_tie_breaks_with_scc_sign():
 
 def _refine_boundary(variant, u, r_feas, r_infeas):
     """Bisect one end of the feasible set between a feasible and an
-    infeasible r, one r per call; returns the feasible end."""
+    infeasible r, one r per call, until they are within 1e-7; returns the
+    feasible end. The library halves a fixed number of times instead."""
     for _ in range(64):
-        if abs(r_infeas - r_feas) <= _REFINE_TOL:
+        if abs(r_infeas - r_feas) <= 1e-7:
             break
         mid = (r_feas + r_infeas) / 2.0
         if bool(_full_set_feasible(variant, np.array([mid]), u)[0]):
@@ -384,6 +382,11 @@ def _refine_boundary(variant, u, r_feas, r_infeas):
         else:
             r_infeas = mid
     return r_feas
+
+
+def _peaks(u):
+    """Each column's largest |entry|, as the fit hands it to _mp_bounds."""
+    return np.abs(u).max(axis=0)
 
 
 def _full_set_mp_interval(variant, u):
@@ -508,7 +511,8 @@ def test_mp_ccc_exact_bounds_replay_is_bit_identical(variant, u):
     r_neg, r_pos = _full_set_mp_interval(variant, u)
     # the matrix fit runs a UTriMP pair (i, j) as LTriMP on (j, i)
     fitted, pair = (V.LTRI, [(1, 0)]) if variant is V.UTRI else (variant, [(0, 1)])
-    assert [a.tolist() for a in _mp_intervals(fitted, u, pair)] == [[r_neg], [r_pos]]
+    got = _mp_intervals(fitted, u, pair, _peaks(u))
+    assert [a.tolist() for a in got] == [[r_neg], [r_pos]]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateData)
         assert _pair_ccc(variant, u) == _pick_extreme(r_neg, r_pos, u)
@@ -526,7 +530,7 @@ def test_mp_bounds_settle_points_as_the_float_test_does(variant, u):
     side's inner interval (less the slack) passes the float test on all
     samples, and every r outside the outer interval fails it."""
     index = np.array([0])
-    lo, hi = correlation._mp_bounds(variant, u, index, index + 1)
+    lo, hi = correlation._mp_bounds(variant, u, index, index + 1, _peaks(u))
     r = np.concatenate([_GRID, np.linspace(-R_CLAMP, R_CLAMP, 6007)])
     r = r[r != 0.0]
     rho, side = correlation._mp_rho(variant, r), (r > 0).astype(int)
@@ -789,8 +793,9 @@ def test_scc_finish_is_the_per_pair_finish(u):
 def test_mp_matrix_fit_work_does_not_grow_with_pairs(variant, monkeypatch):
     """The exact kernel settles nearly every point: the float fallback
     carries at most 2% of the bisection's (pair, r) tests, in at most one
-    call for the grid and one per bisection step, so its calls stay within
-    1 + 64 for 6 pairs, 28 or 435."""
+    call for the grid and one per halving, so its calls stay within
+    1 + _HALVINGS for 6 pairs, 28 or 435. With every end at the clamp
+    (one sample at the origin) nothing is bisected."""
     rng = np.random.Generator(np.random.Philox(key=19))
     wider = rng.uniform(-0.95, 0.95, size=(40, 8))
     small = _fit_work(variant, wider[:, :4], monkeypatch)
@@ -798,8 +803,10 @@ def test_mp_matrix_fit_work_does_not_grow_with_pairs(variant, monkeypatch):
     loads = np.random.Generator(np.random.Philox(key=29)).uniform(-0.9, 0.9, size=30)
     wide = _fit_work(variant, _copula(29, 200, loads), monkeypatch)
     for work in (small, large, wide):
-        assert work["calls"] <= 1 + work["steps"] <= 1 + 64
+        assert work["steps"] == correlation._HALVINGS
+        assert work["calls"] <= 1 + work["steps"]
         assert work["fallback"] <= 0.02 * work["bisection"]
+    assert _fit_work(variant, np.zeros((1, 3)), monkeypatch)["steps"] == 0
 
 
 def _peak_bytes(fit):
@@ -819,10 +826,11 @@ def test_mp_fit_memory_is_bounded_without_a_2d_hull():
     rng = np.random.Generator(np.random.Philox(key=23))
     t = rng.uniform(-1.0, 1.0, size=400_000)
     collinear = np.column_stack([t, 0.5 * t + 0.25])
-    index = np.array([0])
-    lo, hi = correlation._mp_bounds(V.MP2, collinear, index, index + 1)
+    index, peak = np.array([0]), _peaks(collinear)
+    lo, hi = correlation._mp_bounds(V.MP2, collinear, index, index + 1, peak)
     assert np.all(lo <= hi)
-    assert _peak_bytes(lambda: correlation._mp_bounds(V.MP2, collinear, index, index + 1)) < 2e6
+    bounds = correlation._mp_bounds
+    assert _peak_bytes(lambda: bounds(V.MP2, collinear, index, index + 1, peak)) < 2e6
     assert _peak_bytes(lambda: _pair_ccc(V.MP2, collinear[:5000])) < 2e6
     u = np.column_stack([collinear[:5000], rng.uniform(-1.0, 1.0, size=(5000, 2))])
     assert _peak_bytes(lambda: cq.fit_correlation_matrix("ccc", V.MP2, u)) < 2e6
@@ -938,13 +946,37 @@ def test_scc_of_exactly_one_is_clamped():
     assert messages == ["SCC of pair (0, 1) is exactly ±1; clamped"]
 
 
-def test_assemble_checks_pairs():
-    with pytest.raises(MissingPair):
-        cq.assemble_correlation_matrix([(0, 1, 0.5)], 3, "scc")
-    with pytest.raises(DuplicatePair):
-        cq.assemble_correlation_matrix(
-            [(0, 1, 0.5), (0, 1, 0.4), (0, 2, 0.1), (1, 2, 0.2)], 3, "scc"
-        )
+@pytest.mark.parametrize(
+    "entries, error, message",
+    [
+        (np.eye(3)[:2], DimensionMismatch, "must be square"),
+        ([[1.0, np.nan], [np.nan, 1.0]], ValueError, "non-finite correlation entries"),
+        ([[1.0, 0.5], [0.4, 1.0]], ValueError, "not symmetric within 1e-12"),
+        ([[1.0, 0.5], [0.5, 0.9]], ValueError, "diagonal must be exactly 1"),
+        ([[1.0, -1.0], [-1.0, 1.0]], ValueError, "magnitude must be < 1"),
+    ],
+)
+def test_correlation_matrix_refuses_an_invalid_matrix(entries, error, message):
+    """The one way to hand the library a full matrix checks it."""
+    with pytest.raises(error, match=message):
+        cq.CorrelationMatrix(entries=np.array(entries), method="scc")
+
+
+def test_scc_refuses_columns_of_another_shape():
+    for x_i, x_j in ((np.zeros(3), np.zeros(4)), (np.zeros((3, 1)), np.zeros((3, 1)))):
+        with pytest.raises(DimensionMismatch, match="1-D and equal length"):
+            scc(x_i, x_j)
+
+
+def test_fit_matrix_refuses_rows_that_are_not_2d():
+    with pytest.raises(DimensionMismatch, match=r"u_rows must be 2-D, got shape \(4,\)"):
+        cq.fit_correlation_matrix("ccc", V.ME, np.full(4, 0.5))
+
+
+def test_ensure_pd_refuses_an_unknown_policy():
+    R = cq.CorrelationMatrix(entries=np.eye(2), method="scc")
+    with pytest.raises(ValueError, match="policy must be 'strict' or 'repair', got 'clip'"):
+        cq.ensure_positive_definite(R, policy="clip")
 
 
 def test_ensure_pd_strict_raises():

@@ -62,12 +62,48 @@ def test_read_samples_header_only(tmp_path):
         cq.read_samples_csv(path)
 
 
+@pytest.mark.parametrize("name", ["standard", "beam", "geotech"])
+def test_read_samples_skips_a_byte_order_mark(tmp_path, data_dir, name):
+    """A copy that starts with a UTF-8 byte-order mark, as Excel's "CSV
+    UTF-8" writes, reads as the bundled file, bit for bit: the plain copy
+    in one call, the quoted copy (its header names in quotes) on the walk."""
+    text = (data_dir / f"{name}_samples.csv").read_text(encoding="utf-8")
+    header, body = text.split("\n", 1)
+    quoted = ",".join(f'"{cell}"' for cell in header.split(",")) + "\n" + body
+    expected = _read_outcome(cq.read_samples_csv, data_dir / f"{name}_samples.csv")
+    for copy in (text, quoted):
+        path = tmp_path / "s.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + copy.encode("utf-8"))
+        assert (dataio._plain_samples(path) is None) == (copy is quoted)
+        assert _read_outcome(cq.read_samples_csv, path) == expected
+
+
+def test_read_intervals_and_matrix_skip_a_byte_order_mark(tmp_path, data_dir):
+    path = tmp_path / "iv.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + (data_dir / "beam_intervals.csv").read_bytes())
+    assert cq.read_intervals_csv(path) == cq.read_intervals_csv(data_dir / "beam_intervals.csv")
+    path.write_bytes(b"\xef\xbb\xbf1,0.5\n0.5,1\n")
+    np.testing.assert_array_equal(read_matrix_csv(path), [[1.0, 0.5], [0.5, 1.0]])
+
+
 def test_read_intervals(tmp_path):
     path = tmp_path / "iv.csv"
     path.write_text("a,0,4\nb,-3,1\n")
     spec = cq.read_intervals_csv(path)
     assert spec.names == ("a", "b")
     np.testing.assert_allclose(spec.midpoints, [2.0, -1.0])
+
+
+@pytest.mark.parametrize(
+    "text, message, line",
+    [("a,0,1\n , -1, 1\n", "blank variable name", 2), ("\n ,, \n", "interval file is empty", 1)],
+)
+def test_read_intervals_refuses_a_blank_name_and_an_empty_file(tmp_path, text, message, line):
+    path = tmp_path / "iv.csv"
+    path.write_text(text)
+    with pytest.raises(ParseError, match=message) as exc:
+        cq.read_intervals_csv(path)
+    assert exc.value.line == line
 
 
 def test_read_intervals_bad_field_count(tmp_path):

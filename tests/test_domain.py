@@ -28,9 +28,48 @@ def test_interval_rejects_degenerate():
         cq.Interval(0.0, float("inf"))
 
 
+@pytest.mark.parametrize("lower, upper", [(-1e308, 1e308), (1e308, 1.7e308), (-1.7e308, -1e308)])
+def test_interval_refuses_a_width_or_midpoint_beyond_float_range(lower, upper):
+    """Finite bounds whose width or midpoint overflows would give a model
+    of nan; the interval is refused, also through make_marginal_spec."""
+    with pytest.raises(DegenerateInterval, match="beyond float range"):
+        cq.Interval(lower, upper)
+    with pytest.raises(DegenerateInterval, match="beyond float range"):
+        cq.make_marginal_spec([("a", 0.0, 1.0), ("b", lower, upper)])
+
+
 def test_spec_rejects_duplicate_names():
     with pytest.raises(DuplicateName):
         cq.make_marginal_spec([("a", 0, 1), ("a", 0, 2)])
+
+
+@pytest.mark.parametrize(
+    "names, count, error, message",
+    [
+        ((), 0, DegenerateInterval, "needs at least one variable"),
+        (("a", "b"), 1, DimensionMismatch, "2 names but 1 intervals"),
+        (("a", ""), 2, DuplicateName, "empty variable name"),
+    ],
+)
+def test_spec_refuses_inconsistent_fields(names, count, error, message):
+    with pytest.raises(error, match=message):
+        cq.MarginalSpec(names=names, intervals=(cq.Interval(0.0, 1.0),) * count)
+
+
+@pytest.mark.parametrize(
+    "names, rows, error, message",
+    [
+        (("a",), np.zeros(3), DimensionMismatch, "must be 2-D"),
+        (("a",), np.zeros((0, 1)), DimensionMismatch, "empty sample matrix"),
+        (("a", "b"), np.zeros((2, 3)), DimensionMismatch, "2 names but 3 sample columns"),
+        (("a", "b"), np.array([[0.0, np.inf]]), ValueError, "non-finite entries"),
+        (("a", "a"), np.zeros((2, 2)), DuplicateName, "duplicate sample column name 'a'"),
+        (("a", ""), np.zeros((2, 2)), DuplicateName, "empty sample column name"),
+    ],
+)
+def test_sampleset_refuses_inconsistent_fields(names, rows, error, message):
+    with pytest.raises(error, match=message):
+        cq.SampleSet(names=names, rows=rows)
 
 
 def test_spec_vectors():

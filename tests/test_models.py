@@ -189,7 +189,7 @@ def test_fitness_counts_and_excluded(spec2):
     assert report.kappa == pytest.approx(0.5)
     assert report.excluded == (2, 3)
     assert report.nu == pytest.approx(math.pi / 4.0)
-    round_trip = json.loads(json.dumps(report.to_dict()))
+    round_trip = json.loads(json.dumps(dataclasses.asdict(report)))
     assert round_trip["excluded"] == [2, 3]
 
 
@@ -351,6 +351,17 @@ def test_deserialize_refuses_self_contradicting_docs(mutate, field):
     with pytest.raises(ParseError) as exc:
         cq.deserialize(json.dumps(doc))
     assert exc.value.field == field
+
+
+@pytest.mark.parametrize("lower, upper", [(-1e308, 1e308), (1e308, 1.7e308)])
+def test_deserialize_refuses_an_interval_beyond_float_range(lower, upper):
+    """Finite bounds whose width or midpoint overflows: refused on lower,
+    where a model of nan would otherwise load."""
+    doc = loadable_doc("me")
+    doc["lower"][0], doc["upper"][0] = lower, upper
+    with pytest.raises(ParseError, match="beyond float range") as exc:
+        cq.deserialize(json.dumps(doc))
+    assert exc.value.field == "lower"
 
 
 @pytest.mark.parametrize(

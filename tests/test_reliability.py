@@ -14,7 +14,7 @@ from scipy.optimize import brentq, minimize
 import convexuq as cq
 from convexuq import ModelVariant as V
 from convexuq import reliability
-from convexuq.errors import EvaluationError, NoSurfaceFound, UnboundVariable
+from convexuq.errors import DimensionMismatch, EvaluationError, NoSurfaceFound, UnboundVariable
 from convexuq.expr import LimitState
 from convexuq.reliability import default_norm
 
@@ -45,6 +45,18 @@ def test_delta_round_trip(variant):
         delta = rng.uniform(-1.5, 1.5, size=3)
         back = cq.to_delta(model, cq.from_delta(model, delta))
         np.testing.assert_allclose(back, delta, atol=1e-10)
+
+
+def test_delta_maps_refuse_a_wrong_length():
+    """to_delta takes one point of length n; from_delta any (..., n) stack,
+    but not a scalar."""
+    model = make_model(V.ME)
+    for x in (np.zeros(2), np.zeros((2, 3)), 0.0):
+        with pytest.raises(DimensionMismatch, match="expected point of length 3"):
+            cq.to_delta(model, x)
+    for delta in (np.zeros(4), np.zeros((5, 2)), 0.0):
+        with pytest.raises(DimensionMismatch, match="expected vectors of length 3"):
+            cq.from_delta(model, delta)
 
 
 def test_delta_norm_matches_membership():
