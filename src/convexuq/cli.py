@@ -26,7 +26,13 @@ from .correlation import (
     ensure_positive_definite,
     fit_correlation_matrix,
 )
-from .dataio import read_intervals_csv, read_matrix_csv, read_samples_csv, write_samples_csv
+from .dataio import (
+    read_intervals_csv,
+    read_matrix_csv,
+    read_samples_csv,
+    read_text,
+    write_samples_csv,
+)
 from .domain import regularize
 from .errors import ConvexUQError, IndexOutOfRange, InputError, NumericError
 from .expr import parse_limit_state
@@ -197,8 +203,7 @@ def cmd_reliability(args: argparse.Namespace) -> int:
     with _stage("model load"):
         model = load_model(args.model)
     with _stage("limit state"):
-        source = Path(args.g).read_text(encoding="utf-8")
-        g = parse_limit_state(source)
+        g = parse_limit_state(read_text(args.g))
     bindings = _parse_bindings(args.bind or [])
     norm = {None: None, "2": "euclidean", "inf": "infinity"}[args.norm]
     options = ReliabilityOptions(bindings=bindings, norm=norm, seed=args.seed)

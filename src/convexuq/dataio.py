@@ -4,16 +4,21 @@ Sample CSV: first line is a comma-separated header of variable names,
 subsequent lines are decimal numbers ('.' separator, no thousands
 separators). Interval file: one `name,lower,upper` line per variable.
 Correlation file: a headerless square matrix of numbers, one row per
-line. Every file is UTF-8, a leading byte-order mark skipped; blank lines
-are skipped everywhere, and a bad cell names its line (and its column or
-field).
+line. Blank lines are skipped everywhere, and a bad cell names its line
+(and its column or field).
+
+Every file the library and the CLI read, model files and limit states
+included, is decoded by `read_text`: UTF-8, a leading byte-order mark
+skipped, and a byte that is not UTF-8 raises ParseError with its 1-based
+line.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 from pathlib import Path
-from typing import Iterator, TextIO
+from typing import Iterator
 
 import numpy as np
 
@@ -29,18 +34,28 @@ def _parse_number(text: str, line: int, field: str) -> float:
         raise ParseError(f"cannot parse number '{text}'", line=line, field=field) from None
 
 
-def _open(path: str | Path) -> TextIO:
-    """path opened for csv (newline=""), as UTF-8 less a leading byte-order
-    mark, which Excel's "CSV UTF-8" writes: every reader opens its file here."""
-    return Path(path).open(newline="", encoding="utf-8-sig")
+def read_text(path: str | Path, newline: str | None = None) -> str:
+    """The text of the file at `path`: UTF-8 less a leading byte-order
+    mark, which Excel's "CSV UTF-8" writes, its line ends translated to
+    \\n as `open` does, or kept where newline="" (as csv needs). A byte
+    that is not UTF-8 raises ParseError with its line, counted at \\r\\n,
+    \\r and \\n: every file read goes through here."""
+    data = Path(path).read_bytes().removeprefix(b"\xef\xbb\xbf")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start]
+        line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+        raise ParseError(f"byte {data[exc.start]:#04x} is not UTF-8", line=line) from None
+    return text if newline == "" else text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _records(path: str | Path) -> Iterator[tuple[int, list[str]]]:
     """(1-based line number, cells) of every non-blank CSV record."""
-    with _open(path) as fh:
-        for lineno, record in enumerate(csv.reader(fh), start=1):
-            if any(map(str.strip, record)):
-                yield lineno, record
+    text = io.StringIO(read_text(path, newline=""), newline="")
+    for lineno, record in enumerate(csv.reader(text), start=1):
+        if any(map(str.strip, record)):
+            yield lineno, record
 
 
 def _plain_samples(path: str | Path) -> SampleSet | None:
@@ -57,14 +72,10 @@ def _plain_samples(path: str | Path) -> SampleSet | None:
     non-blank names and a later line is not empty, loadtxt raises nothing,
     and every entry is finite: there it holds the walk's rows, bit for
     bit."""
-    try:
-        with _open(path) as fh:
-            text = fh.read()
-    except UnicodeDecodeError:  # the walk raises it, or an error before it
-        return None
+    text = read_text(path)
     if '"' in text:
         return None
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    lines = text.split("\n")
     # a line past csv's field limit may hold a field that the walk refuses
     if max(map(len, lines)) > csv.field_size_limit():
         return None

@@ -26,6 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .correlation import EPS_PD, ESTIMATORS, MEMBERSHIP_TOL, CorrelationMatrix, ModelVariant
+from .dataio import read_text
 from .domain import (
     Interval,
     MarginalSpec,
@@ -199,24 +200,21 @@ def _quadratic_form(
 
 
 def centred_membership(
-    model: ConvexModel,
-    centred: np.ndarray,
-    out: np.ndarray | None = None,
-    product: np.ndarray | None = None,
+    model: ConvexModel, centred: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
     """The membership kernel, in the calling thread: the defining-inequality
     value of each row of `centred`, points less the midpoints in a C-ordered
-    block (a Fortran-ordered one's MP product can round otherwise). MP forms
-    its rows×n product in `product` where one is given. A row holding ±inf
-    or nan, or whose value overflows, may give inf or nan under the
-    caller's `np.errstate`."""
+    block (a Fortran-ordered one's MP product can round otherwise). MP
+    allocates its rows×n product itself. A row holding ±inf or nan, or
+    whose value overflows, may give inf or nan under the caller's
+    `np.errstate`."""
     if model.variant is ModelVariant.ME:
         return _quadratic_form(centred, model.characteristic, out)
     # the reference's row-wise product, whose bits, unlike those of the
     # transposed product, do not depend on the BLAS's thread count; each
     # row's largest magnitude taken column by column gives the bits, nan
     # included, of np.max(|centred @ characteristicᵀ|, axis=1)
-    product = np.matmul(centred, model.characteristic.T, out=product)
+    product = centred @ model.characteristic.T
     np.abs(product, out=product)
     if out is None:
         out = np.empty(len(product))
@@ -243,14 +241,13 @@ def membership_values(model: ConvexModel, rows: np.ndarray) -> np.ndarray:
     values = np.empty(len(rows))
 
     def fill(group: list[slice]) -> None:
-        centred_buf = np.empty((longest_block(group), model.n))
         # a non-finite coordinate, or a finite one near the float limit,
         # makes its row's value inf or nan, through overflow and the
         # invalid operations inf·0 and inf − inf
         with np.errstate(over="ignore", invalid="ignore"):
             for block in group:
-                out, centred = values[block], centred_buf[: block.stop - block.start]
-                np.subtract(rows[block], model.midpoints, out=centred)
+                out = values[block]
+                centred = np.subtract(rows[block], model.midpoints, order="C")
                 centred_membership(model, centred, out)
                 out[np.isnan(out)] = np.inf
 
@@ -478,4 +475,4 @@ def save_model(path: str | Path, model: ConvexModel) -> None:
 
 
 def load_model(path: str | Path) -> ConvexModel:
-    return deserialize(Path(path).read_text(encoding="utf-8"))
+    return deserialize(read_text(path))

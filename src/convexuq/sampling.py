@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correlation import CorrelationMatrix, ModelVariant, fit_correlation_matrix
-from .domain import as_integer, longest_block, make_marginal_spec, map_groups, row_blocks
+from .domain import as_integer, make_marginal_spec, map_groups, row_blocks
 from .models import MEMBERSHIP_TOL, ConvexModel, build_model, centred_membership
 
 VERDICT_UNBIASED = "unbiased-consistent"
@@ -98,12 +98,9 @@ def sample_uniform(model: ConvexModel, count: int, seed: int) -> np.ndarray:
             # sin value at half + k, which may fall in another block
             lo = (group[0].start * n + 1) // 2
             radius_gen, angle_gen = _stream(seed, lo), _stream(seed, half + lo)
-            radius_buf, angle_buf = np.empty((2, longest_block(group) * n // 2 + 1))
             for block in group:
                 a, b = (block.start * n + 1) // 2, (block.stop * n + 1) // 2
-                radius, angle = radius_buf[: b - a], angle_buf[: b - a]
-                radius_gen.random(out=radius)
-                angle_gen.random(out=angle)
+                radius, angle = radius_gen.random(b - a), angle_gen.random(b - a)
                 np.negative(radius, out=radius)
                 np.log1p(radius, out=radius)  # 1-u1 in (0, 1] keeps the log finite
                 radius *= -2.0
@@ -116,11 +113,9 @@ def sample_uniform(model: ConvexModel, count: int, seed: int) -> np.ndarray:
 
         def draw(group: list[slice]) -> None:
             radial = _stream(seed, 2 * half + group[0].start)
-            longest = longest_block(group)
-            scale_buf, product_buf = np.empty(longest), np.empty((longest, n))
             for block in group:
-                z, scale = x[block], scale_buf[: block.stop - block.start]
-                np.sqrt(np.add.reduce(z * z, axis=1), out=scale)  # np.linalg.norm(z, axis=1)
+                z = x[block]
+                scale = np.sqrt(np.add.reduce(z * z, axis=1))  # np.linalg.norm(z, axis=1)
                 scale[scale == 0.0] = 1.0
                 z /= scale[:, None]
                 radial.random(out=scale)
@@ -130,9 +125,7 @@ def sample_uniform(model: ConvexModel, count: int, seed: int) -> np.ndarray:
             # back: a BLAS that runs threads of its own keeps them spinning
             # between its calls, which the work above would stretch
             for block in group:
-                product = product_buf[: block.stop - block.start]
-                np.matmul(x[block], model.factor.T, out=product)
-                np.multiply(product, model.radii, out=x[block])
+                np.multiply(x[block] @ model.factor.T, model.radii, out=x[block])
                 x[block] += model.midpoints
 
         map_groups(row_blocks(count), normals, count * n)
@@ -142,15 +135,12 @@ def sample_uniform(model: ConvexModel, count: int, seed: int) -> np.ndarray:
 
         def draw(group: list[slice]) -> None:
             gen = _stream(seed, group[0].start * n)
-            delta_buf = np.empty((longest_block(group), n))
             for block in group:
-                delta = delta_buf[: block.stop - block.start]
-                gen.random(out=delta)
+                delta = gen.random((block.stop - block.start, n))
                 delta *= 2.0
                 delta -= 1.0
-                out = x[block]
-                np.matmul(delta, linear, out=out)
-                out += model.midpoints
+                np.matmul(delta, linear, out=x[block])
+                x[block] += model.midpoints
 
     map_groups(row_blocks(count), draw, count * n)
     return x
@@ -168,15 +158,10 @@ def mc_volume(model: ConvexModel, count: int, seed: int) -> tuple[float, float]:
 
     def count_hits(group: list[slice]) -> int:
         gen = _stream(seed, group[0].start * n)
-        longest = longest_block(group)
-        draws_buf, values_buf = np.empty((longest, n)), np.empty(longest)
-        product_buf = None if model.variant is ModelVariant.ME else np.empty(n * longest)
         hits = 0
         with np.errstate(over="ignore", invalid="ignore"):  # nan is no hit
             for block in group:
-                rows = block.stop - block.start
-                draws = draws_buf[:rows]
-                gen.random(out=draws)
+                draws = gen.random((block.stop - block.start, n))
                 draws *= 2.0
                 draws -= 1.0
                 draws *= model.radii
@@ -184,8 +169,7 @@ def mc_volume(model: ConvexModel, count: int, seed: int) -> tuple[float, float]:
                 # centred in place: the draw less its midpoints is not the
                 # unshifted deviate in floating point
                 draws -= model.midpoints
-                product = None if product_buf is None else product_buf[: n * rows].reshape(rows, n)
-                values = centred_membership(model, draws, values_buf[:rows], product)
+                values = centred_membership(model, draws)
                 hits += int(np.count_nonzero(values <= 1.0 + MEMBERSHIP_TOL))
         return hits
 

@@ -469,6 +469,19 @@ def test_reliability_reports_index(unit_box_model, tmp_path, capsys):
     assert re.search(r"^evaluations = \d+$", text, re.MULTILINE)
 
 
+def test_reliability_reads_a_limit_state_with_a_byte_order_mark(unit_box_model, tmp_path, capsys):
+    """A limit state that starts with a UTF-8 byte-order mark gives the
+    report of the same text without it."""
+    reports = []
+    for bom in (b"", b"\xef\xbb\xbf"):
+        g_file = tmp_path / "g.txt"
+        g_file.write_bytes(bom + b"x1 - 6.5\n")
+        assert main(["reliability", "--model", str(unit_box_model), "--g", str(g_file)]) == 0
+        reports.append(capsys.readouterr().out)
+    assert "eta = 0.500000" in reports[0]
+    assert reports[1] == reports[0]
+
+
 def test_reliability_binds_constants(unit_box_model, tmp_path, capsys):
     g_file = tmp_path / "g.txt"
     g_file.write_text("x1 - S", encoding="utf-8")

@@ -525,6 +525,10 @@ def test_mp_ccc_exact_bounds_replay_is_bit_identical(variant, u):
 @example(variant=V.LTRI, u=np.array([[1.0, -1.0], [1.0, 1.0], [0.0, -1.0]]))
 # entries in the slack band beyond 1: no inner interval
 @example(variant=V.MP2, u=np.array([[1.0 + 5e-10, 0.3], [-0.2, -1.0 - 1e-9]]))
+# both entries of a row in that band on one side: the inner interval's
+# min(a, b)/max(a, b) of two negatives is at least 1 there, a bound that
+# never binds for a row that no rho encloses
+@example(variant=V.MP1, u=np.array([[1.0 + 9e-10, 1.0 + 1e-10], [0.2, -0.3], [-0.5, -0.4]]))
 def test_mp_bounds_settle_points_as_the_float_test_does(variant, u):
     """On the grid and a denser scan, every r whose rho lies inside its
     side's inner interval (less the slack) passes the float test on all
@@ -879,13 +883,17 @@ def test_ccc_clamp_warns():
     assert fitted == pytest.approx(R_CLAMP)
 
 
-@pytest.mark.parametrize("variant", [V.ME, V.MP2], ids=lambda v: v.value)
+@pytest.mark.parametrize("variant", list(V), ids=lambda v: v.value)
 def test_ccc_fit_refuses_nan(variant):
     """nan fails the [-1, 1] box check instead of passing it: ME would
-    return nan, and the MP fits would test nan as a sample."""
+    return nan, and the MP fits would test nan as a sample. Rows with no
+    sample at all, whose column peaks numpy cannot take, are refused
+    before that check."""
     u = np.array([[np.nan, 0.2], [0.3, 0.1], [-0.5, 0.4]])
     with pytest.raises(ValueError, match=r"must lie in \[-1, 1\]"):
         _pair_ccc(variant, u)
+    with pytest.raises(DimensionMismatch, match="need at least one sample pair"):
+        cq.fit_correlation_matrix("ccc", variant, np.empty((0, 3)))
 
 
 @pytest.mark.parametrize("variant", [None, "me", "mp2"])

@@ -86,6 +86,24 @@ def test_read_intervals_and_matrix_skip_a_byte_order_mark(tmp_path, data_dir):
     np.testing.assert_array_equal(read_matrix_csv(path), [[1.0, 0.5], [0.5, 1.0]])
 
 
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_a_byte_that_is_not_utf8_names_its_line(tmp_path, end):
+    """A Latin-1 byte on line 3 raises ParseError with line 3, whatever the
+    line ends, after a byte-order mark or not: on the sample file's
+    one-call path and on its row walk, and in an interval file."""
+    path = tmp_path / "s.csv"
+    for bom in (b"", b"\xef\xbb\xbf"):
+        path.write_bytes(bom + end.join(["a,b", "1,2", "3,4\xe9", "5,6"]).encode("latin-1"))
+        for read in (cq.read_samples_csv, _walk):
+            with pytest.raises(ParseError, match="byte 0xe9 is not UTF-8") as exc:
+                read(path)
+            assert exc.value.line == 3
+    path.write_bytes(end.join(["a,0,1", "b,0,1", "c\xe9,0,1"]).encode("latin-1"))
+    with pytest.raises(ParseError) as exc:
+        cq.read_intervals_csv(path)
+    assert exc.value.line == 3
+
+
 def test_read_intervals(tmp_path):
     path = tmp_path / "iv.csv"
     path.write_text("a,0,4\nb,-3,1\n")

@@ -483,6 +483,17 @@ def test_glasses_fixture_loads(data_dir):
     assert cq.volume_ratio(model)[0] == pytest.approx(0.1403566, abs=1e-7)
 
 
+def test_a_model_file_with_a_byte_order_mark_loads(tmp_path, data_dir):
+    """A copy of a model file that starts with a UTF-8 byte-order mark loads
+    as the file itself, bit for bit."""
+    source = data_dir / "glasses_mp2_model.json"
+    path = tmp_path / "bom.json"
+    path.write_bytes(b"\xef\xbb\xbf" + source.read_bytes())
+    loaded, expected = cq.load_model(path), cq.load_model(source)
+    assert np.array_equal(loaded.R.entries, expected.R.entries)
+    assert np.array_equal(loaded.characteristic, expected.characteristic)
+
+
 BULK_ROWS = (BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 17)
 # thread counts a bulk call is run on: W = min(threads, blocks) groups of
 # blocks

@@ -1,10 +1,16 @@
 """The package's public name list, and what its import loads."""
 
+import importlib.metadata
 import inspect
 import os
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
+
+from packaging.requirements import Requirement
+from packaging.specifiers import SpecifierSet
+from packaging.version import Version
 
 import convexuq
 
@@ -38,3 +44,29 @@ def test_import_loads_no_scipy():
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
     assert done.stdout.strip() == "[]"
+
+
+def _floor(specifier: SpecifierSet) -> Version:
+    """The version a specifier's `>=` clause sets as its lowest."""
+    (floor,) = [Version(spec.version) for spec in specifier if spec.operator == ">="]
+    return floor
+
+
+def test_declared_floors_meet_the_installed_scipy():
+    """pyproject.toml's Python and numpy floors are no lower than those the
+    installed scipy's own metadata declares, and that scipy meets the
+    declared scipy floor: a floor below scipy's names installs that it
+    refuses."""
+    pyproject = Path(__file__).parents[1] / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]
+    declared = {req.name: req for req in map(Requirement, project["dependencies"])}
+    scipy = importlib.metadata.distribution("scipy")
+    assert scipy.version in declared["scipy"].specifier
+    python_floor = _floor(SpecifierSet(scipy.metadata["Requires-Python"]))
+    assert _floor(SpecifierSet(project["requires-python"])) >= python_floor
+    (numpy,) = [
+        req
+        for req in map(Requirement, scipy.requires)
+        if req.name == "numpy" and req.marker is None
+    ]
+    assert _floor(declared["numpy"].specifier) >= _floor(numpy.specifier)
