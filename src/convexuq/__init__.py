@@ -11,7 +11,6 @@ from .correlation import (
     RepairReport,
     ensure_positive_definite,
     fit_correlation_matrix,
-    scc,
 )
 from .dataio import read_intervals_csv, read_samples_csv, write_samples_csv
 from .domain import (
@@ -19,23 +18,12 @@ from .domain import (
     MarginalSpec,
     RegularizedSamples,
     SampleSet,
-    ValidationReport,
     deregularize,
     make_marginal_spec,
     regularize,
-    validate_samples,
 )
 from .expr import LimitState, parse_limit_state
-from .factorization import (
-    ShapeMatrix,
-    cholesky_lower,
-    core_shape_matrix,
-    eigen_factor,
-    identity_factor,
-    shape_matrix,
-    symmetric_sqrt,
-    upper_factor,
-)
+from .factorization import ShapeMatrix, core_shape_matrix, shape_matrix
 from .models import (
     MEMBERSHIP_TOL,
     AssessmentReport,
@@ -81,9 +69,7 @@ __all__ = [
     "MarginalSpec",
     "SampleSet",
     "RegularizedSamples",
-    "ValidationReport",
     "make_marginal_spec",
-    "validate_samples",
     "regularize",
     "deregularize",
     "read_samples_csv",
@@ -92,15 +78,9 @@ __all__ = [
     "ModelVariant",
     "CorrelationMatrix",
     "RepairReport",
-    "scc",
     "ensure_positive_definite",
     "fit_correlation_matrix",
     "ShapeMatrix",
-    "symmetric_sqrt",
-    "identity_factor",
-    "eigen_factor",
-    "cholesky_lower",
-    "upper_factor",
     "core_shape_matrix",
     "shape_matrix",
     "ConvexModel",

@@ -128,7 +128,7 @@ class CorrelationMatrix:
 
 
 def _scc_columns(u: np.ndarray) -> np.ndarray:
-    """The columns of the sample rows u, ready for scc's dot products, as
+    """The columns of the sample rows u, ready for the SCC dot products, as
     the rows of one C-ordered copy: a dot product over a strided column can
     round differently. The copy runs block by block of `row_blocks`, on the
     block groups (`map_groups`): a block fits in cache, where a pass that
@@ -181,16 +181,16 @@ def _scc_dots(columns: np.ndarray, pairs: list[tuple[int, int]]) -> list[float]:
     return [dot for group in groups for dot in group]
 
 
-def _scc_fits(u: np.ndarray, pairs: list[tuple[int, int]], clamp: bool) -> np.ndarray:
+def _scc_fits(u: np.ndarray, pairs: list[tuple[int, int]]) -> np.ndarray:
     """The SCC of every column pair of u, in the order of pairs: every
     column copied, scaled and self-dotted once (`_scc_columns`,
     `_scc_dots`), then each pair's dot over the square root of its self
     dots' product, clipped to [-1, 1], as one array expression. Those are
     the IEEE operations of one pair at a time, so each value has the bits
-    of the pair's own fit. With clamp, a value exactly ±1 warns with
-    DegenerateData and becomes ±R_CLAMP, so the matrix stays valid. A column
-    at its midpoint raises ZeroDeviation at its first pair, after the
-    warnings of the pairs before it."""
+    of the fit of the pair's two columns alone. A value exactly ±1 warns
+    with DegenerateData and becomes ±R_CLAMP, so the matrix stays valid. A
+    column at its midpoint raises ZeroDeviation at its first pair, after
+    the warnings of the pairs before it."""
     n = u.shape[1]
     dots = np.array(_scc_dots(_scc_columns(u), [(k, k) for k in range(n)] + pairs))
     first, second = np.array(pairs).T
@@ -200,26 +200,13 @@ def _scc_fits(u: np.ndarray, pairs: list[tuple[int, int]], clamp: bool) -> np.nd
     # a zero column's pairs divide by 0; they raise below and are never read
     with np.errstate(divide="ignore", invalid="ignore"):
         values = np.clip(dots[n:] / np.sqrt(norms[first] * norms[second]), -1.0, 1.0)
-    exact = np.flatnonzero(np.abs(values[:stop]) >= 1.0) if clamp else []
+    exact = np.flatnonzero(np.abs(values[:stop]) >= 1.0)
     for k in exact:
         warnings.warn(f"SCC of pair {pairs[k]} is exactly ±1; clamped", DegenerateData)
     if stop < len(pairs):
         raise ZeroDeviation("a column sits identically at its midpoint")
     values[exact] = np.sign(values[exact]) * R_CLAMP
     return values
-
-
-def scc(x_i: np.ndarray, x_j: np.ndarray) -> float:
-    """Sample correlation coefficient of two regularized columns, about
-    their interval midpoint 0. The columns may hold any finite values; a
-    non-finite one raises ValueError. fit_correlation_matrix("scc") goes
-    through the same `_scc_fits`, so its entries are this function's bits."""
-    x_i, x_j = np.asarray(x_i, dtype=float), np.asarray(x_j, dtype=float)
-    if x_i.shape != x_j.shape or x_i.ndim != 1:
-        raise DimensionMismatch(
-            f"columns must be 1-D and equal length, got {x_i.shape} and {x_j.shape}"
-        )
-    return float(_scc_fits(np.stack((x_i, x_j)).T, [(0, 1)], clamp=False)[0])
 
 
 def _mp_shape_2d(variant: ModelVariant, r: np.ndarray) -> np.ndarray:
@@ -617,7 +604,8 @@ def fit_correlation_matrix(
     column and per pair follows (`_scc_dots`); all pairs are then finished
     at once, the dot over the square root of the self dots' product in
     one array expression (`_scc_fits`), the same IEEE operations as one
-    pair's, so every entry is scc's bits on its two columns. Over more
+    pair's, so every entry has the bits of the fit of its two columns
+    alone, `fit_correlation_matrix("scc", None, u[:, (i, j)])`. Over more
     than THREAD_ELEMENTS rows × columns the copy, and over more than
     THREAD_ELEMENTS rows × pairs the dots, run on the block groups
     (`map_groups`); every warning and error comes from the caller's
@@ -639,6 +627,6 @@ def fit_correlation_matrix(
         if method == "ccc":
             values = _ccc_fits(variant, u, pairs, on_infeasible)
         else:
-            values = _scc_fits(u, pairs, clamp=True)
+            values = _scc_fits(u, pairs)
         entries[first, second] = entries[second, first] = values
     return CorrelationMatrix(entries=entries, method=method)

@@ -50,32 +50,32 @@ def read_text(path: str | Path, newline: str | None = None) -> str:
     return text if newline == "" else text.replace("\r\n", "\n").replace("\r", "\n")
 
 
-def _records(path: str | Path) -> Iterator[tuple[int, list[str]]]:
-    """(1-based line number, cells) of every non-blank CSV record."""
-    text = io.StringIO(read_text(path, newline=""), newline="")
-    for lineno, record in enumerate(csv.reader(text), start=1):
+def _records(text: str) -> Iterator[tuple[int, list[str]]]:
+    """(1-based line number, cells) of every non-blank CSV record of text
+    read with newline=""."""
+    for lineno, record in enumerate(csv.reader(io.StringIO(text, newline="")), start=1):
         if any(map(str.strip, record)):
             yield lineno, record
 
 
-def _plain_samples(path: str | Path) -> SampleSet | None:
-    """The sample set of a file whose records are plain, converted in one
-    `np.loadtxt` call; None where the row walk's answer could differ.
+def _plain_samples(text: str) -> SampleSet | None:
+    """The sample set of a file's text (read with newline="") whose records
+    are plain, converted in one `np.loadtxt` call; None where the row
+    walk's answer could differ.
 
-    Unquoted text, read with newline="", ends a csv.reader record at each
-    \\r\\n, \\r and \\n and nowhere else (str.splitlines would also split at
-    \\x0c, \\x1c or \\u2028), and splits it at each comma. numpy's parser
-    strips a cell's whitespace and calls PyOS_string_to_double, as float()
-    does; a cell float() takes and it refuses (`1_0`, non-ASCII digits)
-    raises here. So the result is kept only where the text has no quote
+    Text without quotes ends a csv.reader record at each \\r\\n, \\r and
+    \\n and nowhere else (str.splitlines would also split at \\x0c, \\x1c
+    or \\u2028), and splits it at each comma. numpy's parser strips a
+    cell's whitespace and calls PyOS_string_to_double, as float() does; a
+    cell float() takes and it refuses (`1_0`, non-ASCII digits) raises
+    here. So the result is kept only where the text has no quote
     and no line past csv's field limit, its first line is a header of
     non-blank names and a later line is not empty, loadtxt raises nothing,
     and every entry is finite: there it holds the walk's rows, bit for
     bit."""
-    text = read_text(path)
     if '"' in text:
         return None
-    lines = text.split("\n")
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     # a line past csv's field limit may hold a field that the walk refuses
     if max(map(len, lines)) > csv.field_size_limit():
         return None
@@ -97,11 +97,13 @@ def read_samples_csv(path: str | Path) -> SampleSet:
     records converts in one call (`_plain_samples`), with the bits of the
     row walk. Any other goes through the walk: each row converts with one
     float() per cell, and a row with a bad cell is converted again cell by
-    cell, so the ParseError names its line and column."""
-    plain = _plain_samples(path)
+    cell, so the ParseError names its line and column. The file is read
+    and decoded once, for both."""
+    text = read_text(path, newline="")
+    plain = _plain_samples(text)
     if plain is not None:
         return plain
-    records = _records(path)
+    records = _records(text)
     try:
         header_line, header = next(records)
     except StopIteration:
@@ -139,7 +141,7 @@ def write_samples_csv(path: str | Path, names, rows: np.ndarray) -> None:
 def read_intervals_csv(path: str | Path) -> MarginalSpec:
     """Read a `name,lower,upper` interval file into a MarginalSpec."""
     triples = []
-    for lineno, record in _records(path):
+    for lineno, record in _records(read_text(path, newline="")):
         if len(record) != 3:
             raise ParseError(f"expected 'name,lower,upper', got {len(record)} fields", line=lineno)
         name = record[0].strip()
@@ -158,7 +160,7 @@ def read_matrix_csv(path: str | Path) -> np.ndarray:
     cell's field is its 1-based column."""
     rows = [
         [_parse_number(cell, lineno, f"column {k}") for k, cell in enumerate(record, start=1)]
-        for lineno, record in _records(path)
+        for lineno, record in _records(read_text(path, newline=""))
     ]
     if not rows or any(len(r) != len(rows) for r in rows):
         raise ParseError("correlation file must hold a square numeric matrix")

@@ -94,11 +94,6 @@ def as_integer(value, name: str) -> int:
         raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
-def longest_block(group: Sequence[slice]) -> int:
-    """Rows of the longest block of a group, which sizes its buffers."""
-    return max(block.stop - block.start for block in group)
-
-
 def row_blocks(count: int, size: int = BLOCK_ROWS) -> list[slice]:
     """Consecutive slices covering range(count), each of at most `size`
     rows and of near-equal size. No block of a longer range has a single
@@ -307,51 +302,32 @@ class Violation(NamedTuple):
     upper: float
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    """Out-of-interval entries found by validate_samples; empty means valid."""
-
-    violations: tuple[Violation, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def validate_samples(spec: MarginalSpec, samples: SampleSet) -> ValidationReport:
-    """List every sample entry outside its marginal interval (with slack)."""
-    aligned = samples.aligned_to(spec.names)
-    lowers, uppers = spec.lowers, spec.uppers
-    rows = aligned.rows
-    low_bad = rows < lowers - BOUND_SLACK
-    high_bad = rows > uppers + BOUND_SLACK
-    bad = np.argwhere(low_bad | high_bad)
-    violations = tuple(
-        Violation(int(r), int(c), float(rows[r, c]), float(lowers[c]), float(uppers[c]))
-        for r, c in bad
-    )
-    return ValidationReport(violations=violations)
-
-
 def regularize(spec: MarginalSpec, samples: SampleSet) -> RegularizedSamples:
     """Map samples into the standard box: u = (x - midpoint)/radius.
 
-    Hard-errors on out-of-interval entries instead of clipping; entries
-    inside the slack band are clamped onto [-1, 1] so downstream fits can
-    rely on the box invariant.
+    Hard-errors on out-of-interval entries (with slack) instead of
+    clipping: SampleOutsideMarginal names the first and carries every one,
+    row-major, in `.violations`. Entries inside the slack band are clamped
+    onto [-1, 1] so downstream fits can rely on the box invariant.
     """
     aligned = samples.aligned_to(spec.names)
-    report = validate_samples(spec, aligned)
-    if not report.ok:
-        first = report.violations[0]
+    lowers, uppers = spec.lowers, spec.uppers
+    rows = aligned.rows
+    bad = np.argwhere((rows < lowers - BOUND_SLACK) | (rows > uppers + BOUND_SLACK))
+    if len(bad):
+        violations = tuple(
+            Violation(int(r), int(c), float(rows[r, c]), float(lowers[c]), float(uppers[c]))
+            for r, c in bad
+        )
+        first = violations[0]
         raise SampleOutsideMarginal(
             f"sample row {first.row}, column {first.column} "
             f"({spec.names[first.column]}): value {first.value} outside "
             f"[{first.lower}, {first.upper}] "
-            f"({len(report.violations)} violation(s) total)",
-            violations=report.violations,
+            f"({len(violations)} violation(s) total)",
+            violations=violations,
         )
-    u = (aligned.rows - spec.midpoints) / spec.radii
+    u = (rows - spec.midpoints) / spec.radii
     np.clip(u, -1.0, 1.0, out=u)
     return RegularizedSamples(rows=u)
 

@@ -28,12 +28,6 @@ class ShapeMatrix:
         object.__setattr__(self, "entries", read_only(self.entries))
 
 
-def _entries(R: CorrelationMatrix | np.ndarray) -> np.ndarray:
-    if isinstance(R, CorrelationMatrix):
-        return R.entries
-    return np.asarray(R, dtype=float)
-
-
 def _checked_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     lam, vec = np.linalg.eigh(matrix)
     if lam[0] <= 0.0:
@@ -44,25 +38,23 @@ def _checked_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lam, vec
 
 
-def symmetric_sqrt(R: CorrelationMatrix | np.ndarray) -> np.ndarray:
+def _symmetric_sqrt(R: np.ndarray) -> np.ndarray:
     """Principal symmetric square root H with H·H = R."""
-    matrix = _entries(R)
-    lam, vec = _checked_eigh(matrix)
+    lam, vec = _checked_eigh(R)
     H = (vec * np.sqrt(lam)) @ vec.T
     return (H + H.T) / 2.0
 
 
-def identity_factor(R: CorrelationMatrix | np.ndarray) -> np.ndarray:
+def _identity_factor(R: np.ndarray) -> np.ndarray:
     """MP-I rule: the factor is the correlation matrix itself."""
-    return _entries(R).copy()
+    return R.copy()
 
 
-def eigen_factor(R: CorrelationMatrix | np.ndarray) -> np.ndarray:
+def _eigen_factor(R: np.ndarray) -> np.ndarray:
     """H = Q·Λ^(1/2) from R = QΛQᵀ, eigenvalues descending, each
     eigenvector's sign fixed so its first nonzero component is positive
     (canonical choice; the induced domain is unaffected)."""
-    matrix = _entries(R)
-    lam, vec = _checked_eigh(matrix)
+    lam, vec = _checked_eigh(R)
     order = np.argsort(-lam, kind="stable")
     lam = lam[order]
     vec = vec[:, order]
@@ -74,39 +66,40 @@ def eigen_factor(R: CorrelationMatrix | np.ndarray) -> np.ndarray:
     return vec * np.sqrt(lam)
 
 
-def cholesky_lower(R: CorrelationMatrix | np.ndarray) -> np.ndarray:
+def _cholesky_lower(R: np.ndarray) -> np.ndarray:
     """Lower-triangular L with positive diagonal and L·Lᵀ = R."""
-    matrix = _entries(R)
     try:
-        L = np.linalg.cholesky(matrix)
+        return np.linalg.cholesky(R)
     except np.linalg.LinAlgError:
         raise NotPositiveDefinite("Cholesky factorization failed; matrix not PD") from None
-    return L
 
 
-def upper_factor(R: CorrelationMatrix | np.ndarray) -> np.ndarray:
+def _upper_factor(R: np.ndarray) -> np.ndarray:
     """Upper-triangular U with positive diagonal and U·Uᵀ = R, obtained by
     reversing row/column order, taking a Cholesky factor, and reversing
     back (U = J·chol(J·R·J)·J with J the reversal permutation)."""
-    U = cholesky_lower(_entries(R)[::-1, ::-1])[::-1, ::-1]
+    U = _cholesky_lower(R[::-1, ::-1])[::-1, ::-1]
     # exact zeros below the diagonal (the reversal guarantees the pattern)
     return np.triu(U)
 
 
 _FACTOR_RULES = {
-    ModelVariant.MP1: identity_factor,
-    ModelVariant.MP2: symmetric_sqrt,
-    ModelVariant.RECT: eigen_factor,
-    ModelVariant.LTRI: cholesky_lower,
-    ModelVariant.UTRI: upper_factor,
+    ModelVariant.MP1: _identity_factor,
+    ModelVariant.MP2: _symmetric_sqrt,
+    ModelVariant.RECT: _eigen_factor,
+    ModelVariant.LTRI: _cholesky_lower,
+    ModelVariant.UTRI: _upper_factor,
 }
 
 
 def core_shape_matrix(variant: ModelVariant, R: CorrelationMatrix | np.ndarray) -> np.ndarray:
-    """Dispatch to the variant's factor rule."""
+    """The factor H of R by the variant's rule: R itself (MP-I), its
+    symmetric square root (MP-II), its eigen factor (RectMP), its lower or
+    upper Cholesky factor (LTriMP, UTriMP). The ellipsoid has none."""
     if variant is ModelVariant.ME:
         raise ValueError("the ellipsoid model has no core shape matrix")
-    return _FACTOR_RULES[variant](R)
+    entries = R.entries if isinstance(R, CorrelationMatrix) else np.asarray(R, dtype=float)
+    return _FACTOR_RULES[variant](entries)
 
 
 def shape_matrix(H: np.ndarray) -> ShapeMatrix:

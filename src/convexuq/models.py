@@ -31,7 +31,6 @@ from .domain import (
     Interval,
     MarginalSpec,
     SampleSet,
-    longest_block,
     map_groups,
     read_only,
     row_blocks,
@@ -169,32 +168,27 @@ def _quadratic_form(
     np.einsum("ij,jk,ik->i", c, M, c). On three or more rows einsum adds
     the terms (c_j·M_jk)·c_k to one sum per row, from 0, j-major and
     k-minor; so does this, in passes over at most _FORM_ROWS rows. A pass
-    copies its rows into a transposed buffer, then for each j writes the
-    n terms of j below the running sums and adds them in with one
-    reduction over axis 0, which numpy makes row by row where there are
-    two or more columns (with one it sums pairwise); every pass has at
-    least two. On one or two rows einsum rounds otherwise, and runs
-    itself."""
+    copies its rows into a transposed array and allocates two buffers of
+    its own; for each j it writes the n terms of j below the running sums
+    in one buffer and reduces them over axis 0 into the other's sums,
+    which numpy does row by row where there are two or more columns (with
+    one it sums pairwise); every pass has at least two. On one or two rows
+    einsum rounds otherwise, and runs itself."""
     rows, n = centred.shape
     if rows < 3:
         return np.einsum("ij,jk,ik->i", centred, matrix, centred, out=out)
     if out is None:
         out = np.empty(rows)
-    passes = row_blocks(rows, _FORM_ROWS)
-    longest = longest_block(passes)
-    columns = np.empty((n, longest))
-    # each reduction reads one buffer and writes the other's running sums
-    buffers = np.empty((2, n + 1, longest))
-    for part in passes:
-        width = part.stop - part.start
-        c = columns[:, :width]
-        np.copyto(c, centred[part].T)
-        buffers[0, 0, :width] = 0.0
+    for part in row_blocks(rows, _FORM_ROWS):
+        c = np.ascontiguousarray(centred[part].T)
+        # each reduction reads one buffer and writes the other's running sums
+        buffers = np.empty((2, n + 1, c.shape[1]))
+        buffers[0, 0] = 0.0
         for j in range(n):
-            terms = buffers[j % 2, :, :width]
+            terms = buffers[j % 2]
             np.multiply(matrix[j][:, None], c[j], out=terms[1:])
             terms[1:] *= c
-            sums = out[part] if j == n - 1 else buffers[(j + 1) % 2, 0, :width]
+            sums = out[part] if j == n - 1 else buffers[(j + 1) % 2, 0]
             np.add.reduce(terms, axis=0, out=sums)
     return out
 

@@ -18,7 +18,6 @@ from convexuq.correlation import (
     R_CLAMP,
     _TIE_TOL,
     _mp_intervals,
-    scc,
 )
 from convexuq.domain import BLOCK_ROWS
 from convexuq.errors import (
@@ -129,12 +128,21 @@ def _pair_ccc(variant, u, **options):
     return cq.fit_correlation_matrix("ccc", variant, u, **options).entries[0, 1]
 
 
+def _pair_scc(x_i, x_j):
+    """The SCC of one pair of columns: its entry in the matrix fit of the
+    two columns alone."""
+    return cq.fit_correlation_matrix("scc", None, np.column_stack((x_i, x_j))).entries[0, 1]
+
+
 def test_scc_hand_value():
-    # about midpoints (0, 0), not about sample means
+    # about midpoints (0, 0), not about sample means: exactly ±1, which the
+    # fit clamps with one warning
     x = np.array([1.0, -1.0, 2.0])
     y = np.array([2.0, -2.0, 4.0])
-    assert scc(x, y) == pytest.approx(1.0)
-    assert scc(x, -y) == pytest.approx(-1.0)
+    for sign in (1.0, -1.0):
+        value, messages = _warning_messages(lambda: _pair_scc(x, sign * y))
+        assert value == sign * R_CLAMP
+        assert messages == ["SCC of pair (0, 1) is exactly ±1; clamped"]
 
 
 def test_scc_uses_midpoint_not_mean():
@@ -142,13 +150,13 @@ def test_scc_uses_midpoint_not_mean():
     y = np.array([0.4, 0.2])
     # about the means this pair is perfectly anti-correlated; about the
     # midpoint 0 both products are positive
-    assert scc(x, y) == pytest.approx(0.8)
+    assert _pair_scc(x, y) == pytest.approx(0.8)
     assert np.corrcoef(x, y)[0, 1] == pytest.approx(-1.0)
 
 
 def test_scc_zero_deviation():
     with pytest.raises(ZeroDeviation):
-        scc(np.zeros(3), np.ones(3))
+        _pair_scc(np.zeros(3), np.ones(3))
 
 
 @settings(max_examples=80)
@@ -168,7 +176,9 @@ def test_scc_bounded(pairs):
     # a column sitting identically at its midpoint has no SCC
     if not np.any(u[:, 0]) or not np.any(u[:, 1]):
         return
-    value = scc(u[:, 0], u[:, 1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateData)
+        value = _pair_scc(u[:, 0], u[:, 1])
     assert -1.0 <= value <= 1.0
 
 
@@ -761,8 +771,8 @@ def test_scc_finish_is_the_per_pair_finish(u):
     """The SCC finish as one array expression gives the per-pair loop's
     values by float.hex, its ±1 clamp warnings in pair order, and its
     ZeroDeviation at the first pair that touches a zero column, after the
-    warnings of the pairs before it; scc of each pair alone is the
-    per-pair value, without a warning."""
+    warnings of the pairs before it; the fit of each pair's two columns
+    alone is the per-pair outcome."""
     n = u.shape[1]
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
 
@@ -787,9 +797,13 @@ def test_scc_finish_is_the_per_pair_finish(u):
         def alone(values):
             columns = correlation._scc_columns(u[:, (i, j)])
             dots = correlation._scc_dots(columns, [(0, 0), (1, 1), (0, 1)])
-            values.append(_scc_value(dots[2], dots[0], dots[1]))
+            r = _scc_value(dots[2], dots[0], dots[1])
+            if abs(r) >= 1.0:
+                warnings.warn("SCC of pair (0, 1) is exactly ±1; clamped", DegenerateData)
+                r = float(np.sign(r)) * R_CLAMP
+            values.append(r)
 
-        got = _outcome(lambda values: values.append(scc(u[:, i], u[:, j])))
+        got = _outcome(lambda values: values.append(_pair_scc(u[:, i], u[:, j])))
         _assert_same_outcome(got, _outcome(alone))
 
 
@@ -970,12 +984,6 @@ def test_correlation_matrix_refuses_an_invalid_matrix(entries, error, message):
         cq.CorrelationMatrix(entries=np.array(entries), method="scc")
 
 
-def test_scc_refuses_columns_of_another_shape():
-    for x_i, x_j in ((np.zeros(3), np.zeros(4)), (np.zeros((3, 1)), np.zeros((3, 1)))):
-        with pytest.raises(DimensionMismatch, match="1-D and equal length"):
-            scc(x_i, x_j)
-
-
 def test_fit_matrix_refuses_rows_that_are_not_2d():
     with pytest.raises(DimensionMismatch, match=r"u_rows must be 2-D, got shape \(4,\)"):
         cq.fit_correlation_matrix("ccc", V.ME, np.full(4, 0.5))
@@ -1030,7 +1038,7 @@ def test_fit_matrix_scc_matches_manual(standard_u):
             if i == j:
                 assert R.entries[i, j] == 1.0
             else:
-                assert R.entries[i, j] == scc(standard_u[:, i], standard_u[:, j])
+                assert R.entries[i, j] == _pair_scc(standard_u[:, i], standard_u[:, j])
 
 
 _SCC_COLUMNS = st.integers(2, 12).flatmap(
@@ -1053,19 +1061,17 @@ _SCC_COLUMNS = st.integers(2, 12).flatmap(
 )
 def test_fit_matrix_scc_is_pairwise_scc(columns):
     """Each column is scaled and self-dotted once for the whole matrix, and
-    every entry is still scc of its two columns, bit for bit (or its clamp)."""
+    every entry is still the fit of its two columns alone, bit for bit."""
     u = np.array(columns).T
     if not np.all(np.any(u, axis=0)):
         return
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateData)
         R = cq.fit_correlation_matrix("scc", None, u)
-    for i in range(u.shape[1]):
-        for j in range(i + 1, u.shape[1]):
-            value = scc(u[:, i], u[:, j])
-            if abs(value) >= 1.0:
-                value = np.sign(value) * R_CLAMP
-            assert R.entries[i, j] == R.entries[j, i] == value
+        for i in range(u.shape[1]):
+            for j in range(i + 1, u.shape[1]):
+                value = _pair_scc(u[:, i], u[:, j])
+                assert R.entries[i, j] == R.entries[j, i] == value
 
 
 def test_fit_matrix_scc_edges():
@@ -1108,8 +1114,8 @@ def _scc_oracle(u):
 @pytest.mark.parametrize("rows", SCC_ROWS)
 def test_scc_fit_has_the_bits_of_one_pass_on_any_thread_count(thread_count, rows, layout):
     """C, F and strided rows give the oracle's bits on 1, 2, 3 and 7
-    threads, with two columns on the scaled path, and every entry is scc's
-    bits on its two columns."""
+    threads, with two columns on the scaled path, and every entry has the
+    bits of the fit of its two columns alone."""
     wide = np.random.default_rng(rows).uniform(-1.0, 1.0, size=(rows, 14))
     wide[:, 2] *= 1e-60
     wide[:, 8] *= 1e70
@@ -1123,7 +1129,7 @@ def test_scc_fit_has_the_bits_of_one_pass_on_any_thread_count(thread_count, rows
         thread_count(threads)
         R = cq.fit_correlation_matrix("scc", None, u).entries
         np.testing.assert_array_equal(R, expected, err_msg=f"{threads} threads")
-        assert R[2, 4] == scc(u[:, 2], u[:, 4])
+        assert R[2, 4] == _pair_scc(u[:, 2], u[:, 4])
 
 
 def test_scc_fit_warns_then_raises_in_pair_order(thread_count):
@@ -1148,7 +1154,8 @@ def test_scc_fit_warns_then_raises_in_pair_order(thread_count):
 def test_scc_fit_refuses_nonfinite_entries(thread_count, rows, value):
     """A non-finite entry raises ValueError naming the first one, also
     where a later group holds another, before any pair and without a
-    warning, on 1, 2, 3 and 7 threads; scc refuses one as well."""
+    warning, on 1, 2, 3 and 7 threads; the fit of two of the columns
+    refuses one as well."""
     u = np.random.default_rng(rows).uniform(-1.0, 1.0, size=(rows, 4))
     u[rows // 3, 3] = value
     u[rows - 1, 0] = np.nan
@@ -1159,7 +1166,7 @@ def test_scc_fit_refuses_nonfinite_entries(thread_count, rows, value):
             with pytest.raises(ValueError, match=rf"entry \({rows // 3}, 3\) is {value}"):
                 cq.fit_correlation_matrix("scc", None, u)
             with pytest.raises(ValueError, match="scc needs finite entries"):
-                scc(u[:, 0], u[:, 1])
+                _pair_scc(u[:, 0], u[:, 1])
 
 
 def test_scc_fit_starts_threads_only_above_the_work_floor(monkeypatch):
@@ -1184,7 +1191,7 @@ def test_scc_fit_starts_threads_only_above_the_work_floor(monkeypatch):
         started.clear()
         value = cq.fit_correlation_matrix("scc", None, u).entries[0, 1]
         assert len(started) == starts, rows
-        assert value == scc(u[:, 0], u[:, 1]) == _scc_oracle(u)[0, 1]
+        assert value == _scc_oracle(u)[0, 1]
 
 
 def test_scc_fit_memory_is_one_copy(thread_count, traced_peak):

@@ -74,8 +74,23 @@ def test_read_samples_skips_a_byte_order_mark(tmp_path, data_dir, name):
     for copy in (text, quoted):
         path = tmp_path / "s.csv"
         path.write_bytes(b"\xef\xbb\xbf" + copy.encode("utf-8"))
-        assert (dataio._plain_samples(path) is None) == (copy is quoted)
+        text = dataio.read_text(path, newline="")
+        assert (dataio._plain_samples(text) is None) == (copy is quoted)
         assert _read_outcome(cq.read_samples_csv, path) == expected
+
+
+def test_read_samples_reads_a_quoted_file_once(tmp_path, monkeypatch):
+    """A file that takes the row walk (its header quoted) is read from disk
+    and decoded once, for the one-call attempt and the walk alike."""
+    path = tmp_path / "s.csv"
+    rows = np.arange(2000.0).reshape(1000, 2) / 8.0
+    path.write_text('"a","b"\n' + "".join(f"{x!r},{y!r}\n" for x, y in rows.tolist()))
+    calls = []
+    read_bytes = type(path).read_bytes
+    monkeypatch.setattr(type(path), "read_bytes", lambda p: calls.append(p) or read_bytes(p))
+    samples = cq.read_samples_csv(path)
+    assert calls == [path]
+    np.testing.assert_array_equal(samples.rows, rows)
 
 
 def test_read_intervals_and_matrix_skip_a_byte_order_mark(tmp_path, data_dir):
@@ -145,7 +160,7 @@ def _walk(path):
     """The row walk, the reference of read_samples_csv: one csv.reader
     record at a time, one float() per cell, and a ParseError that names
     the first bad record's line and field."""
-    records = dataio._records(path)
+    records = dataio._records(dataio.read_text(path, newline=""))
     try:
         header_line, header = next(records)
     except StopIteration:

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import convexuq as cq
+from convexuq.domain import Violation
 from convexuq.errors import (
     DegenerateInterval,
     DimensionMismatch,
@@ -96,13 +97,17 @@ def test_sampleset_holds_a_read_only_copy():
         s.rows[0, 0] = 5.0
 
 
-def test_validate_samples_reports_every_violation():
+def test_regularize_reports_every_violation():
     spec = cq.make_marginal_spec([("a", 0.0, 1.0), ("b", 0.0, 1.0)])
     s = cq.SampleSet(names=("a", "b"), rows=np.array([[0.5, 1.5], [-0.2, 0.3]]))
-    report = cq.validate_samples(spec, s)
-    assert not report.ok
-    coords = {(v.row, v.column) for v in report.violations}
-    assert coords == {(0, 1), (1, 0)}
+    with pytest.raises(SampleOutsideMarginal) as exc:
+        cq.regularize(spec, s)
+    assert exc.value.violations == (
+        Violation(row=0, column=1, value=1.5, lower=0.0, upper=1.0),
+        Violation(row=1, column=0, value=-0.2, lower=0.0, upper=1.0),
+    )
+    assert all(type(v) is Violation for v in exc.value.violations)
+    assert "(2 violation(s) total)" in str(exc.value)
 
 
 def test_regularize_hard_errors_outside():

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import convexuq as cq
+import convexuq.factorization as factorization
 from convexuq import ModelVariant as V
 from convexuq.errors import NotPositiveDefinite, SingularShape
 
@@ -25,17 +26,17 @@ def r3():
 
 
 def test_symmetric_sqrt_squares_back(r3):
-    H = cq.symmetric_sqrt(r3)
+    H = cq.core_shape_matrix(V.MP2, r3)
     np.testing.assert_allclose(H @ H, r3, atol=1e-12)
     np.testing.assert_allclose(H, H.T, atol=1e-14)
 
 
 def test_identity_factor_is_r_itself(r3):
-    np.testing.assert_array_equal(cq.identity_factor(r3), r3)
+    np.testing.assert_array_equal(cq.core_shape_matrix(V.MP1, r3), r3)
 
 
 def test_eigen_factor_reconstructs(r3):
-    H = cq.eigen_factor(r3)
+    H = cq.core_shape_matrix(V.RECT, r3)
     np.testing.assert_allclose(H @ H.T, r3, atol=1e-12)
     # columns ordered by descending eigenvalue
     norms = np.linalg.norm(H, axis=0)
@@ -48,14 +49,14 @@ def test_eigen_factor_reconstructs(r3):
 
 
 def test_cholesky_lower_triangular(r3):
-    L = cq.cholesky_lower(r3)
+    L = cq.core_shape_matrix(V.LTRI, r3)
     np.testing.assert_allclose(L @ L.T, r3, atol=1e-12)
     assert np.array_equal(L, np.tril(L))
     assert np.all(np.diag(L) > 0)
 
 
 def test_upper_factor_triangular(r3):
-    U = cq.upper_factor(r3)
+    U = cq.core_shape_matrix(V.UTRI, r3)
     np.testing.assert_allclose(U @ U.T, r3, atol=1e-12)
     assert np.array_equal(U, np.triu(U))
     assert np.all(np.diag(U) > 0)
@@ -63,11 +64,11 @@ def test_upper_factor_triangular(r3):
 
 def test_core_shape_matrix_dispatch(r3):
     rules = {
-        V.MP1: cq.identity_factor,
-        V.MP2: cq.symmetric_sqrt,
-        V.RECT: cq.eigen_factor,
-        V.LTRI: cq.cholesky_lower,
-        V.UTRI: cq.upper_factor,
+        V.MP1: factorization._identity_factor,
+        V.MP2: factorization._symmetric_sqrt,
+        V.RECT: factorization._eigen_factor,
+        V.LTRI: factorization._cholesky_lower,
+        V.UTRI: factorization._upper_factor,
     }
     for variant, rule in rules.items():
         np.testing.assert_array_equal(cq.core_shape_matrix(variant, r3), rule(r3))
@@ -77,9 +78,9 @@ def test_core_shape_matrix_dispatch(r3):
 
 def test_not_pd_raised():
     bad = np.array([[1.0, 0.9, -0.9], [0.9, 1.0, 0.9], [-0.9, 0.9, 1.0]])
-    for fn in (cq.symmetric_sqrt, cq.eigen_factor, cq.cholesky_lower, cq.upper_factor):
+    for variant in (V.MP2, V.RECT, V.LTRI, V.UTRI):
         with pytest.raises(NotPositiveDefinite):
-            fn(bad)
+            cq.core_shape_matrix(variant, bad)
 
 
 def row_weights(H):
