@@ -16,16 +16,20 @@ n = 3 and 10), of `fit_correlation_matrix("scc")` on N rows (n = 3 and
 at the benchmark's wide shapes (n = 30 by 200 rows and n = 10 by 2000,
 whatever N; the CSVs written to a temporary directory), of the ME CCC
 and the SCC fit at n = 30 by 200 (the ME fit's 435 relax warnings
-recorded, as the benchmark records them), and of a CLI `build` cold
-start (the bundled standard set, SCC ME, in a new Python process, whose
-CPU time the CPU column leaves out), one call of each per repeat, with
-the process's CPU time
+recorded, as the benchmark records them), and of two CLI cold starts,
+each in a new Python process whose CPU time the CPU column leaves out:
+`build` (the bundled standard set, SCC ME) and `reliability` (the beam's
+SCC MP-II model, written to a temporary directory, at `--bind S=250`).
+One call of each bulk case runs per repeat, with the process's CPU time
 (`time.process_time`, all threads) next to the wall time; the bulk calls
 run on two threads only beside a one-thread BLAS, so set
 `OPENBLAS_NUM_THREADS=1` to time them as the benchmark runs them. The
 repeats of all cases are interleaved in one process, so a change of host
 load touches every case alike. The figure kept is the minimum over the
-repeats, of wall and of CPU time apart. Per-call changes of a few
+repeats, of wall and of CPU time apart. Each cold start's "child MB" is
+its peak RSS, taken once after the repeats: a bare Python process runs
+the command and reads `resource.getrusage(RUSAGE_CHILDREN).ru_maxrss`
+after it (see `child_peak_mb`). Per-call changes of a few
 microseconds are below the run-to-run spread of the benchmark; compare
 two commits by running this script on each, alternately.
 """
@@ -63,6 +67,14 @@ def linear_limit_state(n: int) -> str:
     a = np.round(np.random.default_rng(5).uniform(0.5, 1.5, n), 4)
     terms = " ".join(f"- {float(ak)!r}*x{k + 1}" for k, ak in enumerate(a))
     return f"{15.0 * float(a.sum()) + 20.0!r} {terms} - 0.1*x2*x{n}"
+
+
+def beam_model(variant: cq.ModelVariant, data_dir: Path) -> cq.ConvexModel:
+    """The bundled beam set's model on its SCC matrix (PD-repaired)."""
+    spec = cq.read_intervals_csv(data_dir / "beam_intervals.csv")
+    u = cq.regularize(spec, cq.read_samples_csv(data_dir / "beam_samples.csv")).rows
+    R = cq.ensure_positive_definite(cq.fit_correlation_matrix("scc", None, u), policy="repair")
+    return cq.build_model(variant, spec, R)
 
 
 def cases(calls: int, data_dir: Path) -> dict:
@@ -131,14 +143,11 @@ def cases(calls: int, data_dir: Path) -> dict:
 
         out[f"fit_correlation_matrix ccc MP-II {name}"] = (fits, run)
 
-    beam_spec = cq.read_intervals_csv(data_dir / "beam_intervals.csv")
-    u = cq.regularize(beam_spec, cq.read_samples_csv(data_dir / "beam_samples.csv")).rows
-    beam_R = cq.ensure_positive_definite(cq.fit_correlation_matrix("scc", None, u), policy="repair")
     spec = cq.make_marginal_spec((f"x{k + 1}", 10.0 - k, 14.0 + 0.5 * k) for k in range(10))
     solves = max(1, calls // 200)
     for name, model, g, bindings in (
-        ("beam ME S=250", cq.build_model(cq.ModelVariant.ME, beam_spec, beam_R), beam, {"S": 250.0}),
-        ("beam MP-II S=250", cq.build_model(cq.ModelVariant.MP2, beam_spec, beam_R), beam, {"S": 250.0}),
+        ("beam ME S=250", beam_model(cq.ModelVariant.ME, data_dir), beam, {"S": 250.0}),
+        ("beam MP-II S=250", beam_model(cq.ModelVariant.MP2, data_dir), beam, {"S": 250.0}),
         ("linear n=10 MP-II", cq.build_model(cq.ModelVariant.MP2, spec, correlation(10)), linear, {}),
     ):
         options = cq.ReliabilityOptions(bindings=bindings)
@@ -160,8 +169,8 @@ def recorded(call):
 
 def bulk_cases(rows: int, data_dir: Path, workdir: Path) -> dict:
     """name -> (1, function making one call at `rows` rows; the reads and
-    fits at the shapes their names give, and the CLI cold start). The
-    sample CSVs are written to workdir."""
+    fits at the shapes their names give). The sample CSVs are written to
+    workdir."""
     out = {}
     for n in (3, 10):
         spec = cq.make_marginal_spec((f"x{k + 1}", 10.0 - k, 14.0 + 0.5 * k) for k in range(n))
@@ -203,21 +212,48 @@ def bulk_cases(rows: int, data_dir: Path, workdir: Path) -> dict:
                 1,
                 partial(cq.fit_correlation_matrix, "scc", None, u),
             )
-    build = [
-        sys.executable,
-        "-c",
-        "import sys; from convexuq.cli import main; sys.exit(main())",
-        "build",
-        *("--samples", str(data_dir / "standard_samples.csv")),
-        *("--intervals", str(data_dir / "standard_intervals.csv")),
-        *("--variant", "me", "--method", "scc", "--out", str(workdir / "model.json")),
-    ]
-    env = {**os.environ, "PYTHONPATH": str(Path(cq.__file__).parents[1])}
-    out["cli build cold start (subprocess)"] = (
-        1,
-        partial(subprocess.run, build, env=env, check=True, capture_output=True),
-    )
     return out
+
+
+def cold_starts(data_dir: Path, workdir: Path) -> dict:
+    """name -> command of each CLI cold start: `build` on the bundled
+    standard set (SCC ME) and `reliability` on the beam's SCC MP-II model,
+    written to workdir, at S = 250."""
+    cli = [sys.executable, "-c", "import sys; from convexuq.cli import main; sys.exit(main())"]
+    beam = workdir / "beam-mp2.json"
+    cq.save_model(beam, beam_model(cq.ModelVariant.MP2, data_dir))
+    return {
+        "cli build cold start (subprocess)": [
+            *cli,
+            "build",
+            *("--samples", str(data_dir / "standard_samples.csv")),
+            *("--intervals", str(data_dir / "standard_intervals.csv")),
+            *("--variant", "me", "--method", "scc", "--out", str(workdir / "model.json")),
+        ],
+        "cli reliability cold start (subprocess)": [
+            *cli,
+            "reliability",
+            *("--model", str(beam), "--g", str(data_dir / "beam_limit_state.txt")),
+            *("--bind", "S=250"),
+        ],
+    }
+
+
+def child_peak_mb(command: list, env: dict) -> float:
+    """The peak RSS of command, in MB: getrusage(RUSAGE_CHILDREN).ru_maxrss
+    read after the call, in a bare Python process that runs it. On Linux a
+    child's ru_maxrss starts at its spawner's own peak, which exec keeps,
+    so it is read from a spawner smaller than any cold start, not from
+    this script's process."""
+    probe = (
+        "import resource, subprocess, sys\n"
+        "subprocess.run(sys.argv[1:], check=True, capture_output=True)\n"
+        "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe, *command], env=env, check=True, capture_output=True, text=True
+    )
+    return int(done.stdout) / 1024
 
 
 def main(argv=None) -> int:
@@ -244,6 +280,11 @@ def main(argv=None) -> int:
     table = cases(args.calls, args.data_dir)
     with tempfile.TemporaryDirectory() as workdir:
         bulk = bulk_cases(args.bulk, args.data_dir, Path(workdir)) if args.bulk else {}
+        cold = cold_starts(args.data_dir, Path(workdir)) if args.bulk else {}
+        env = {**os.environ, "PYTHONPATH": str(Path(cq.__file__).parents[1])}
+        for name, command in cold.items():
+            run = partial(subprocess.run, command, env=env, check=True, capture_output=True)
+            bulk[name] = (1, run)
         best = dict.fromkeys([*table, *bulk], float("inf"))
         best_cpu = dict.fromkeys(bulk, float("inf"))
         for _ in range(args.repeats):
@@ -253,14 +294,16 @@ def main(argv=None) -> int:
                 best[name] = min(best[name], (time.perf_counter() - start) / count)
                 if name in bulk:
                     best_cpu[name] = min(best_cpu[name], time.process_time() - start_cpu)
+        child_mb = {name: child_peak_mb(command, env) for name, command in cold.items()}
     print(f"us per call, min of {args.repeats} interleaved repeats")
     for name in table:
         print(f"  {name:44s} {1e6 * best[name]:10.2f}")
     if bulk:
         print(f"ms per call at {args.bulk} rows, min of {args.repeats} interleaved repeats")
-        print(f"  {'':44s} {'wall':>10s} {'CPU':>10s}")
+        print(f"  {'':44s} {'wall':>10s} {'CPU':>10s} {'child MB':>10s}")
         for name in bulk:
-            print(f"  {name:44s} {1e3 * best[name]:10.2f} {1e3 * best_cpu[name]:10.2f}")
+            peak = f"{child_mb[name]:10.1f}" if name in child_mb else ""
+            print(f"  {name:44s} {1e3 * best[name]:10.2f} {1e3 * best_cpu[name]:10.2f} {peak}")
     return 0
 
 

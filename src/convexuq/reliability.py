@@ -11,7 +11,8 @@ first sign change whose two ends are both defined. Then one SLSQP
 problem for either norm, minimise s subject to g(delta) = 0 and delta in
 s·B_p, refines each of the 16 nearest hits. The starts are refined in
 lockstep: each keeps its own state in scipy's reverse-communication
-SLSQP core (the loop of minimize(method="SLSQP"), bit for bit), every
+SLSQP core (the loop of minimize(method="SLSQP"), bit for bit), the one
+scipy module a solve loads (brentq is a port of scipy's), every
 round steps each unfinished start once, and the 2n-point central-difference
 stencils of every start that needs a gradient are built as one array,
 mapped by one matrix product and evaluated in one array call; constraint
@@ -28,8 +29,13 @@ those calls, and one call may carry many points.
 
 from __future__ import annotations
 
+import functools
 import heapq
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -97,27 +103,84 @@ class ReliabilityResult:
     starts: tuple[StartRecord, ...]  # the refined starts, nearest hit first
 
 
-def brentq(f, a: float, b: float, **options) -> float:
-    """scipy.optimize.brentq, imported at its first call, so that `import
-    convexuq` loads no scipy module (scipy.optimize alone takes about
-    0.4 s). The solver reads this name at each call and never rebinds it."""
-    from scipy.optimize import brentq as scipy_brentq
+def brentq(f, a: float, b: float, xtol: float, rtol: float, maxiter: int = 100) -> float:
+    """scipy.optimize.brentq (Brent 1973), ported line for line from scipy's
+    Zeros/brentq.c with its wrapper's checks, so the same bits, calls and
+    exceptions: an end where f is 0 is returned, a nan of f or ends of one
+    sign raise ValueError, and maxiter steps without convergence raise
+    RuntimeError. The solver reads this name at each call, never rebinding it."""
 
-    return scipy_brentq(f, a, b, **options)
+    def value(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):  # C's signbit: neither is 0 or nan here
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2  # the tolerance is 2·delta
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            # a good short step, else bisect (spre is never nan, so min is C's MIN)
+            short = 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta)
+            spre, scur = (scur, stry) if short else (sbis, sbis)
+        else:  # bisect
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
+@functools.cache
 def _slsqp_core():
-    """The SLSQP core that scipy's own minimize(method="SLSQP") loops over,
-    imported when a solve starts; an ImportError that names the
-    requirement where this scipy lacks it."""
+    """The SLSQP core (Kraft 1988) that minimize(method="SLSQP") loops over,
+    loaded at the first solve from the extension file in scipy's optimize/
+    alone (about 0.35 MB; scipy/optimize/__init__.py never runs, and
+    sys.modules gains no entry), or, where no file is found (an editable
+    scipy build, say), imported the usual way; where that fails too, an
+    ImportError names the requirement."""
+    scipy = importlib.util.find_spec("scipy")
+    dirs = [os.path.join(d, "optimize") for d in (scipy and scipy.submodule_search_locations or ())]
+    found = importlib.machinery.PathFinder.find_spec("_slsqplib", dirs)
     try:
-        from scipy.optimize._slsqplib import slsqp
-    except ImportError as exc:
+        if found is None:
+            from scipy.optimize import _slsqplib as module
+        else:
+            spec = importlib.util.spec_from_file_location("scipy.optimize._slsqplib", found.origin)
+            listed = spec.name in sys.modules
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            if not listed:  # listed without its package, `import scipy.optimize._slsqplib` breaks
+                sys.modules.pop(spec.name, None)
+        return module.slsqp
+    except (ImportError, AttributeError) as exc:
         raise ImportError(
             "convexuq requires scipy>=1.17: its reliability solver drives "
             "scipy.optimize._slsqplib.slsqp, which this scipy lacks"
         ) from exc
-    return slsqp
 
 
 class _Slsqp:

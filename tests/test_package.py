@@ -32,9 +32,9 @@ def test_public_names_are_listed_once():
 
 
 def test_import_loads_no_scipy():
-    """`import convexuq` loads no scipy module: the solver imports
-    scipy.optimize when a solve starts, and the renderer scipy.spatial at
-    its first parallelepiped render."""
+    """`import convexuq` loads no scipy module: the solver loads the SLSQP
+    extension when a solve starts, and the renderer scipy.spatial at its
+    first parallelepiped render."""
     code = (
         "import sys, convexuq\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"

@@ -1,15 +1,19 @@
+import importlib.machinery
+import json
 import math
 import os
 import subprocess
 import sys
 import warnings
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.optimize import brentq, minimize
+from scipy.optimize import brentq as scipy_brentq
+from scipy.optimize import minimize
 
 import convexuq as cq
 from convexuq import ModelVariant as V
@@ -614,6 +618,7 @@ def ray_hits(monkeypatch):
     """Counts the rays whose root brentq finds: the solver's ray hits (no
     scan in these cases ends exactly on g = 0)."""
     found = []
+    brentq = reliability.brentq
 
     def counted(*args, **kwargs):
         root = brentq(*args, **kwargs)
@@ -740,13 +745,13 @@ def test_directions_are_read_only_with_the_one_by_one_bits(norm):
             rays[0, 0] = 2.0
 
 
-def test_import_names_the_scipy_requirement():
-    """With a scipy that lacks the SLSQP core the solver drives, `import
-    convexuq` succeeds and the first solve fails with an ImportError that
-    names the requirement."""
+def _solve_in_subprocess(prelude, after=""):
+    """stdout of a new Python process that runs prelude, then one solve of
+    0.5 - x on a 2-variable ME model (printing the ImportError it raises,
+    if any), then after."""
     probe = (
-        "import sys, types, scipy.optimize\n"
-        "sys.modules['scipy.optimize._slsqplib'] = types.ModuleType('scipy.optimize._slsqplib')\n"
+        f"{prelude}\n"
+        "import sys\n"
         "import convexuq as cq\n"
         "spec = cq.make_marginal_spec([('x', -1.0, 1.0), ('y', -1.0, 1.0)])\n"
         "R = cq.CorrelationMatrix(entries=[[1.0, 0.0], [0.0, 1.0]], method='scc')\n"
@@ -755,12 +760,139 @@ def test_import_names_the_scipy_requirement():
         "    cq.reliability_index(model, cq.parse_limit_state('0.5 - x'))\n"
         "except ImportError as exc:\n"
         "    print(exc)\n"
+        f"{after}\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(cq.__file__).parents[1]))
     done = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
     )
-    assert "scipy>=1.17" in done.stdout
+    return done.stdout
+
+
+def test_import_names_the_scipy_requirement():
+    """With a scipy that lacks the SLSQP core the solver drives, whether
+    its extension file is found or not, `import convexuq` succeeds and the
+    first solve fails with an ImportError that names the requirement. The
+    probe finds no file, and the usual import gives a module without the
+    core."""
+    prelude = (
+        "import importlib.machinery, sys, types\n"
+        "find = importlib.machinery.PathFinder.find_spec\n"
+        "def hide(name, path=None, target=None):\n"
+        "    return None if name == '_slsqplib' else find(name, path, target)\n"
+        "importlib.machinery.PathFinder.find_spec = hide\n"
+        "sys.modules['scipy.optimize._slsqplib'] = types.ModuleType('scipy.optimize._slsqplib')"
+    )
+    assert "scipy>=1.17" in _solve_in_subprocess(prelude)
+
+
+def test_solve_loads_only_the_slsqp_extension():
+    """A solve in a new process loads the SLSQP extension alone: no scipy
+    module is left in sys.modules, scipy.optimize included. A
+    parallelepiped render after it adds scipy.spatial and no scipy module
+    that `import scipy.spatial` does not load on its own."""
+
+    def scipy_modules(names):
+        return f"print(json.dumps(sorted(m for m in {names} if m.split('.')[0] == 'scipy')))"
+
+    after = (
+        "import json\n"
+        f"{scipy_modules('sys.modules')}\n"
+        "before = set(sys.modules)\n"
+        "cq.render_projection(cq.build_model(cq.ModelVariant.MP2, spec, R), 0, 1)\n"
+        f"{scipy_modules('set(sys.modules) - before')}"
+    )
+    solved, rendered = map(json.loads, _solve_in_subprocess("", after).splitlines())
+    assert solved == []
+    alone = f"import json, sys, numpy, scipy.spatial\n{scipy_modules('sys.modules')}"
+    spatial = subprocess.run(
+        [sys.executable, "-c", alone], capture_output=True, text=True, check=True
+    )
+    assert "scipy.spatial" in rendered
+    assert "scipy.optimize" not in rendered
+    assert set(rendered) <= set(json.loads(spatial.stdout))
+
+
+def test_unlisted_core_coexists_with_scipy_optimize():
+    """After a solve, scipy.optimize and its SLSQP extension import as
+    usual and hand out the very core the solver drives."""
+    after = (
+        "import scipy.optimize._slsqplib\n"
+        "from convexuq import reliability\n"
+        "print(scipy.optimize._slsqplib.slsqp is reliability._slsqp_core())\n"
+        "print(scipy.optimize.minimize(lambda x: x @ x, [1.0, 2.0], method='SLSQP').success)"
+    )
+    assert _solve_in_subprocess("", after).split() == ["True", "True"]
+
+
+def test_slsqp_core_falls_back_to_the_usual_import(monkeypatch):
+    """Where no extension file is found (an editable scipy build, say), the
+    core comes from the usual import, and a solve gives the same η."""
+    model = make_model(V.ME)
+    g = cq.parse_limit_state(linear_expr([1.0, -0.5, 0.25], -12.0))
+    expected = cq.reliability_index(model, g).eta
+    find = importlib.machinery.PathFinder.find_spec
+    hidden = []
+
+    def hide(name, path=None, target=None):
+        if name == "_slsqplib":
+            hidden.append(name)
+            return None
+        return find(name, path, target)
+
+    monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec", hide)
+    reliability._slsqp_core.cache_clear()
+    try:
+        assert cq.reliability_index(model, g).eta.hex() == expected.hex()
+    finally:
+        reliability._slsqp_core.cache_clear()
+    assert hidden == ["_slsqplib"]
+
+
+def _beam_along(c, t):
+    """The beam's limit state on a ray: b, h shrink and L grows with t,
+    and S = 200 + 25c."""
+    b, h, length = 100.0 - 5.0 * t, 200.0 - 10.0 * t, 1000.0 + 50.0 * t
+    return 200.0 + 25.0 * c - 300000.0 * length / (b * b * h) - 150000.0 * length / (b * h * h)
+
+
+BRENT_FAMILIES = {
+    "cubic": lambda c, x: (x - c) ** 3 + 0.5 * (x - c),
+    "sine": lambda c, x: math.sin(3.0 * x) - 0.5 * c,
+    "expm1": lambda c, x: math.expm1(x) - c,
+    "band": lambda c, x: math.nan if abs(x - c) < 0.1 else x - c,  # undefined about its root
+    "beam": lambda c, x: _beam_along(c, 1.5 * (x + 3.0)),
+}
+
+
+def _brent_outcome(solve, f, a, b, tolerances, maxiter):
+    xtol, rtol = tolerances
+    try:
+        return solve(f, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter).hex()
+    except (ValueError, RuntimeError) as exc:
+        return type(exc).__name__
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    family=st.sampled_from(sorted(BRENT_FAMILIES)),
+    c=st.floats(-2.0, 2.0),
+    a=st.floats(-3.0, 3.0),
+    b=st.floats(-3.0, 3.0),
+    tolerances=st.sampled_from([(1e-13, 1e-15), (2e-12, 4 * np.finfo(float).eps), (1e-3, 1e-6)]),
+    maxiter=st.sampled_from([100, 5]),
+)
+@example("band", 0.0, -1.0, 1.6, (1e-13, 1e-15), 100)  # a nan inside the bracket
+@example("sine", 0.0, 0.5, 0.8, (1e-13, 1e-15), 100)  # ends of one sign
+@example("cubic", 0.5, 0.5, 2.0, (1e-13, 1e-15), 100)  # a zero at a
+@example("cubic", 0.5, -2.0, 0.5, (1e-13, 1e-15), 100)  # a zero at b
+@example("cubic", 0.5, -3.0, 3.0, (1e-13, 1e-15), 2)  # maxiter exhausted
+def test_brentq_is_scipys(family, c, a, b, tolerances, maxiter):
+    """The solver's brentq returns scipy.optimize.brentq's root, by
+    float.hex, or raises the exception type scipy's raises."""
+    f = partial(BRENT_FAMILIES[family], c)
+    ours = _brent_outcome(reliability.brentq, f, a, b, tolerances, maxiter)
+    assert ours == _brent_outcome(scipy_brentq, f, a, b, tolerances, maxiter)
 
 
 def _all_hits(values, ts, root):
